@@ -19,9 +19,9 @@ from .intertwining import (PrincipalParams, UnitarityCase,
                            gk_pole_set, l_ratio, langlands_quotient_unitary,
                            principal_series_pole_set, region_membership,
                            torus_character_value)
-from .analytic import (AFEConfig, CoefficientTable, afe_value, delta_sym3_config,
-                       dirichlet_coeffs, dirichlet_sum, epsilon_probe,
-                       inject_pole_factor, partial_L, pole_scan)
+from .analytic import (AFEConfig, CoefficientTable, afe_value, afe_values,
+                       delta_sym3_config, dirichlet_coeffs, dirichlet_sum,
+                       epsilon_probe, inject_pole_factor, partial_L, pole_scan)
 from .ingest import (ParsedForm, ParsedHeckeData, delta_form, eta24_qexpansion,
                      parse_afe_config, parse_form, parse_hecke, satake_table)
 

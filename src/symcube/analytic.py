@@ -230,15 +230,37 @@ _STEP = 0.125
 _VMAX = 40.0
 
 
-def _kernel_nodes(s: complex, cfg: AFEConfig):
-    v = np.arange(-_VMAX, _VMAX + _STEP / 2, _STEP)
-    u = _CONTOUR + 1j * v
+_NODES = _CONTOUR + 1j * np.arange(-_VMAX, _VMAX + _STEP / 2, _STEP)
+# rows of exp(-outer(log y, u)) held at once; bounds the kernel's memory
+_BLOCK = 2048
+
+
+def _kernel_weights(s: complex, cfg: AFEConfig) -> np.ndarray:
+    """Quadrature weights at the shared nodes u = _NODES; only these depend on s."""
+    u = _NODES
     lg = 0.5 * (complex(s) + u) * math.log(cfg.conductor)
     for k in cfg.gamma_shifts:
         w = complex(s) + u + k
         lg = lg + math.log(2.0) - w * LOG_2PI + loggamma(w)
-    weights = np.exp(lg) / u * (_STEP / (2 * math.pi))
-    return u, weights
+    return np.exp(lg) / u * (_STEP / (2 * math.pi))
+
+
+def _kernel_sums(logy: np.ndarray, weights: Sequence[np.ndarray],
+                 lengths: Sequence[int]) -> List[np.ndarray]:
+    """V_p = exp(-outer(logy[:lengths[p]], u)) @ weights[p] for every p.
+
+    The matrix of exponentials is built once per _BLOCK rows of logy and
+    shared by every weight vector; each V_p takes the rows it needs with its
+    own matrix-vector product.
+    """
+    out = [np.empty(n, dtype=np.complex128) for n in lengths]
+    for i in range(0, max(lengths, default=0), _BLOCK):
+        E = np.exp(-np.outer(logy[i:i + _BLOCK], _NODES))
+        for V, w in zip(out, weights):
+            if len(V) > i:
+                V[i:i + _BLOCK] = E[:len(V) - i] @ w
+        del E  # else it stays alive while the next block is built
+    return out
 
 
 class CutoffTooSmall(ValueError):
@@ -250,40 +272,53 @@ class CutoffTooSmall(ValueError):
 
 def smoothing_weights(s: complex, y: np.ndarray, cfg: AFEConfig) -> np.ndarray:
     """V_s(y) on an array of positive y, via the shared quadrature grid."""
-    u, w = _kernel_nodes(s, cfg)
-    out = np.empty(len(y), dtype=np.complex128)
     logy = np.log(np.asarray(y, dtype=np.float64))
-    block = 2048
-    for i in range(0, len(y), block):
-        out[i:i + block] = np.exp(-np.outer(logy[i:i + block], u)) @ w
-    return out
+    return _kernel_sums(logy, [_kernel_weights(s, cfg)], [len(logy)])[0]
+
+
+def afe_values(points: Sequence[complex], cfg: AFEConfig,
+               coeffs: CoefficientTable) -> List[complex]:
+    """Completed values Lambda(s) at every point, each up to a reflected term
+    below 1e-20.
+
+    Supported for Re(s) > 1 - _CONTOUR + 0.05 (the contour must stay inside
+    the region of absolute convergence of the shifted series).  Every point
+    is validated before any sum is formed.  The kernel matrix
+    exp(-outer(log(n / x_scale), u)) does not depend on s, so it is built
+    once per block of n for the whole batch.  Raises CutoffTooSmall when the
+    tail of a smoothed sum is not yet negligible.
+    """
+    points = [complex(s) for s in points]
+    cutoffs = []
+    for s in points:
+        if s.real + _CONTOUR <= 1.05:
+            raise ValueError(f"Re(s) = {s.real} below the supported strip")
+        if abs(s.imag) > 20:
+            raise ValueError("quadrature grid supports |Im(s)| <= 20; "
+                             "recenter the contour for higher points")
+        cutoff = cfg.cutoff or default_cutoff(s, cfg)
+        if coeffs.n_max < cutoff:
+            raise CutoffTooSmall(cutoff, coeffs.n_max)
+        cutoffs.append(cutoff)
+    n_all = np.arange(1, max(cutoffs, default=0) + 1, dtype=np.float64)
+    kernels = _kernel_sums(np.log(n_all / cfg.x_scale),
+                           [_kernel_weights(s, cfg) for s in points], cutoffs)
+    values = []
+    for s, cutoff, V in zip(points, cutoffs, kernels):
+        n = n_all[:cutoff]
+        terms = coeffs.values[1:cutoff + 1] * n ** (-s) * V
+        total = complex(np.sum(terms))
+        tail = float(np.sum(np.abs(terms[-16:])))
+        scale = abs(gamma_completed(s, cfg))
+        if tail > 1e-9 * max(abs(total), scale):
+            raise CutoffTooSmall(cutoff * 2, cutoff)
+        values.append(total)
+    return values
 
 
 def afe_value(s: complex, cfg: AFEConfig, coeffs: CoefficientTable) -> complex:
-    """Completed value Lambda(s), up to a reflected term below 1e-20.
-
-    Supported for Re(s) > 1 - _CONTOUR + 0.05 (the contour must stay inside
-    the region of absolute convergence of the shifted series).  Raises
-    CutoffTooSmall when the tail of the smoothed sum is not yet negligible.
-    """
-    s = complex(s)
-    if s.real + _CONTOUR <= 1.05:
-        raise ValueError(f"Re(s) = {s.real} below the supported strip")
-    if abs(s.imag) > 20:
-        raise ValueError("quadrature grid supports |Im(s)| <= 20; "
-                         "recenter the contour for higher points")
-    cutoff = cfg.cutoff or default_cutoff(s, cfg)
-    if coeffs.n_max < cutoff:
-        raise CutoffTooSmall(cutoff, coeffs.n_max)
-    n = np.arange(1, cutoff + 1, dtype=np.float64)
-    V = smoothing_weights(s, n / cfg.x_scale, cfg)
-    terms = coeffs.values[1:cutoff + 1] * n ** (-s) * V
-    total = complex(np.sum(terms))
-    tail = float(np.sum(np.abs(terms[-16:])))
-    scale = abs(gamma_completed(s, cfg))
-    if tail > 1e-9 * max(abs(total), scale):
-        raise CutoffTooSmall(cutoff * 2, cutoff)
-    return total
+    """Completed value Lambda(s): the one-point case of afe_values."""
+    return afe_values([s], cfg, coeffs)[0]
 
 
 @dataclass
@@ -304,15 +339,15 @@ def epsilon_probe(points: Sequence[complex], cfg: AFEConfig,
     """
     if not cfg.self_dual:
         raise ValueError("root-number probe requires self-dual data")
+    points = [complex(s) for s in points]
+    values = afe_values([z for s in points for z in (s, 1 - s)], cfg, coeffs)
     used, estimates, skipped = [], [], []
-    for s in points:
-        num = afe_value(s, cfg, coeffs)
-        den = afe_value(1 - complex(s), cfg, coeffs)
+    for s, num, den in zip(points, values[0::2], values[1::2]):
         floor = 1e-13 * abs(gamma_completed(s, cfg))
         if abs(den) < floor:
-            skipped.append(complex(s))
+            skipped.append(s)
             continue
-        used.append(complex(s))
+        used.append(s)
         estimates.append(num / den)
     if not estimates:
         return EpsilonReport([], [], math.inf, math.inf, skipped)
@@ -348,11 +383,10 @@ def pole_scan(interval: Tuple[float, float], grid: int, cfg: AFEConfig,
     if grid < 1 or (grid < 2 and a != b):
         raise ValueError("grid must have at least 2 points on a real interval")
     sigmas = [a] if a == b else [a + (b - a) * i / (grid - 1) for i in range(grid)]
-    values, normalized, flagged = [], [], []
-    for sg in sigmas:
-        val = afe_value(sg, cfg, coeffs)
+    values = afe_values(sigmas, cfg, coeffs)
+    normalized, flagged = [], []
+    for sg, val in zip(sigmas, values):
         norm = abs(val) / abs(gamma_completed(sg, cfg))
-        values.append(val)
         normalized.append(norm)
         if norm > threshold:
             flagged.append(sg)

@@ -4,8 +4,7 @@ Every verification surface is a subcommand producing a report on stdout.
 Exit codes: 0 success / verification passed, 1 a verification failed (some
 check exceeded its tolerance), 2 usage or input-format errors.  Output is
 deterministic for fixed flags and --seed; --format json|csv gives
-machine-readable bytes.  SYMCUBE_THREADS caps the worker pool used for
-batched checks.
+machine-readable bytes.
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import analytic, ingest, intertwining, localfactor, monomial
@@ -32,23 +29,6 @@ from .satake import SatakeClass, is_tempered
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _thread_count() -> int:
-    try:
-        n = int(os.environ.get("SYMCUBE_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _parallel_map(fn, items):
-    """Order-preserving map honoring the SYMCUBE_THREADS cap."""
-    n = _thread_count()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -162,7 +142,7 @@ def cmd_region(args) -> int:
             out.append([str(r), str(s), cls, int(forb)])
         return out
 
-    rows = [row for chunk in _parallel_map(classify_row, range(n)) for row in chunk]
+    rows = [row for i in range(n) for row in classify_row(i)]
     vertex_rows = []
     for vr, vs in intertwining.UPPER_VERTICES:
         vertex_rows.append([str(vr), str(vs),
@@ -219,7 +199,7 @@ def cmd_identity(args) -> int:
     failed = False
     rows = []
     for name in chosen:
-        errs = _parallel_map(suites[name], classes)
+        errs = [suites[name](c) for c in classes]
         worst = max(errs) if errs else 0.0
         ok = worst < args.tol
         failed = failed or not ok
@@ -269,8 +249,7 @@ def cmd_intertwine(args) -> int:
                     out.append([f"{r:.6f}", f"{s:.6f}", "pole", exc.root_name])
             return out
 
-        grid_rows = [row for chunk in _parallel_map(grid_row, range(1, n))
-                     for row in chunk]
+        grid_rows = [row for i in range(1, n) for row in grid_row(i)]
         _emit(args.format, ["r", "s", "re", "im"], grid_rows)
         return EXIT_OK
     worst = 0.0
@@ -484,6 +463,9 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except analytic.LocalPoleError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -29,6 +29,12 @@ from .localfactor import RepTag, local_factor
 # roots inverted by the parabolic Weyl element, in product order
 _GK_ROOTS = ("beta2", "beta3", "beta4", "beta5", "beta6")
 
+# per inverted root: the affine pairing form t_b(r, s) and the coroot
+# coefficient c6 with chi_b = mu^c6; neither depends on the parameters
+_GK_ROOT_DATA = {name: (pairing(lambda_weight(), POSITIVE_ROOTS[name]),
+                        coroot_decomposition(POSITIVE_ROOTS[name])[1])
+                 for name in _GK_ROOTS}
+
 POLE_TOL = 1e-10
 
 
@@ -71,15 +77,6 @@ def torus_character_value(p: PrincipalParams, beta: RootVector) -> complex:
     return _mu_complex(p.mu) ** c6
 
 
-def _pairings_at(p: PrincipalParams):
-    lam = lambda_weight()
-    out = {}
-    for name in _GK_ROOTS:
-        form = pairing(lam, POSITIVE_ROOTS[name])
-        out[name] = form(p.r, p.s)
-    return out
-
-
 def _exact_pole_root(p: PrincipalParams, ts) -> str:
     """An exact-arithmetic pole decision when (mu, r, s) are exact; None if pole-free.
 
@@ -90,14 +87,12 @@ def _exact_pole_root(p: PrincipalParams, ts) -> str:
     from .cyclo import Cyclo
     if not isinstance(p.mu, Cyclo):
         return None
-    for name in _GK_ROOTS:
+    for name, (_, c6) in _GK_ROOT_DATA.items():
         t = ts[name]
         if not isinstance(t, (int, Fraction)):
             return None
-        if t == 0:
-            _, c6 = coroot_decomposition(POSITIVE_ROOTS[name])
-            if p.mu ** c6 == 1:
-                return name
+        if t == 0 and p.mu ** c6 == 1:
+            return name
     return None
 
 
@@ -109,14 +104,15 @@ def gk_coefficient(p: PrincipalParams, pole_tol: float = POLE_TOL) -> complex:
     naming the offending root; with a root-of-unity mu and rational (r, s)
     the pole decision is exact, otherwise it uses pole_tol.
     """
-    ts = _pairings_at(p)
+    ts = {name: form(p.r, p.s) for name, (form, _) in _GK_ROOT_DATA.items()}
     exact_pole = _exact_pole_root(p, ts)
     if exact_pole is not None:
         raise IntertwiningPole(exact_pole, ts[exact_pole])
     value = 1.0 + 0j
-    for name in _GK_ROOTS:
+    mu = _mu_complex(p.mu)
+    for name, (_, c6) in _GK_ROOT_DATA.items():
         t = complex(ts[name])
-        chi = torus_character_value(p, POSITIVE_ROOTS[name])
+        chi = mu ** c6
         den = 1.0 - chi * complex(p.q) ** (-t)
         if abs(den) < pole_tol:
             raise IntertwiningPole(name, ts[name])
@@ -176,14 +172,10 @@ def gk_pole_set(mu_order, r) -> Set:
     forms for s gives the locus.  Independent route used to cross-check
     principal_series_pole_set.
     """
-    lam = lambda_weight()
     out = set()
-    for name in _GK_ROOTS:
-        beta = POSITIVE_ROOTS[name]
-        _, c6 = coroot_decomposition(beta)
+    for form, c6 in _GK_ROOT_DATA.values():
         if c6 % mu_order != 0:
             continue  # chi_b = mu^c6 != 1
-        form = pairing(lam, beta)
         # form = const + rc*r + sc*s; solve for s at t = 0
         if form.s_coeff == 0:
             continue

@@ -1,15 +1,17 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from symcube.analytic import (
     AFEConfig, CutoffTooSmall, LocalPoleError, MissingPrimeError,
-    VERDICT_CONSISTENT, VERDICT_FLAGGED, afe_value, analytic_conductor,
-    delta_sym3_config, dirichlet_coeffs, dirichlet_sum, epsilon_probe,
-    gamma_completed, inject_pole_factor, partial_L, pole_scan, primes_upto,
-    smoothing_weights)
+    VERDICT_CONSISTENT, VERDICT_FLAGGED, _CONTOUR, _STEP, _VMAX, afe_value,
+    afe_values, analytic_conductor, default_cutoff, delta_sym3_config,
+    dirichlet_coeffs, dirichlet_sum, epsilon_probe, gamma_completed,
+    inject_pole_factor, partial_L, pole_scan, primes_upto, smoothing_weights)
 from symcube.localfactor import RepTag, ReciprocalPoly, local_factor
 from symcube.satake import SatakeClass
 
@@ -167,6 +169,63 @@ def test_afe_degree2_sanity_oracle(delta_8k):
 def test_afe_out_of_strip_rejected(delta_sym3_coeffs_8k):
     with pytest.raises(ValueError):
         afe_value(-2.0, delta_sym3_config(), delta_sym3_coeffs_8k)
+
+
+def _unbatched_afe(s, cfg, coeffs):
+    """Reference: one point's smoothed sum with its own kernel matrix, built
+    in 2048-row blocks from the module's quadrature parameters."""
+    s = complex(s)
+    cutoff = cfg.cutoff or default_cutoff(s, cfg)
+    n = np.arange(1, cutoff + 1, dtype=np.float64)
+    u = _CONTOUR + 1j * np.arange(-_VMAX, _VMAX + _STEP / 2, _STEP)
+    lg = 0.5 * (s + u) * math.log(cfg.conductor)
+    for k in cfg.gamma_shifts:
+        w = s + u + k
+        lg = lg + math.log(2.0) - w * math.log(2.0 * math.pi) + loggamma(w)
+    weights = np.exp(lg) / u * (_STEP / (2 * math.pi))
+    logy = np.log(n / cfg.x_scale)
+    V = np.concatenate([np.exp(-np.outer(logy[i:i + 2048], u)) @ weights
+                        for i in range(0, cutoff, 2048)])
+    return complex(np.sum(coeffs.values[1:cutoff + 1] * n ** (-s) * V))
+
+
+PROBE_POINTS = [z for s in (0.5 + 0.5j, 0.5 + 1j, 0.5 + 2j) for z in (s, 1 - s)]
+SCAN_POINTS = [0.55 + 0.05 * i for i in range(9)]
+# with cutoff = 0 and x_scale 64 these derive cutoffs on both sides of 2048
+MIXED_POINTS = [0.6, 0.5 + 0.5j, 3.0, 2.0 - 1j, 0.5 + 2j]
+MIXED_CONFIG = dataclasses.replace(delta_sym3_config(cutoff=0), x_scale=64.0)
+
+
+@pytest.mark.parametrize("cfg, points", [
+    (delta_sym3_config(cutoff=4000), PROBE_POINTS),
+    (delta_sym3_config(cutoff=4000), SCAN_POINTS),
+    (MIXED_CONFIG, MIXED_POINTS),
+], ids=["probe-cutoff4000", "scan-cutoff4000", "mixed-cutoff0"])
+def test_afe_values_equal_per_point_sums(delta_sym3_coeffs_8k, cfg, points):
+    coeffs = delta_sym3_coeffs_8k
+    got = afe_values(points, cfg, coeffs)
+    assert got == [afe_value(s, cfg, coeffs) for s in points]
+    assert got == [_unbatched_afe(s, cfg, coeffs) for s in points]
+
+
+def test_mixed_points_derive_cutoffs_across_a_block():
+    cutoffs = {default_cutoff(s, MIXED_CONFIG) for s in MIXED_POINTS}
+    assert len(cutoffs) == len(MIXED_POINTS)
+    assert min(cutoffs) < 2048 < max(cutoffs) <= 8192
+
+
+def test_afe_values_empty_batch(delta_sym3_coeffs_8k):
+    assert afe_values([], delta_sym3_config(), delta_sym3_coeffs_8k) == []
+
+
+def test_afe_values_rejects_a_batch_with_an_out_of_strip_point(delta_sym3_coeffs_8k):
+    cfg = delta_sym3_config()
+    with pytest.raises(ValueError) as single:
+        afe_value(-2.0, cfg, delta_sym3_coeffs_8k)
+    with pytest.raises(ValueError) as batch:
+        afe_values([0.5 + 1j, -2.0, 0.7], cfg, delta_sym3_coeffs_8k)
+    assert type(batch.value) is type(single.value)
+    assert str(batch.value) == str(single.value)
 
 
 def test_afe_cutoff_too_small(delta_sym3_coeffs_8k):

@@ -1,12 +1,14 @@
+import cmath
 import io
 import json
+import math
 import sys
 from contextlib import redirect_stdout
 
 import pytest
 
 from symcube.cli import main
-from symcube.ingest import delta_form, serialize_form
+from symcube.ingest import delta_form, satake_table, serialize_form
 
 
 def run_cli(argv):
@@ -61,14 +63,6 @@ def test_region_csv_vertices():
     assert "0,1,boundary" in tail
 
 
-def test_thread_cap_does_not_change_bytes(monkeypatch):
-    monkeypatch.setenv("SYMCUBE_THREADS", "1")
-    _, out1 = run_cli(["region", "--grid", "9", "--format", "csv"])
-    monkeypatch.setenv("SYMCUBE_THREADS", "4")
-    _, out2 = run_cli(["region", "--grid", "9", "--format", "csv"])
-    assert out1 == out2
-
-
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["identity", "--nonsense"])
@@ -84,6 +78,16 @@ def test_unknown_subcommand_is_usage_error():
 def test_missing_file_is_usage_error():
     code, _ = run_cli(["satake", "--coeffs", "/nonexistent/path.txt"])
     assert code == 2
+
+
+def test_local_pole_is_usage_error(capsys):
+    # at s = 3i arg(alpha_2) / log 2 the sym3 factor 1 - alpha_2^3 2^{-s} vanishes
+    alpha = satake_table(delta_form(100))[2].alpha
+    s = 3j * cmath.phase(alpha) / math.log(2)
+    code, _ = run_cli(["euler", "--coeffs", "builtin:delta:100", "--X", "50",
+                       "--s", str(s)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error: local factor at p=2")
 
 
 def test_bad_form_file_is_usage_error(tmp_path):
