@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import loggamma
+# scipy.special (for loggamma) is imported inside the two Gamma functions
+# below: it is most of the cost of `import symcube`, and only the completed
+# values need it.
 
 from .localfactor import RepTag, ReciprocalPoly
 
@@ -203,6 +205,7 @@ def delta_sym3_config(cutoff: int = 4000) -> AFEConfig:
 
 def gamma_completed(s: complex, cfg: AFEConfig) -> complex:
     """conductor^{s/2} * prod_j Gamma_C(s + kappa_j), Gamma_C(w) = 2 (2pi)^{-w} Gamma(w)."""
+    from scipy.special import loggamma
     lg = 0.5 * complex(s) * math.log(cfg.conductor)
     for k in cfg.gamma_shifts:
         w = complex(s) + k
@@ -237,6 +240,7 @@ _BLOCK = 2048
 
 def _kernel_weights(s: complex, cfg: AFEConfig) -> np.ndarray:
     """Quadrature weights at the shared nodes u = _NODES; only these depend on s."""
+    from scipy.special import loggamma
     u = _NODES
     lg = 0.5 * (complex(s) + u) * math.log(cfg.conductor)
     for k in cfg.gamma_shifts:

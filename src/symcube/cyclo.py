@@ -1,12 +1,15 @@
 """Exact arithmetic with Q-linear combinations of roots of unity.
 
-A value is stored as {exponent: coefficient} meaning
-sum_e  coeff_e * exp(2*pi*i*e), with exponents Fractions reduced mod 1.
-The representation is lazy (ties like 1 + zeta_2 = 0 are not collapsed on
-construction, which keeps monomials monomial), but equality and the zero
-test are complete: the difference is reduced modulo the cyclotomic
-polynomial of the common order, so two values compare equal exactly when
-they are the same algebraic number.
+A value is stored as an integer order n and a dict {k: coefficient} with
+0 <= k < n, meaning sum_k  coeff_k * exp(2*pi*i*k/n).  Coefficients are
+plain ints when integral and Fractions otherwise, and n is kept minimal
+(the lcm of the exponent denominators), so one formal sum has exactly one
+representation.  Sums and products align their operands at the lcm of the
+two orders with integer key arithmetic.  The representation is lazy (ties
+like 1 + zeta_2 = 0 are not collapsed on construction, which keeps
+monomials monomial), but equality and the zero test are complete: the
+difference is reduced modulo the cyclotomic polynomial of its order, so two
+values compare equal exactly when they are the same algebraic number.
 """
 
 from __future__ import annotations
@@ -23,87 +26,137 @@ def _cyclotomic(n: int):
 
     Computed by exact division: x^n - 1 = prod over d | n of Phi_d.
     """
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            divisor = _cyclotomic(d)
-            poly = _polydiv_exact(poly, divisor)
+            poly = _polydiv_monic(poly, _cyclotomic(d))
     return tuple(poly)
 
 
-def _polydiv_exact(num, den):
-    """Quotient of ascending-coefficient polynomials; remainder must vanish."""
+def _polydiv_monic(num, den):
+    """Quotient of ascending integer polynomials by a monic one; remainder must vanish."""
     num = list(num)
     dd = len(den) - 1
-    out = [Fraction(0)] * (len(num) - dd)
+    out = [0] * (len(num) - dd)
     for j in range(len(num) - 1, dd - 1, -1):
-        f = num[j] / den[dd]
+        f = num[j]
         out[j - dd] = f
         if f:
             for k in range(dd + 1):
                 num[j - dd + k] -= f * den[k]
-    assert all(x == 0 for x in num[:dd]), "non-exact polynomial division"
+    assert not any(num[:dd]), "non-exact polynomial division"
     return out
 
 
-def _terms_are_zero(terms) -> bool:
-    """Whether sum_e c_e zeta^e vanishes, decided mod the cyclotomic polynomial."""
-    if not terms:
-        return True
-    order = 1
-    for e in terms:
-        order = math.lcm(order, e.denominator)
-    coeffs = [Fraction(0)] * order
-    for e, c in terms.items():
-        coeffs[int(e * order) % order] += c
-    phi = _cyclotomic(order)
+def _is_zero(n: int, coeffs: dict) -> bool:
+    """Whether sum_k c_k zeta_n^k vanishes, decided mod the n-th cyclotomic polynomial.
+
+    Fraction coefficients are cleared to integers first; Phi_n is monic with
+    integer coefficients, so the reduction runs on ints throughout.
+    """
+    den = 1
+    for c in coeffs.values():
+        if type(c) is not int:
+            den = math.lcm(den, c.denominator)
+    poly = [0] * n
+    for k, c in coeffs.items():
+        poly[k] = c if den == 1 else int(c * den)
+    phi = _cyclotomic(n)
     dd = len(phi) - 1
-    for j in range(order - 1, dd - 1, -1):
-        f = coeffs[j]
+    low = [(k, p) for k, p in enumerate(phi[:dd]) if p]
+    for j in range(n - 1, dd - 1, -1):
+        f = poly[j]
         if f:
-            for k in range(dd + 1):
-                coeffs[j - dd + k] -= f * phi[k]
-    return all(x == 0 for x in coeffs[:dd])
+            base = j - dd
+            for k, p in low:
+                poly[base + k] -= f * p
+    return not any(poly[:dd])
+
+
+def _make(n: int, coeffs: dict) -> "Cyclo":
+    """Cyclo from an order and {k: coeff} with 0 <= k < n, coefficients int or Fraction.
+
+    The one trusted constructor: drops zero coefficients, turns integral
+    Fractions into ints and reduces n to its minimal value.
+    """
+    out = {}
+    for k, c in coeffs.items():
+        if c:
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            out[k] = c
+    g = math.gcd(n, *out) if out else n
+    if g > 1:
+        n //= g
+        out = {k // g: c for k, c in out.items()}
+    self = object.__new__(Cyclo)
+    self._n = n
+    self._c = out
+    return self
+
+
+def _rational(q):
+    """q as an int when integral, else as a Fraction (ints pass through untouched)."""
+    if type(q) is int:
+        return q
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 class Cyclo:
     """Formal rational combination of roots of unity."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_n", "_c")
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    e = Fraction(e) % 1
-                    self.terms[e] = self.terms.get(e, Fraction(0)) + c
-            self.terms = {e: c for e, c in self.terms.items() if c}
+        """From a {exponent: coefficient} mapping, exponents rational and read mod 1."""
+        items = []
+        n = 1
+        for e, c in (terms or {}).items():
+            c = _rational(c)
+            if c:
+                e = Fraction(e)
+                items.append((e, c))
+                n = math.lcm(n, e.denominator)
+        coeffs = {}
+        for e, c in items:
+            k = e.numerator * (n // e.denominator) % n
+            coeffs[k] = coeffs.get(k, 0) + c
+        made = _make(n, coeffs)
+        self._n = made._n
+        self._c = made._c
+
+    @property
+    def terms(self) -> dict:
+        """The value as {Fraction exponent in [0, 1): Fraction coefficient}."""
+        n = self._n
+        return {Fraction(k, n): Fraction(c) for k, c in self._c.items()}
 
     @classmethod
     def root_of_unity(cls, k, n) -> "Cyclo":
         """exp(2*pi*i*k/n)."""
         if n == 0:
             raise ZeroDivisionError("root_of_unity order 0")
-        return cls({Fraction(k, n): Fraction(1)})
+        if n < 0:
+            k, n = -k, -n
+        return _make(n, {k % n: 1})
 
     @classmethod
     def from_rational(cls, q) -> "Cyclo":
-        return cls({Fraction(0): Fraction(q)})
+        return _make(1, {0: _rational(q)})
 
     @classmethod
     def gaussian(cls, re, im=0) -> "Cyclo":
         """The Gaussian rational re + im*i, as a combination of 1 and zeta_4."""
-        return cls({Fraction(0): Fraction(re), Fraction(1, 4): Fraction(im)})
+        return _make(4, {0: _rational(re), 1: _rational(im)})
 
     @classmethod
     def one(cls) -> "Cyclo":
-        return cls.from_rational(1)
+        return _make(1, {0: 1})
 
     @classmethod
     def zero(cls) -> "Cyclo":
-        return cls()
+        return _make(1, {})
 
     @staticmethod
     def coerce(x) -> "Cyclo":
@@ -112,36 +165,41 @@ class Cyclo:
         return Cyclo.from_rational(x)
 
     def __bool__(self):
-        if not self.terms:
-            return False
-        if len(self.terms) == 1:
-            return True   # a single c*zeta^e with c != 0 never vanishes
-        return not _terms_are_zero(self.terms)
+        if len(self._c) < 2:
+            return bool(self._c)   # a single c*zeta^k with c != 0 never vanishes
+        return not _is_zero(self._n, self._c)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Cyclo.from_rational(other)
         if not isinstance(other, Cyclo):
             return NotImplemented
-        if self.terms == other.terms:
+        if self._n == other._n and self._c == other._c:
             return True
-        return _terms_are_zero((self - other).terms)
+        return not (self - other)
 
     # equal values can carry different term dictionaries, so there is no
     # cheap representation-independent hash
     __hash__ = None
 
     def __add__(self, other):
-        o = Cyclo.coerce(other)
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Cyclo(out)
+        if not isinstance(other, Cyclo):
+            if type(other) is int and other == 0:
+                return self
+            other = Cyclo.from_rational(other)
+        n1, n2 = self._n, other._n
+        n = math.lcm(n1, n2)
+        m1, m2 = n // n1, n // n2
+        out = {k * m1: c for k, c in self._c.items()}
+        for k, c in other._c.items():
+            k *= m2
+            out[k] = out.get(k, 0) + c
+        return _make(n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo({e: -c for e, c in self.terms.items()})
+        return _make(self._n, {k: -c for k, c in self._c.items()})
 
     def __sub__(self, other):
         return self + (-Cyclo.coerce(other))
@@ -150,25 +208,32 @@ class Cyclo:
         return Cyclo.coerce(other) + (-self)
 
     def __mul__(self, other):
-        o = Cyclo.coerce(other)
+        if not isinstance(other, Cyclo):
+            q = _rational(other)
+            return _make(self._n, {k: c * q for k, c in self._c.items()})
+        n1, n2 = self._n, other._n
+        n = math.lcm(n1, n2)
+        m1, m2 = n // n1, n // n2
+        right = [(k * m2, c) for k, c in other._c.items()]
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = (e1 + e2) % 1
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Cyclo(out)
+        for k1, c1 in self._c.items():
+            k1 *= m1
+            for k2, c2 in right:
+                k = (k1 + k2) % n
+                out[k] = out.get(k, 0) + c1 * c2
+        return _make(n, out)
 
     __rmul__ = __mul__
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._c) == 1
 
     def inverse(self) -> "Cyclo":
         """Multiplicative inverse; defined for single-term values only."""
         if not self.is_monomial():
             raise ValueError("inverse defined only for monomial values")
-        (e, c), = self.terms.items()
-        return Cyclo({-e % 1: Fraction(1) / c})
+        (k, c), = self._c.items()
+        return _make(self._n, {-k % self._n: Fraction(1, c)})
 
     def __pow__(self, n: int) -> "Cyclo":
         if not isinstance(n, int):
@@ -185,28 +250,27 @@ class Cyclo:
         return out
 
     def conjugate(self) -> "Cyclo":
-        return Cyclo({-e % 1: c for e, c in self.terms.items()})
+        n = self._n
+        return _make(n, {-k % n: c for k, c in self._c.items()})
 
     def to_complex(self) -> complex:
-        return sum((complex(c) * cmath.exp(2j * cmath.pi * float(e))
-                    for e, c in self.terms.items()), 0j)
+        n = self._n
+        return sum((complex(c) * cmath.exp(2j * cmath.pi * (k / n))
+                    for k, c in self._c.items()), 0j)
+
+    __complex__ = to_complex
 
     def __abs__(self) -> float:
         return abs(self.to_complex())
 
     def __repr__(self):
-        if not self.terms:
+        if not self._c:
             return "Cyclo(0)"
         bits = []
-        for e, c in sorted(self.terms.items()):
-            if e == 0:
+        for k, c in sorted(self._c.items()):
+            if k == 0:
                 bits.append(str(c))
             else:
                 pre = "" if c == 1 else f"{c}*"
-                bits.append(f"{pre}zeta^({e})")
+                bits.append(f"{pre}zeta^({Fraction(k, self._n)})")
         return "Cyclo(" + " + ".join(bits) + ")"
-
-
-def is_exact(x) -> bool:
-    """True when x participates in the exact arithmetic path."""
-    return isinstance(x, (Cyclo, int, Fraction))

@@ -206,8 +206,7 @@ def parse_hecke(path: str) -> ParsedHeckeData:
             v2 = _parse_char_value(bits[3], i)
             # the exact path needs both values exact; mixed entries demote
             if isinstance(v1, Cyclo) != isinstance(v2, Cyclo):
-                v1 = v1.to_complex() if isinstance(v1, Cyclo) else v1
-                v2 = v2.to_complex() if isinstance(v2, Cyclo) else v2
+                v1, v2 = complex(v1), complex(v2)
             entry = HeckeLocalData(p, SPLIT, v1, v2)
         elif kind == "inert":
             if len(bits) != 3:
@@ -219,7 +218,7 @@ def parse_hecke(path: str) -> ParsedHeckeData:
             for v in (entry.chi_p, entry.chi_pbar):
                 if v is None:
                     continue
-                if abs(abs(v if isinstance(v, complex) else v.to_complex()) - 1.0) > 1e-9:
+                if abs(abs(complex(v)) - 1.0) > 1e-9:
                     raise HeckeParseError(i, f"value at p={p} is not a unit "
                                              f"but chi-order is finite")
         entries.append(entry)

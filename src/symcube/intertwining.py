@@ -24,7 +24,7 @@ from typing import Set
 from . import satake as sk
 from .g2root import (POSITIVE_ROOTS, RootVector, coroot_decomposition,
                      lambda_weight, pairing)
-from .localfactor import RepTag, local_factor
+from .localfactor import RepTag, eigenvalues
 
 # roots inverted by the parabolic Weyl element, in product order
 _GK_ROOTS = ("beta2", "beta3", "beta4", "beta5", "beta6")
@@ -52,7 +52,7 @@ class PrincipalParams:
             raise ValueError("q must be >= 2")
         if not 0 <= float(self.r) < 0.5:
             raise ValueError("r must lie in [0, 1/2)")
-        if abs(abs(_mu_complex(self.mu)) - 1.0) > 1e-8:
+        if abs(abs(complex(self.mu)) - 1.0) > 1e-8:
             raise ValueError("|mu| must be 1")
 
 
@@ -66,15 +66,10 @@ class IntertwiningPole(ArithmeticError):
             f"pole from root {root_name}: 1 - chi q^(-t) vanishes at t = {pairing_value}")
 
 
-def _mu_complex(mu) -> complex:
-    from .cyclo import Cyclo
-    return mu.to_complex() if isinstance(mu, Cyclo) else complex(mu)
-
-
 def torus_character_value(p: PrincipalParams, beta: RootVector) -> complex:
     """Value of the torus character on beta^vee: mu^c6 with beta^vee = c1 b1^vee + c6 b6^vee."""
     _, c6 = coroot_decomposition(beta)
-    return _mu_complex(p.mu) ** c6
+    return complex(p.mu) ** c6
 
 
 def _exact_pole_root(p: PrincipalParams, ts) -> str:
@@ -109,7 +104,7 @@ def gk_coefficient(p: PrincipalParams, pole_tol: float = POLE_TOL) -> complex:
     if exact_pole is not None:
         raise IntertwiningPole(exact_pole, ts[exact_pole])
     value = 1.0 + 0j
-    mu = _mu_complex(p.mu)
+    mu = complex(p.mu)
     for name, (_, c6) in _GK_ROOT_DATA.items():
         t = complex(ts[name])
         chi = mu ** c6
@@ -128,20 +123,33 @@ def l_ratio(p: PrincipalParams, pole_tol: float = POLE_TOL,
     The class used is (mu q^{-r}, mu q^{r}); the keyword flips to the
     contragredient and exists only so tests can pin the convention.
     """
-    mu = _mu_complex(p.mu)
+    mu = complex(p.mu)
     qr = float(p.q) ** float(p.r)
     cls = sk.SatakeClass(mu / qr, mu * qr, p.q)
     if _use_contragredient:
         cls = sk.contragredient(cls)
-    r30 = local_factor(RepTag.ADJOINT_CUBE, cls)
-    w2 = local_factor(RepTag.WEDGE2, cls)
+    r30 = eigenvalues(RepTag.ADJOINT_CUBE, cls)
+    w2 = eigenvalues(RepTag.WEDGE2, cls)
     s = complex(p.s)
     # L(s) = 1/P(q^{-s}); the assembled ratio is a quotient of P-values
-    den = r30.evaluate(p.q ** (-s)) * w2.evaluate(p.q ** (-2 * s))
+    den = _p_value(r30, p.q ** (-s)) * _p_value(w2, p.q ** (-2 * s))
     if abs(den) < pole_tol:
         raise IntertwiningPole("numerator-L-value", p.s)
-    num = r30.evaluate(p.q ** (-1 - s)) * w2.evaluate(p.q ** (-1 - 2 * s))
+    num = _p_value(r30, p.q ** (-1 - s)) * _p_value(w2, p.q ** (-1 - 2 * s))
     return num / den
+
+
+def _p_value(eigen, t: complex) -> complex:
+    """P(t) = prod (1 - lambda t), kept as a product.
+
+    Near the pole locus a factor 1 - lambda t is small; the expanded
+    polynomial evaluated by Horner loses that factor's relative accuracy to
+    cancellation, the product keeps it.
+    """
+    value = 1.0 + 0j
+    for lam in eigen:
+        value *= 1 - lam * t
+    return value
 
 
 def principal_series_pole_set(mu_order, r) -> Set:

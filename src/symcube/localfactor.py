@@ -85,24 +85,16 @@ class ReciprocalPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def degree_in_rational_prime(self) -> int:
-        """Degree as a polynomial in p^{-s}; doubled for inert-prime factors."""
-        return self.degree
-
     def is_exact(self) -> bool:
         return any(isinstance(c, Cyclo) for c in self.coeffs)
 
     def to_complex(self) -> "ReciprocalPoly":
-        return ReciprocalPoly(
-            [c.to_complex() if isinstance(c, Cyclo) else complex(c)
-             for c in self.coeffs], self.q)
+        return ReciprocalPoly([complex(c) for c in self.coeffs], self.q)
 
     def evaluate(self, t: complex) -> complex:
         val = 0j
         for c in reversed(self.coeffs):
-            cc = c.to_complex() if isinstance(c, Cyclo) else complex(c)
-            val = val * t + cc
+            val = val * t + complex(c)
         return val
 
     def lvalue(self, s: complex) -> complex:
@@ -132,8 +124,7 @@ class ReciprocalPoly:
         worst = 0.0
         scale = 1.0
         for x, y in zip(a, b):
-            xc = x.to_complex() if isinstance(x, Cyclo) else complex(x)
-            yc = y.to_complex() if isinstance(y, Cyclo) else complex(y)
+            xc, yc = complex(x), complex(y)
             worst = max(worst, abs(xc - yc))
             scale = max(scale, abs(xc), abs(yc))
         return worst / scale

@@ -37,16 +37,10 @@ class SatakeClass:
         """Equality as unordered pairs, up to tol."""
         if self.q != other.q:
             return False
-        a, b = complex(_as_complex(self.alpha)), complex(_as_complex(self.beta))
-        c, d = complex(_as_complex(other.alpha)), complex(_as_complex(other.beta))
+        a, b = complex(self.alpha), complex(self.beta)
+        c, d = complex(other.alpha), complex(other.beta)
         return (abs(a - c) <= tol and abs(b - d) <= tol) or \
                (abs(a - d) <= tol and abs(b - c) <= tol)
-
-
-def _as_complex(x) -> complex:
-    if isinstance(x, Cyclo):
-        return x.to_complex()
-    return complex(x)
 
 
 def satake_from_hecke(a_p, p: int, k: int, omega_p=1.0) -> SatakeClass:
@@ -83,8 +77,8 @@ def is_tempered(c: SatakeClass, tol: float = DEFAULT_TOL) -> bool:
     """Both parameters on the unit circle, up to tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return (abs(abs(_as_complex(c.alpha)) - 1.0) <= tol
-            and abs(abs(_as_complex(c.beta)) - 1.0) <= tol)
+    return (abs(abs(complex(c.alpha)) - 1.0) <= tol
+            and abs(abs(complex(c.beta)) - 1.0) <= tol)
 
 
 def complementary_params(c: SatakeClass, tol: float = DEFAULT_TOL):
@@ -92,7 +86,7 @@ def complementary_params(c: SatakeClass, tol: float = DEFAULT_TOL):
 
     Returns None when the class is not a complementary-series parameter.
     """
-    a, b = _as_complex(c.alpha), _as_complex(c.beta)
+    a, b = complex(c.alpha), complex(c.beta)
     if abs(a) < abs(b):
         a, b = b, a
     # now |a| >= |b|; expect a = mu q^r, b = mu q^{-r}
@@ -166,14 +160,14 @@ class LocalRepClass:
         if self.kind in (PRINCIPAL_TEMPERED, COMPLEMENTARY):
             if self.mu is None:
                 raise ValueError(f"{self.kind} requires mu")
-            if abs(abs(_as_complex(self.mu)) - 1.0) > 1e-8:
+            if abs(abs(complex(self.mu)) - 1.0) > 1e-8:
                 raise ValueError("|mu| must be 1")
 
 
 def principal_tempered(mu, pair_form: str = PAIR_MU_MUINV,
                        tol: float = DEFAULT_TOL) -> LocalRepClass:
     """Principal tempered class with order flags computed from mu."""
-    m = _as_complex(mu)
+    m = complex(mu)
     return LocalRepClass(
         PRINCIPAL_TEMPERED, mu=mu, pair_form=pair_form,
         mu_cubed_is_one=abs(m ** 3 - 1) <= tol,

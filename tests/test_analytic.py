@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import loggamma
 
+import symcube
 from symcube.analytic import (
     AFEConfig, CutoffTooSmall, LocalPoleError, MissingPrimeError,
     VERDICT_CONSISTENT, VERDICT_FLAGGED, _CONTOUR, _STEP, _VMAX, afe_value,
@@ -309,3 +313,12 @@ def test_inject_pole_factor_series():
     assert abs(out.values[4] - (1 + 2.0 + 4.0)) < 1e-14
     assert abs(out.values[3] - 1.0) < 1e-14
     assert abs(out.values[12] - (1 + 2 + 4)) < 1e-14   # 12 = 4 * 3
+
+
+def test_import_does_not_load_scipy_special():
+    """scipy.special is loaded by the first Gamma evaluation, not by the import."""
+    src = os.path.dirname(os.path.dirname(symcube.__file__))
+    code = "import sys, symcube; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "False"

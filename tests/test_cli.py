@@ -132,6 +132,15 @@ def test_intertwine_checks():
     assert "gk-vs-lratio" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("seed", [13, 20])
+def test_intertwine_draws_near_the_pole_locus_pass(seed):
+    # these seeds draw points close to s = r or s = 3r with mu = 1, where an
+    # L-ratio built from expanded polynomials was off by about 1e-10
+    code, out = run_cli(["intertwine", "--samples", "2000", "--seed", str(seed)])
+    assert code == 0
+    assert "FAIL" not in out
+
+
 def test_intertwine_grid_csv():
     code, out = run_cli(["intertwine", "--grid", "6", "--format", "csv"])
     assert code == 0

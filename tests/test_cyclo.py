@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcube.cyclo import Cyclo, _cyclotomic
 
@@ -108,3 +110,114 @@ def test_coercion():
     assert Cyclo.coerce(5) == Cyclo.from_rational(5)
     assert Cyclo.coerce(Q(1, 2)) * 2 == 1
     assert (Cyclo.one() + 1) == 2
+
+
+def test_repr():
+    assert repr(Cyclo.zero()) == "Cyclo(0)"
+    assert repr(Cyclo.from_rational(Q(-3, 2))) == "Cyclo(-3/2)"
+    assert repr(2 * z(1, 3) + Q(1, 2)) == "Cyclo(1/2 + 2*zeta^(1/3))"
+    assert repr(z(5, 12) * Q(-2, 7) + z(1, 4) - 3) == \
+        "Cyclo(-3 + zeta^(1/4) + -2/7*zeta^(5/12))"
+    assert repr(Cyclo.gaussian(1, -1)) == "Cyclo(1 + -1*zeta^(1/4))"
+    assert repr(z(1, 6).conjugate()) == "Cyclo(zeta^(5/6))"
+
+
+# --- properties over orders 1..60, int and Fraction coefficients -----------
+
+ORDERS = st.integers(1, 60)
+COEFFS = st.one_of(st.integers(-3, 3),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=6))
+NONZERO = COEFFS.filter(bool)
+
+
+@st.composite
+def at_order(draw, n, max_terms=4):
+    """A sum of up to max_terms c * zeta_d^k with d dividing n."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    v = Cyclo.zero()
+    for _ in range(draw(st.integers(0, max_terms))):
+        d = draw(st.sampled_from(divisors))
+        v = v + draw(COEFFS) * z(draw(st.integers(0, d - 1)), d)
+    return v
+
+
+cyclos = ORDERS.flatmap(at_order)
+
+
+@st.composite
+def same_field_pair(draw):
+    n = draw(ORDERS)
+    return n, draw(at_order(n)), draw(at_order(n))
+
+
+@st.composite
+def monomials(draw):
+    n = draw(ORDERS)
+    return draw(NONZERO) * z(draw(st.integers(-n, 2 * n)), n)
+
+
+@st.composite
+def relations(draw):
+    """c * zeta_n^j * (1 + zeta_p + ... + zeta_p^(p-1)) for a prime p | n: zero."""
+    n = draw(ORDERS.filter(lambda m: m > 1))
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    ring = sum((z(i, p) for i in range(p)), Cyclo.zero())
+    return n, draw(NONZERO) * z(draw(st.integers(0, n - 1)), n) * ring
+
+
+@settings(deadline=None)
+@given(cyclos, cyclos, cyclos)
+def test_ring_laws(a, b, c):
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a - a == 0 and not (a - a)
+    assert 0 + a == a and a * 1 == a and a * 0 == 0
+
+
+@settings(deadline=None)
+@given(monomials(), st.integers(1, 5))
+def test_monomial_inverse_and_negative_powers(m, k):
+    assert m * m.inverse() == 1
+    assert m ** -k == (m ** k).inverse()
+    assert m ** -k * m ** k == 1
+    assert m ** -1 == m.inverse()
+
+
+@settings(deadline=None)
+@given(cyclos, cyclos)
+def test_conjugate(a, b):
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+    assert a.conjugate().conjugate().terms == a.terms
+    assert abs(a.conjugate().to_complex() - a.to_complex().conjugate()) < 1e-9
+
+
+@settings(deadline=None)
+@given(same_field_pair())
+def test_eq_and_bool_agree_with_complex_value(pair):
+    _, a, b = pair
+    near = abs(a.to_complex() - b.to_complex()) < 1e-9
+    assert (a == b) is near
+    assert bool(a - b) == (not near)
+    assert complex(a) == a.to_complex()
+
+
+@settings(deadline=None)
+@given(relations(), cyclos)
+def test_cyclotomic_relations_vanish(rel, a):
+    _, r = rel
+    assert not r and r == 0
+    assert a + r == a
+    assert bool(a + r) is bool(a)
+
+
+@settings(deadline=None)
+@given(cyclos)
+def test_terms_round_trip(a):
+    terms = a.terms
+    assert all(type(e) is Q and 0 <= e < 1 for e in terms)
+    assert all(type(c) is Q and c != 0 for c in terms.values())
+    back = Cyclo(terms)
+    assert back == a and back.terms == terms and repr(back) == repr(a)
