@@ -35,6 +35,16 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _parse_complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
@@ -131,18 +141,16 @@ def cmd_roots(args) -> int:
 
 def cmd_region(args) -> int:
     n = args.grid
-
-    def classify_row(i):
-        r = Fraction(i, 2 * (n - 1)) if n > 1 else Fraction(0)
-        out = []
-        for j in range(n):
-            s = Fraction(j, n - 1) if n > 1 else Fraction(0)
-            cls = intertwining.region_membership(r, s, args.mu_case)
-            forb = intertwining.forbidden_triangle_contains(r, s)
-            out.append([str(r), str(s), cls, int(forb)])
-        return out
-
-    rows = [row for i in range(n) for row in classify_row(i)]
+    step = max(n - 1, 1)  # a one-point grid is the origin
+    ss = [Fraction(j, step) for j in range(n)]
+    s_strs = [str(s) for s in ss]
+    rows = []
+    for i in range(n):
+        r = Fraction(i, 2 * step)
+        r_str = str(r)
+        for s, s_str in zip(ss, s_strs):
+            rows.append([r_str, s_str, intertwining.region_membership(r, s, args.mu_case),
+                         int(intertwining.forbidden_triangle_contains(r, s))])
     vertex_rows = []
     for vr, vs in intertwining.UPPER_VERTICES:
         vertex_rows.append([str(vr), str(vs),
@@ -384,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_roots)
 
     p = sub.add_parser("region", help="rs-plane classification grid (CSV-friendly)")
-    p.add_argument("--grid", type=int, default=100)
+    p.add_argument("--grid", type=_positive_int, default=100)
     p.add_argument("--mu-case", dest="mu_case", choices=["trivial", "order2"],
                    default="trivial")
     common(p)

@@ -231,7 +231,7 @@ def serialize_hecke(data: ParsedHeckeData) -> str:
             (e, c), = v.terms.items()
             return f"{e.numerator}/{e.denominator}" if e.denominator > 1 else f"{e.numerator}/1"
         return f"{v.real},{v.imag}"
-    head = f"field-disc {self_or(data.field_disc, 0)} chi-order " \
+    head = f"field-disc {data.field_disc if data.field_disc is not None else 0} chi-order " \
            f"{data.chi_order if data.chi_order is not None else 'unknown'}"
     out = [head]
     for e in data.entries:
@@ -240,10 +240,6 @@ def serialize_hecke(data: ParsedHeckeData) -> str:
         else:
             out.append(f"{e.p} inert {fmt(e.chi_p)}")
     return "\n".join(out) + "\n"
-
-
-def self_or(v, default):
-    return default if v is None else v
 
 
 def parse_afe_config(path: str) -> AFEConfig:

@@ -251,33 +251,21 @@ FORBIDDEN_VERTICES = ((Fraction(0), Fraction(1)),
 
 
 def _sign_values(r, s):
-    """The five edge forms, sign-exactly for rational input.
+    """The five edge forms ``(a, b, d, r, half)``, sign-exactly for rational input.
 
-    Forms: s+3r-1, 1-(s+r), s-3r, r, 1/2-s; rational (r, s) are cleared to a
-    common denominator so each entry is an integer with the right sign.
+    a = s+3r-1, b = 1-(s+r), d = s-3r, r = r, half = 1-2s (twice 1/2-s).
+    Rational (r, s) are cleared to the common denominator of r and s, so each
+    entry is an integer with the sign of its form; other input gives floats.
     """
     if isinstance(r, Rational) and isinstance(s, Rational):
-        rn, rd = Fraction(r).numerator, Fraction(r).denominator
-        sn, sd = Fraction(s).numerator, Fraction(s).denominator
+        rd, sd = r.denominator, s.denominator
         # common denominator rd*sd; numerators of r and s over it:
-        R = rn * sd
-        S = sn * rd
+        R = r.numerator * sd
+        S = s.numerator * rd
         D = rd * sd
-        return {
-            "a": S + 3 * R - D,      # s + 3r - 1
-            "b": D - (S + R),        # 1 - (s + r)
-            "d": S - 3 * R,          # s - 3r
-            "r": R,                  # r
-            "half": D - 2 * S,       # 1/2 - s  (scaled by 2)
-        }
+        return S + 3 * R - D, D - (S + R), S - 3 * R, R, D - 2 * S
     rf, sf = float(r), float(s)
-    return {
-        "a": sf + 3 * rf - 1.0,
-        "b": 1.0 - (sf + rf),
-        "d": sf - 3 * rf,
-        "r": rf,
-        "half": 1.0 - 2.0 * sf,
-    }
+    return sf + 3 * rf - 1.0, 1.0 - (sf + rf), sf - 3 * rf, rf, 1.0 - 2.0 * sf
 
 
 def region_membership(r, s, mu_case: str = MU_TRIVIAL) -> str:
@@ -290,8 +278,7 @@ def region_membership(r, s, mu_case: str = MU_TRIVIAL) -> str:
     """
     if mu_case not in (MU_TRIVIAL, MU_ORDER2):
         raise ValueError("mu_case must be trivial or order2")
-    v = _sign_values(r, s)
-    a, b, d, rr, half = v["a"], v["b"], v["d"], v["r"], v["half"]
+    a, b, d, rr, half = _sign_values(r, s)
 
     if mu_case == MU_TRIVIAL:
         if a > 0 and b > 0 and d > 0 and rr > 0:
@@ -315,5 +302,5 @@ def forbidden_triangle_contains(r, s) -> bool:
     Its inside meets no unitary region: edges r = 0, s = 1/2 shifted, and the
     line s = 1 - 3r shared with the upper triangle, so the two are disjoint.
     """
-    v = _sign_values(r, s)
-    return v["r"] > 0 and v["half"] < 0 and v["a"] < 0
+    a, _, _, rr, half = _sign_values(r, s)
+    return rr > 0 and half < 0 and a < 0

@@ -10,6 +10,7 @@ cyclotomic arithmetic and the factorization checks return error 0 exactly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -88,26 +89,23 @@ def sym_cube_matrix(m):
     return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
 
 
-_PERMS4 = []
-
-
-def _perms4():
-    if not _PERMS4:
-        import itertools
-        for perm in itertools.permutations(range(4)):
-            sign = 1
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            _PERMS4.append((perm, sign))
-    return _PERMS4
+# (permutation, sign) pairs of S4; the sign is (-1)^(number of inversions)
+_PERMS4 = [(perm, (-1) ** sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4)))
+           for perm in itertools.permutations(range(4))]
 
 
 def _char_poly_4x4(n, one, zero):
-    """det(I - N T) by permutation expansion; division-free, any scalar ring."""
+    """det(I - N T) by permutation expansion; division-free, any scalar ring.
+
+    A permutation through an exact-zero off-diagonal entry contributes zero
+    and is skipped: of the 24 terms, a diagonal (split) induced matrix keeps
+    one and an anti-diagonal (inert) one keeps four.
+    """
+    zero_at = [[i != j and not n[i][j] for j in range(4)] for i in range(4)]
     out = [zero] * 5
-    for perm, sign in _perms4():
+    for perm, sign in _PERMS4:
+        if any(zero_at[i][perm[i]] for i in range(4)):
+            continue
         term = [one]  # polynomial in T
         for i in range(4):
             entry = [one if i == perm[i] else zero, -n[i][perm[i]]]

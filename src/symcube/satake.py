@@ -47,8 +47,8 @@ def satake_from_hecke(a_p, p: int, k: int, omega_p=1.0) -> SatakeClass:
     """Satake class of the local component attached to Hecke eigenvalue a_p.
 
     alpha, beta are the roots of X^2 - (a_p p^{-(k-1)/2}) X + omega_p.
-    a_p may be an arbitrary-precision integer; it is scaled exactly before
-    the single conversion to float.
+    a_p is converted to complex first and then divided by the float
+    sqrt(p^(k-1)); the power p^(k-1) itself is an exact integer.
     """
     if p < 2:
         raise ValueError("p must be a prime >= 2")

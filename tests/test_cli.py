@@ -4,11 +4,14 @@ import json
 import math
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 from symcube.cli import main
 from symcube.ingest import delta_form, satake_table, serialize_form
+from symcube.intertwining import (UPPER_VERTICES, forbidden_triangle_contains,
+                                  region_membership)
 
 
 def run_cli(argv):
@@ -61,6 +64,35 @@ def test_region_csv_vertices():
     assert "1/6,1/2,boundary" in tail
     assert "1/4,3/4,boundary" in tail
     assert "0,1,boundary" in tail
+
+
+@pytest.mark.parametrize("n", [1, 2, 13])
+@pytest.mark.parametrize("mu_case", ["trivial", "order2"])
+def test_region_csv_rows_match_the_library(n, mu_case):
+    code, out = run_cli(["region", "--grid", str(n), "--mu-case", mu_case,
+                         "--format", "csv"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()]
+    step = max(n - 1, 1)
+    want = []
+    for i in range(n):
+        for j in range(n):
+            r, s = Fraction(i, 2 * step), Fraction(j, step)
+            want.append([str(r), str(s), region_membership(r, s, mu_case),
+                         str(int(forbidden_triangle_contains(r, s)))])
+    want += [[str(r), str(s), region_membership(r, s, mu_case), "0"]
+             for r, s in UPPER_VERTICES]
+    assert rows[0] == ["r", "s", "class", "forbidden"]
+    assert rows[1:] == want
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_region_nonpositive_grid_is_usage_error(grid, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["region", "--grid", grid])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("usage:") and "Traceback" not in err_text
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcube.g2root import POSITIVE_ROOTS, RootVector
 from symcube.intertwining import (
     BOUNDARY, FORBIDDEN_VERTICES, LOWER, LOWER_VERTICES, MU_ORDER2,
-    OUTSIDE, UPPER, UPPER_VERTICES, IntertwiningPole,
+    MU_TRIVIAL, OUTSIDE, UPPER, UPPER_VERTICES, IntertwiningPole,
     PrincipalParams, UnitarityCase, forbidden_triangle_contains,
     gk_coefficient, gk_pole_set, l_ratio, langlands_quotient_unitary,
     principal_series_pole_set, region_membership, torus_character_value)
@@ -232,6 +234,63 @@ def test_upper_and_forbidden_disjoint_on_grid():
             both = (region_membership(r, s) == UPPER
                     and forbidden_triangle_contains(r, s))
             assert not both
+
+
+def _oracle_region(r, s, mu_case):
+    """The docstring inequalities of region_membership in Fraction arithmetic."""
+    r, s = Q(r), Q(s)
+    upper_open = s + 3 * r > 1 and s + r < 1 and r > 0 and s - 3 * r > 0
+    upper_closed = s + 3 * r >= 1 and s + r <= 1 and s - 3 * r >= 0
+    lower_open = r > 0 and s < Q(1, 2) and s > 3 * r
+    lower_closed = r >= 0 and s <= Q(1, 2) and s >= 3 * r
+    if mu_case == MU_TRIVIAL and upper_open:
+        return UPPER
+    if lower_open:
+        return LOWER
+    if (mu_case == MU_TRIVIAL and upper_closed) or lower_closed:
+        return BOUNDARY
+    return OUTSIDE
+
+
+def _oracle_forbidden(r, s):
+    """Strict interior of (0,1), (1/6,1/2), (0,1/2): r > 0, s > 1/2, s + 3r < 1."""
+    r, s = Q(r), Q(s)
+    return r > 0 and s > Q(1, 2) and s + 3 * r < 1
+
+
+# Fractions with small denominators land on edges and vertices; int and
+# dyadic float coordinates (k/64, exact in binary) reach the float branch
+# with float arithmetic that is exact, so the Fraction oracle applies to it.
+COORDS = st.one_of(
+    st.fractions(min_value=Q(-1, 2), max_value=Q(3, 2), max_denominator=12),
+    st.integers(-1, 2),
+    st.integers(-32, 96).map(lambda k: k / 64))
+EDGES = (lambda r: 1 - 3 * r, lambda r: 1 - r, lambda r: 3 * r,
+         lambda r: Q(1, 2) if isinstance(r, Q) else 0.5)
+
+
+@st.composite
+def rs_points(draw):
+    r = draw(COORDS)
+    if draw(st.booleans()):
+        return r, draw(st.sampled_from(EDGES))(r)
+    return r, draw(COORDS)
+
+
+@settings(deadline=None, max_examples=400)
+@given(rs_points())
+def test_region_classifiers_match_the_inequalities(point):
+    r, s = point
+    for mu_case in (MU_TRIVIAL, MU_ORDER2):
+        assert region_membership(r, s, mu_case) == _oracle_region(r, s, mu_case)
+    assert forbidden_triangle_contains(r, s) == _oracle_forbidden(r, s)
+
+
+def test_region_classifiers_match_the_inequalities_at_the_vertices():
+    for r, s in UPPER_VERTICES + LOWER_VERTICES + FORBIDDEN_VERTICES:
+        for mu_case in (MU_TRIVIAL, MU_ORDER2):
+            assert region_membership(r, s, mu_case) == _oracle_region(r, s, mu_case)
+        assert forbidden_triangle_contains(r, s) == _oracle_forbidden(r, s)
 
 
 def test_principal_params_validation():

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -8,7 +9,7 @@ import pytest
 from symcube.cyclo import Cyclo
 from symcube.localfactor import RepTag, local_factor, poly_from_eigenvalues
 from symcube.monomial import (
-    ENTIRE, HAS_POLE, INERT, SPLIT, HeckeLocalData, adjointcube_char_poly,
+    ENTIRE, HAS_POLE, INERT, SPLIT, HeckeLocalData, _char_poly_4x4, adjointcube_char_poly,
     check_monomial_r3, check_monomial_r30, hecke_factor, induced_local,
     pole_criterion, sym_cube_matrix, symcube_char_poly)
 from symcube.satake import SatakeClass
@@ -192,6 +193,49 @@ def test_inert_chi_cubed_equals_chi2_chiprime():
         n = rng.choice([3, 5, 7, 8])
         d = HeckeLocalData(11, INERT, Cyclo.root_of_unity(rng.randrange(n), n))
         assert hecke_factor(d, (2, 1)).coeffs == hecke_factor(d, (3, 0)).coeffs
+
+
+def _full_char_poly_4x4(n, one, zero):
+    """det(I - N T) over all 24 permutations, zero entries included."""
+    out = [zero] * 5
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        term = [one, zero, zero, zero, zero]
+        for i in range(4):
+            diag, off = (one if perm[i] == i else zero), -n[i][perm[i]]
+            term = [term[0] * diag] + [term[k] * diag + term[k - 1] * off
+                                       for k in range(1, 5)]
+        for k in range(5):
+            out[k] = out[k] - term[k] if inversions % 2 else out[k] + term[k]
+    return out
+
+
+def _char_poly_cases():
+    rng = random.Random(71)
+    z, zero, one = Cyclo.root_of_unity, Cyclo.zero(), Cyclo.one()
+    cases = []
+    for k in range(1, 7):
+        cases.append(sym_cube_matrix(((z(k, 7), zero), (zero, z(2 * k, 9)))))  # split
+        cases.append(sym_cube_matrix(((zero, z(k, 12)), (one, zero))))        # inert
+        dense = [[(rng.randrange(-2, 3) * z(rng.randrange(12), 12)
+                   + rng.randrange(-1, 2) * z(rng.randrange(5), 5)) for _ in range(4)]
+                 for _ in range(4)]
+        cases.append(tuple(tuple(row) for row in dense))   # dense, zeros scattered
+    for _ in range(6):
+        a, b = (cmath.exp(2j * math.pi * rng.random()) for _ in range(2))
+        cases.append(sym_cube_matrix(((a, 0j), (0j, b))))
+        cases.append(sym_cube_matrix(((0j, a), (1 + 0j, 0j))))
+        dense = [[complex(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(4)]
+                 for _ in range(4)]
+        cases.append(tuple(tuple(row) for row in dense))
+    return cases
+
+
+@pytest.mark.parametrize("n", _char_poly_cases())
+def test_char_poly_4x4_equals_the_full_expansion(n):
+    exact = any(isinstance(x, Cyclo) for row in n for x in row)
+    one, zero = (Cyclo.one(), Cyclo.zero()) if exact else (1.0 + 0j, 0j)
+    assert _char_poly_4x4(n, one, zero) == _full_char_poly_4x4(n, one, zero)
 
 
 def test_pole_criterion():
