@@ -14,6 +14,11 @@ value throughout the critical strip without knowing the root number.  The
 root-number probe then reads eps off as Lambda(s)/Lambda(1-s); a wrong gamma
 configuration destroys the constancy of that ratio, which is the negative
 control validating the shipped configuration.
+
+V_s is a trapezoid sum over nodes u_k in arithmetic progression on the line
+Re(u) = 2.5.  So y^{-u_k} factors into a giant step times a baby step, and
+the sum over k is evaluated baby-step/giant-step, as a polynomial in
+y^{-i/8} (Paterson-Stockmeyer); the powers of y are shared by every s.
 """
 
 from __future__ import annotations
@@ -233,8 +238,14 @@ _STEP = 0.125
 _VMAX = 40.0
 
 
+# _kernel_sums relies on the nodes being an exact arithmetic progression: the
+# real part is constant and the imaginary parts are spaced exactly _STEP apart
 _NODES = _CONTOUR + 1j * np.arange(-_VMAX, _VMAX + _STEP / 2, _STEP)
-# rows of exp(-outer(log y, u)) held at once; bounds the kernel's memory
+# node k = _BABY * j + m is the giant step _NODES[_BABY * j] plus the baby
+# step i * _STEP * m, so y^{-u_k} factors as the product of their powers
+_BABY = 32
+_GIANT = -(-len(_NODES) // _BABY)
+# rows of log y the kernel factors are built for at once; bounds its memory
 _BLOCK = 2048
 
 
@@ -251,19 +262,32 @@ def _kernel_weights(s: complex, cfg: AFEConfig) -> np.ndarray:
 
 def _kernel_sums(logy: np.ndarray, weights: Sequence[np.ndarray],
                  lengths: Sequence[int]) -> List[np.ndarray]:
-    """V_p = exp(-outer(logy[:lengths[p]], u)) @ weights[p] for every p.
+    """V_p = exp(-outer(logy[:lengths[p]], u)) @ weights[p] for every p, with
+    u = _NODES, without forming that matrix.
 
-    The matrix of exponentials is built once per _BLOCK rows of logy and
-    shared by every weight vector; each V_p takes the rows it needs with its
-    own matrix-vector product.
+    With k = _BABY * j + m, y^{-u_k} = P[n, j] * Q[n, m] for the giant steps
+    P = y^{-_NODES[_BABY * j]} and the baby steps Q = y^{-i _STEP m}, so
+    V_p[n] = sum_j P[n, j] * (Q @ W_p)[n, j] with W_p[m, j] = weights[p][k]
+    (zero past the last node): _BABY + _GIANT exponentials a row instead of
+    len(_NODES).  P and Q are built once per _BLOCK rows and shared by every
+    point; each point has its own product, so its value does not depend on
+    the other points of the batch.
     """
+    giant = -_NODES[::_BABY]
+    baby = -1j * _STEP * np.arange(_BABY)
+    W = np.zeros((len(weights), _GIANT * _BABY), dtype=np.complex128)
+    for row, w in zip(W, weights):
+        row[:len(_NODES)] = w
+    W = W.reshape(len(weights), _GIANT, _BABY).transpose(0, 2, 1)
     out = [np.empty(n, dtype=np.complex128) for n in lengths]
     for i in range(0, max(lengths, default=0), _BLOCK):
-        E = np.exp(-np.outer(logy[i:i + _BLOCK], _NODES))
-        for V, w in zip(out, weights):
-            if len(V) > i:
-                V[i:i + _BLOCK] = E[:len(V) - i] @ w
-        del E  # else it stays alive while the next block is built
+        t = logy[i:i + _BLOCK]
+        P = np.exp(np.outer(t, giant))
+        Q = np.exp(np.outer(t, baby))
+        for V, W_p in zip(out, W):
+            rows = len(V) - i
+            if rows > 0:
+                V[i:i + _BLOCK] = np.einsum("nj,nj->n", P[:rows], Q[:rows] @ W_p)
     return out
 
 
@@ -287,10 +311,11 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
 
     Supported for Re(s) > 1 - _CONTOUR + 0.05 (the contour must stay inside
     the region of absolute convergence of the shifted series).  Every point
-    is validated before any sum is formed.  The kernel matrix
-    exp(-outer(log(n / x_scale), u)) does not depend on s, so it is built
-    once per block of n for the whole batch.  Raises CutoffTooSmall when the
-    tail of a smoothed sum is not yet negligible.
+    is validated before any sum is formed.  The powers y^{-u} at
+    y = n / x_scale do not depend on s: their giant-step and baby-step
+    factors (see _kernel_sums) are built once per block of n for the whole
+    batch.  Raises CutoffTooSmall when the tail of a smoothed sum is not yet
+    negligible.
     """
     points = [complex(s) for s in points]
     cutoffs = []

@@ -292,9 +292,6 @@ class WeylElement:
         return RootVector(m[0][0] * v.c1 + m[0][1] * v.c6,
                           m[1][0] * v.c1 + m[1][1] * v.c6)
 
-    def length(self) -> int:
-        return len(inverted_roots(self))
-
     def __repr__(self):
         return "WeylElement(%s)" % ("*".join(self.word) or "1")
 

@@ -250,14 +250,20 @@ FORBIDDEN_VERTICES = ((Fraction(0), Fraction(1)),
                       (Fraction(0), Fraction(1, 2)))
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
 def _sign_values(r, s):
     """The five edge forms ``(a, b, d, r, half)``, sign-exactly for rational input.
 
     a = s+3r-1, b = 1-(s+r), d = s-3r, r = r, half = 1-2s (twice 1/2-s).
     Rational (r, s) are cleared to the common denominator of r and s, so each
     entry is an integer with the sign of its form; other input gives floats.
+    int and Fraction are recognised by type first: the Rational ABC check
+    (which bool and numpy integers need) is most of the cost of this call.
     """
-    if isinstance(r, Rational) and isinstance(s, Rational):
+    if ((type(r) in _EXACT_TYPES or isinstance(r, Rational))
+            and (type(s) in _EXACT_TYPES or isinstance(s, Rational))):
         rd, sd = r.denominator, s.denominator
         # common denominator rd*sd; numerators of r and s over it:
         R = r.numerator * sd

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cyclo import Cyclo
+from .cyclo import Cyclo, one_like
 from .satake import SatakeClass, twist
 
 
@@ -35,10 +35,6 @@ TAG_DEGREE = {
 }
 
 
-def _one_like(x):
-    return Cyclo.one() if isinstance(x, Cyclo) else 1.0 + 0j
-
-
 def _inv(x):
     if isinstance(x, Cyclo):
         return x.inverse()
@@ -57,9 +53,10 @@ def poly_mul(a: Sequence, b: Sequence) -> list:
 
 def poly_from_eigenvalues(eigen: Sequence) -> list:
     """Coefficients of prod (1 - e T), in the order given (no re-sorting)."""
-    coeffs = [_one_like(eigen[0]) if eigen else 1.0 + 0j]
+    one = one_like(*eigen)
+    coeffs = [one]
     for e in eigen:
-        coeffs = poly_mul(coeffs, [_one_like(e), -e])
+        coeffs = poly_mul(coeffs, [one, -e])
     return coeffs
 
 
@@ -75,8 +72,7 @@ class ReciprocalPoly:
         if not coeffs:
             raise ValueError("empty coefficient list")
         lead = coeffs[0]
-        one = Cyclo.one() if isinstance(lead, Cyclo) else 1
-        if not (lead == one or abs(complex(lead) - 1) < 1e-12):
+        if not (lead == one_like(lead) or abs(complex(lead) - 1) < 1e-12):
             raise ValueError("constant coefficient must be 1")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "q", q)
@@ -144,7 +140,7 @@ def eigenvalues(tag: RepTag, c: SatakeClass) -> list:
     if tag is RepTag.WEDGE2:
         return [a * b]
     if tag is RepTag.GJ_ADJOINT:
-        return [a * _inv(b), _one_like(a), _inv(a) * b]
+        return [a * _inv(b), one_like(a), _inv(a) * b]
     if tag is RepTag.TRIPLE:
         # tensor cube: alpha^3 once, alpha^2 beta and alpha beta^2 three times
         return [a * a * a,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .cyclo import Cyclo
+from .cyclo import Cyclo, one_like, zero_like
 from .localfactor import ReciprocalPoly, poly_mul
 
 SPLIT = "split"
@@ -59,21 +59,12 @@ class InducedClass:
 
 def induced_local(d: HeckeLocalData) -> InducedClass:
     """Split: diag(chi_P, chi_Pbar).  Inert: [[0, chi_P], [1, 0]]."""
-    zero = Cyclo.zero() if d.is_exact() else 0j
-    one = Cyclo.one() if d.is_exact() else 1.0 + 0j
+    zero, one = zero_like(d.chi_p), one_like(d.chi_p)
     if d.splitting == SPLIT:
         m = ((d.chi_p, zero), (zero, d.chi_pbar))
     else:
         m = ((zero, d.chi_p), (one, zero))
     return InducedClass(m)
-
-
-def _one_for(m):
-    return Cyclo.one() if any(isinstance(x, Cyclo) for row in m for x in row) else 1.0 + 0j
-
-
-def _zero_for(m):
-    return Cyclo.zero() if any(isinstance(x, Cyclo) for row in m for x in row) else 0j
 
 
 def sym_cube_matrix(m):
@@ -94,13 +85,16 @@ _PERMS4 = [(perm, (-1) ** sum(perm[i] > perm[j] for i in range(4) for j in range
            for perm in itertools.permutations(range(4))]
 
 
-def _char_poly_4x4(n, one, zero):
-    """det(I - N T) by permutation expansion; division-free, any scalar ring.
+def _char_poly_4x4(n):
+    """det(I - N T) by permutation expansion; division-free, in the scalar
+    ring of the entries (one_like).
 
     A permutation through an exact-zero off-diagonal entry contributes zero
     and is skipped: of the 24 terms, a diagonal (split) induced matrix keeps
     one and an anti-diagonal (inert) one keeps four.
     """
+    entries = [x for row in n for x in row]
+    one, zero = one_like(*entries), zero_like(*entries)
     zero_at = [[i != j and not n[i][j] for j in range(4)] for i in range(4)]
     out = [zero] * 5
     for perm, sign in _PERMS4:
@@ -119,8 +113,7 @@ def _char_poly_4x4(n, one, zero):
 
 def symcube_char_poly(m) -> ReciprocalPoly:
     """det(I - sym^3(M) T) as a degree-4 polynomial in T."""
-    n = sym_cube_matrix(m)
-    return ReciprocalPoly(_char_poly_4x4(n, _one_for(n), _zero_for(n)))
+    return ReciprocalPoly(_char_poly_4x4(sym_cube_matrix(m)))
 
 
 def adjointcube_char_poly(m) -> ReciprocalPoly:
@@ -132,7 +125,7 @@ def adjointcube_char_poly(m) -> ReciprocalPoly:
     dinv = det.inverse() if isinstance(det, Cyclo) else 1.0 / det
     n = sym_cube_matrix(m)
     n = tuple(tuple(x * dinv for x in row) for row in n)
-    return ReciprocalPoly(_char_poly_4x4(n, _one_for(n), _zero_for(n)))
+    return ReciprocalPoly(_char_poly_4x4(n))
 
 
 def _char_power(v, e: int):
@@ -148,8 +141,7 @@ def hecke_factor(d: HeckeLocalData, exponents: Tuple[int, int]) -> ReciprocalPol
     fixes an inert prime, so the inert factor is 1 - chi^{a+b}(p) T^2.
     """
     a, b = exponents
-    one = Cyclo.one() if d.is_exact() else 1.0 + 0j
-    zero = Cyclo.zero() if d.is_exact() else 0j
+    one, zero = one_like(d.chi_p), zero_like(d.chi_p)
     if d.splitting == SPLIT:
         v1 = _char_power(d.chi_p, a) * _char_power(d.chi_pbar, b)
         v2 = _char_power(d.chi_pbar, a) * _char_power(d.chi_p, b)

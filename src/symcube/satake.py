@@ -30,9 +30,6 @@ class SatakeClass:
         """omega(uniformizer) = alpha * beta."""
         return self.alpha * self.beta
 
-    def parameters(self):
-        return (self.alpha, self.beta)
-
     def same_class(self, other: "SatakeClass", tol: float = 1e-12) -> bool:
         """Equality as unordered pairs, up to tol."""
         if self.q != other.q:

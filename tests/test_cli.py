@@ -2,9 +2,12 @@ import cmath
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +17,21 @@ from symcube.intertwining import (UPPER_VERTICES, forbidden_triangle_contains,
                                   region_membership)
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
 def run_cli(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+def run_cold(argv):
+    """The CLI in a fresh interpreter, run from the repository root."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run([sys.executable, "-m", "symcube.cli", *argv], cwd=REPO,
+                          env=env, capture_output=True)
 
 
 def test_roots_pairing_exact_row():
@@ -201,3 +214,32 @@ def test_scan_json_and_injected_pole():
                          "--inject-pole", "2,0.75", "--format", "json"])
     assert code == 1
     assert json.loads(out)["verdict"] == "growth-flagged"
+
+
+AFE_ARGS = ["--coeffs", "builtin:delta:4000", "--config", "data/delta_sym3_afe.cfg"]
+
+
+def test_scan_readme_command_bytes_are_pinned():
+    # stdout recorded before the smoothing kernel was factorized; its six
+    # printed digits must not see the rounding-level change of the values
+    out = run_cold(["scan", *AFE_ARGS])
+    assert out.returncode == 0
+    assert out.stdout == (REPO / "tests" / "data" / "scan_delta_sym3_afe.txt").read_bytes()
+
+
+def test_afe_json_root_numbers():
+    # the estimates are printed in full precision, so only their accuracy
+    # is pinned: Re(eps) = -1 and |eps| = 1 to rounding, Im(eps) to the
+    # reflected sum left out at x_scale 16 (about 1e-7)
+    out = run_cold(["afe", *AFE_ARGS, "--format", "json"])
+    assert out.returncode == 0
+    obj = json.loads(out.stdout)
+    assert sorted(obj) == ["estimates", "max_pairwise_deviation", "modulus_deviation",
+                           "points", "skipped", "verdict"]
+    assert obj["verdict"] == "pass"
+    assert obj["points"] == ["(0.5+0.5j)", "(0.5+1j)", "(0.5+2j)"]
+    assert obj["skipped"] == []
+    for re, im in obj["estimates"]:
+        assert abs(re + 1) < 1e-9
+        assert abs(im) < 1e-6
+    assert obj["modulus_deviation"] < 1e-9

@@ -2,7 +2,9 @@ import cmath
 import math
 import random
 from fractions import Fraction as Q
+from numbers import Integral
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,8 @@ from symcube.intertwining import (
     MU_TRIVIAL, OUTSIDE, UPPER, UPPER_VERTICES, IntertwiningPole,
     PrincipalParams, UnitarityCase, forbidden_triangle_contains,
     gk_coefficient, gk_pole_set, l_ratio, langlands_quotient_unitary,
-    principal_series_pole_set, region_membership, torus_character_value)
+    _sign_values, principal_series_pole_set, region_membership,
+    torus_character_value)
 from symcube.satake import (
     DISCRETE_NONSUPERCUSPIDAL, LocalRepClass, PAIR_ONE_MU,
     SUPERCUSPIDAL_S3, SUPERCUSPIDAL_SELFDUAL, complementary_rep,
@@ -284,6 +287,29 @@ def test_region_classifiers_match_the_inequalities(point):
     for mu_case in (MU_TRIVIAL, MU_ORDER2):
         assert region_membership(r, s, mu_case) == _oracle_region(r, s, mu_case)
     assert forbidden_triangle_contains(r, s) == _oracle_forbidden(r, s)
+
+
+# bool and numpy integers are Rational through the ABC only, not by type,
+# and must take the exact branch as well
+ABC_RATIONALS = st.one_of(st.booleans(), st.integers(-1, 2).map(np.int64),
+                          st.integers(-1, 2).map(np.int32))
+
+
+@st.composite
+def abc_rs_points(draw):
+    point = (draw(ABC_RATIONALS), draw(st.one_of(ABC_RATIONALS, COORDS)))
+    return point[::-1] if draw(st.booleans()) else point
+
+
+@settings(deadline=None, max_examples=200)
+@given(abc_rs_points())
+def test_region_classifiers_take_bool_and_numpy_integers(point):
+    r, s = point
+    for mu_case in (MU_TRIVIAL, MU_ORDER2):
+        assert region_membership(r, s, mu_case) == _oracle_region(r, s, mu_case)
+    assert forbidden_triangle_contains(r, s) == _oracle_forbidden(r, s)
+    exact = not isinstance(r, float) and not isinstance(s, float)
+    assert all(isinstance(v, Integral) for v in _sign_values(r, s)) == exact
 
 
 def test_region_classifiers_match_the_inequalities_at_the_vertices():

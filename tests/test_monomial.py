@@ -235,7 +235,7 @@ def _char_poly_cases():
 def test_char_poly_4x4_equals_the_full_expansion(n):
     exact = any(isinstance(x, Cyclo) for row in n for x in row)
     one, zero = (Cyclo.one(), Cyclo.zero()) if exact else (1.0 + 0j, 0j)
-    assert _char_poly_4x4(n, one, zero) == _full_char_poly_4x4(n, one, zero)
+    assert _char_poly_4x4(n) == _full_char_poly_4x4(n, one, zero)
 
 
 def test_pole_criterion():
