@@ -8,12 +8,17 @@ The completed-value machinery evaluates
 
 with gamma the product of Gamma_C factors (times conductor^{s/2}).  The
 contour-shift identity gives  Lambda(s) = F(s) + eps * (reflected sum whose
-terms carry weights V(nX)),  and the reflection-suppression scale X (default
-16) pushes every reflected term below 1e-20, so F(s) computes the completed
-value throughout the critical strip without knowing the root number.  The
-root-number probe then reads eps off as Lambda(s)/Lambda(1-s); a wrong gamma
-configuration destroys the constancy of that ratio, which is the negative
-control validating the shipped configuration.
+terms carry weights V(nX)),  and the reflection-suppression scale X shrinks
+the reflected term, so F(s) approximates the completed value throughout the
+critical strip without knowing the root number.  It is not negligible: at
+the default X = 16 the dropped term is about 1e-7 of Lambda on the sym3 of
+Delta (the probe reads Im eps = 2.39e-7, -8.74e-7 and 7.34e-7 at
+0.5 + 0.5i, 0.5 + i and 0.5 + 2i, where eps = -1 exactly), and X = 32 brings
+it to about 1e-11.  The fix is the two-sided sum with a solved root number
+(ROADMAP.md, item 1).  The root-number probe reads eps off as
+Lambda(s)/Lambda(1-s); a wrong gamma configuration destroys the constancy of
+that ratio, which is the negative control validating the shipped
+configuration.
 
 V_s is a trapezoid sum over nodes u_k in arithmetic progression on the line
 Re(u) = 2.5.  So y^{-u_k} factors into a giant step times a baby step, and
@@ -65,12 +70,6 @@ class CoefficientTable:
     @property
     def n_max(self) -> int:
         return len(self.values) - 1
-
-    def lam(self, n: int) -> complex:
-        return complex(self.values[n])
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.values[1:].imag)) <= tol)
 
 
 def dirichlet_coeffs(local_factors: Dict[int, ReciprocalPoly], N: int,
@@ -182,8 +181,9 @@ class AFEConfig:
     """Archimedean data and evaluation parameters for a completed L-function.
 
     x_scale controls how far the smoothed sum is unbalanced: reflected terms
-    carry weights V(n * x_scale), which the kernel decay pushes below 1e-20
-    for degree <= 4 at the default.  Higher degrees decay more slowly and
+    carry weights V(n * x_scale), and the dropped reflected term is about
+    1e-7 of Lambda at the default 16 for the sym3 of Delta, about 1e-11 at
+    32 (see the module docstring).  Higher degrees decay more slowly and
     need a larger x_scale (with a correspondingly larger cutoff).
     """
 
@@ -306,8 +306,8 @@ def smoothing_weights(s: complex, y: np.ndarray, cfg: AFEConfig) -> np.ndarray:
 
 def afe_values(points: Sequence[complex], cfg: AFEConfig,
                coeffs: CoefficientTable) -> List[complex]:
-    """Completed values Lambda(s) at every point, each up to a reflected term
-    below 1e-20.
+    """Completed values Lambda(s) at every point, each up to the dropped
+    reflected term (about 1e-7 of Lambda at x_scale = 16; module docstring).
 
     Supported for Re(s) > 1 - _CONTOUR + 0.05 (the contour must stay inside
     the region of absolute convergence of the shifted series).  Every point

@@ -379,10 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "factors and the rank-two intertwining calculus.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=None, seed=False):
+        """--format everywhere; --tol and --seed only where a command reads them."""
         p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--seed", type=int, default=7)
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol)
+        if seed:
+            p.add_argument("--seed", type=int, default=7)
 
     p = sub.add_parser("roots", help="pairing table, gram matrix, weyl data")
     p.add_argument("what", choices=["pairing", "gram", "coroots", "weyl"])
@@ -402,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True,
                    help="path or builtin:delta[:N]")
     p.add_argument("--limit", type=int, default=25)
-    common(p)
-    p.set_defaults(fn=cmd_satake, tol=1e-8)
+    common(p, tol=1e-8)
+    p.set_defaults(fn=cmd_satake)
 
     p = sub.add_parser("lfactor", help="one local factor as a polynomial")
     p.add_argument("--coeffs", required=True)
@@ -417,13 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["all", "triple", "twist", "gj"], default="all")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--bound", type=float, default=4.0)
-    common(p)
-    p.set_defaults(fn=cmd_identity, tol=1e-12)
+    common(p, tol=1e-12, seed=True)
+    p.set_defaults(fn=cmd_identity)
 
     p = sub.add_parser("monomial-check", help="dihedral factorizations from Hecke data")
     p.add_argument("--hecke", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_monomial_check, tol=1e-12)
+    common(p, tol=1e-12)
+    p.set_defaults(fn=cmd_monomial_check)
 
     p = sub.add_parser("intertwine", help="constant-term coefficient checks / grid")
     p.add_argument("--q", type=int, default=2)
@@ -431,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", help="rational r for pole-set checks")
     p.add_argument("--grid", type=int, default=0,
                    help="emit an (r,s) CSV grid of the coefficient instead")
-    common(p)
+    common(p, tol=1e-10, seed=True)
     p.set_defaults(fn=cmd_intertwine)
 
     p = sub.add_parser("euler", help="partial Euler product with doubling trace")
@@ -445,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True, help="path or builtin:delta[:N]")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--points", help="comma-separated complex points")
-    common(p)
-    p.set_defaults(fn=cmd_afe, tol=1e-3)
+    common(p, tol=1e-3)
+    p.set_defaults(fn=cmd_afe)
 
     p = sub.add_parser("scan", help="boundedness scan on a real interval")
     p.add_argument("--coeffs", required=True, help="path or builtin:delta[:N]")

@@ -235,6 +235,14 @@ class Cyclo:
         (k, c), = self._c.items()
         return _make(self._n, {-k % self._n: Fraction(1, c)})
 
+    def __truediv__(self, other):
+        """Division by a monomial or a nonzero rational; other divisors
+        raise as inverse() does."""
+        return self * Cyclo.coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
     def __pow__(self, n: int) -> "Cyclo":
         if not isinstance(n, int):
             return NotImplemented

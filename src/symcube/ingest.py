@@ -18,11 +18,6 @@ from .cyclo import Cyclo
 from .monomial import INERT, SPLIT, HeckeLocalData
 from .satake import SatakeClass, satake_from_hecke
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:          # pragma: no cover - gmpy2 is a declared dependency
-    _mpz = int
-
 
 class FormParseError(ValueError):
     def __init__(self, line: int, message: str):
@@ -202,12 +197,8 @@ def parse_hecke(path: str) -> ParsedHeckeData:
         if kind == "split":
             if len(bits) != 4:
                 raise HeckeParseError(i, f"split entry at p={p} needs two values")
-            v1 = _parse_char_value(bits[2], i)
-            v2 = _parse_char_value(bits[3], i)
-            # the exact path needs both values exact; mixed entries demote
-            if isinstance(v1, Cyclo) != isinstance(v2, Cyclo):
-                v1, v2 = complex(v1), complex(v2)
-            entry = HeckeLocalData(p, SPLIT, v1, v2)
+            entry = HeckeLocalData(p, SPLIT, _parse_char_value(bits[2], i),
+                                   _parse_char_value(bits[3], i))
         elif kind == "inert":
             if len(bits) != 3:
                 raise HeckeParseError(i, f"inert entry at p={p} needs one value")
@@ -284,13 +275,13 @@ def _square_packed(coeffs: List[int], nkeep: int) -> List[int]:
             pos[i * slot_bytes:(i + 1) * slot_bytes] = c.to_bytes(slot_bytes, "little")
         elif c < 0:
             neg[i * slot_bytes:(i + 1) * slot_bytes] = (-c).to_bytes(slot_bytes, "little")
-    z = _mpz(int.from_bytes(bytes(pos), "little")) - _mpz(int.from_bytes(bytes(neg), "little"))
+    z = int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
     z = z * z
     # shift every base-2^bits digit by half so all digits are nonnegative;
     # |true coefficient| < half - 1, so no carries are introduced
-    z += _mpz(int.from_bytes(bytes(half.to_bytes(slot_bytes, "little") * nkeep), "little"))
-    z &= (_mpz(1) << (bits * nkeep)) - 1
-    raw = int(z).to_bytes(nkeep * slot_bytes, "little")
+    z += int.from_bytes(half.to_bytes(slot_bytes, "little") * nkeep, "little")
+    z &= (1 << (bits * nkeep)) - 1
+    raw = z.to_bytes(nkeep * slot_bytes, "little")
     return [int.from_bytes(raw[i * slot_bytes:(i + 1) * slot_bytes], "little") - half
             for i in range(nkeep)]
 

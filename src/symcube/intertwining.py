@@ -91,13 +91,14 @@ def _exact_pole_root(p: PrincipalParams, ts) -> str:
     return None
 
 
-def gk_coefficient(p: PrincipalParams, pole_tol: float = POLE_TOL) -> complex:
+def gk_coefficient(p: PrincipalParams) -> complex:
     """Per-root product of (1 - chi_b q^{-t_b - 1}) / (1 - chi_b q^{-t_b}).
 
     t_b runs over the coroot pairings of the parameter weight with the five
     inverted roots.  A vanishing denominator factor raises IntertwiningPole
     naming the offending root; with a root-of-unity mu and rational (r, s)
-    the pole decision is exact, otherwise it uses pole_tol.
+    the pole decision is exact, otherwise a denominator below POLE_TOL in
+    modulus is a pole.
     """
     ts = {name: form(p.r, p.s) for name, (form, _) in _GK_ROOT_DATA.items()}
     exact_pole = _exact_pole_root(p, ts)
@@ -109,19 +110,19 @@ def gk_coefficient(p: PrincipalParams, pole_tol: float = POLE_TOL) -> complex:
         t = complex(ts[name])
         chi = mu ** c6
         den = 1.0 - chi * complex(p.q) ** (-t)
-        if abs(den) < pole_tol:
+        if abs(den) < POLE_TOL:
             raise IntertwiningPole(name, ts[name])
         num = 1.0 - chi * complex(p.q) ** (-t - 1)
         value *= num / den
     return value
 
 
-def l_ratio(p: PrincipalParams, pole_tol: float = POLE_TOL,
-            _use_contragredient: bool = False) -> complex:
+def l_ratio(p: PrincipalParams, _use_contragredient: bool = False) -> complex:
     """L(s,r30) L(2s,wedge2) / [L(1+s,r30) L(1+2s,wedge2)] at the class of p.
 
     The class used is (mu q^{-r}, mu q^{r}); the keyword flips to the
-    contragredient and exists only so tests can pin the convention.
+    contragredient and exists only so tests can pin the convention.  A
+    denominator below POLE_TOL in modulus raises IntertwiningPole.
     """
     mu = complex(p.mu)
     qr = float(p.q) ** float(p.r)
@@ -133,7 +134,7 @@ def l_ratio(p: PrincipalParams, pole_tol: float = POLE_TOL,
     s = complex(p.s)
     # L(s) = 1/P(q^{-s}); the assembled ratio is a quotient of P-values
     den = _p_value(r30, p.q ** (-s)) * _p_value(w2, p.q ** (-2 * s))
-    if abs(den) < pole_tol:
+    if abs(den) < POLE_TOL:
         raise IntertwiningPole("numerator-L-value", p.s)
     num = _p_value(r30, p.q ** (-1 - s)) * _p_value(w2, p.q ** (-1 - 2 * s))
     return num / den

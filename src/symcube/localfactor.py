@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cyclo import Cyclo, one_like
+from .cyclo import one_like
 from .satake import SatakeClass, twist
 
 
@@ -33,14 +33,6 @@ TAG_DEGREE = {
     RepTag.ADJOINT_CUBE: 4, RepTag.WEDGE2: 1, RepTag.GJ_ADJOINT: 3,
     RepTag.RANKIN_SELBERG: 6, RepTag.TRIPLE: 8,
 }
-
-
-def _inv(x):
-    if isinstance(x, Cyclo):
-        return x.inverse()
-    if x == 0:
-        raise ZeroDivisionError("degenerate Satake parameter")
-    return 1.0 / x
 
 
 def poly_mul(a: Sequence, b: Sequence) -> list:
@@ -81,9 +73,6 @@ class ReciprocalPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_exact(self) -> bool:
-        return any(isinstance(c, Cyclo) for c in self.coeffs)
-
     def to_complex(self) -> "ReciprocalPoly":
         return ReciprocalPoly([complex(c) for c in self.coeffs], self.q)
 
@@ -114,9 +103,8 @@ class ReciprocalPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        if self.is_exact() and other.is_exact():
-            if all(Cyclo.coerce(x) == Cyclo.coerce(y) for x, y in zip(a, b)):
-                return 0.0
+        if all(x == y for x, y in zip(a, b)):
+            return 0.0
         worst = 0.0
         scale = 1.0
         for x, y in zip(a, b):
@@ -129,6 +117,7 @@ class ReciprocalPoly:
 def eigenvalues(tag: RepTag, c: SatakeClass) -> list:
     """Eigenvalue list of the representation at the class (alpha, beta)."""
     a, b = c.alpha, c.beta
+    # x * (1 / y), not x / y: complex division rounds differently
     if tag is RepTag.STANDARD:
         return [a, b]
     if tag is RepTag.SYM2:
@@ -136,11 +125,11 @@ def eigenvalues(tag: RepTag, c: SatakeClass) -> list:
     if tag is RepTag.SYM3:
         return [a * a * a, a * a * b, a * b * b, b * b * b]
     if tag is RepTag.ADJOINT_CUBE:
-        return [a * a * _inv(b), a, b, _inv(a) * b * b]
+        return [a * a * (1 / b), a, b, (1 / a) * b * b]
     if tag is RepTag.WEDGE2:
         return [a * b]
     if tag is RepTag.GJ_ADJOINT:
-        return [a * _inv(b), one_like(a), _inv(a) * b]
+        return [a * (1 / b), one_like(a), (1 / a) * b]
     if tag is RepTag.TRIPLE:
         # tensor cube: alpha^3 once, alpha^2 beta and alpha beta^2 three times
         return [a * a * a,

@@ -38,6 +38,11 @@ class HeckeLocalData:
             raise ValueError(f"split entry at p={self.p} needs two character values")
         if self.splitting == INERT and self.chi_pbar is not None:
             raise ValueError(f"inert entry at p={self.p} carries a single value")
+        # the exact path needs both values exact; a mixed split pair demotes
+        exact = isinstance(self.chi_p, Cyclo), isinstance(self.chi_pbar, Cyclo)
+        if self.splitting == SPLIT and exact[0] != exact[1]:
+            object.__setattr__(self, "chi_p", complex(self.chi_p))
+            object.__setattr__(self, "chi_pbar", complex(self.chi_pbar))
         if not self.chi_p or (self.splitting == SPLIT and not self.chi_pbar):
             raise ValueError("character values must be nonzero")
 
@@ -122,16 +127,10 @@ def adjointcube_char_poly(m) -> ReciprocalPoly:
     det = a * d - b * c
     if not det:
         raise ValueError("singular matrix has no adjoint-cube factor")
-    dinv = det.inverse() if isinstance(det, Cyclo) else 1.0 / det
+    dinv = 1 / det
     n = sym_cube_matrix(m)
     n = tuple(tuple(x * dinv for x in row) for row in n)
     return ReciprocalPoly(_char_poly_4x4(n))
-
-
-def _char_power(v, e: int):
-    if isinstance(v, Cyclo):
-        return v ** e
-    return v ** e if e >= 0 else (1.0 / v) ** (-e)
 
 
 def hecke_factor(d: HeckeLocalData, exponents: Tuple[int, int]) -> ReciprocalPoly:
@@ -143,11 +142,11 @@ def hecke_factor(d: HeckeLocalData, exponents: Tuple[int, int]) -> ReciprocalPol
     a, b = exponents
     one, zero = one_like(d.chi_p), zero_like(d.chi_p)
     if d.splitting == SPLIT:
-        v1 = _char_power(d.chi_p, a) * _char_power(d.chi_pbar, b)
-        v2 = _char_power(d.chi_pbar, a) * _char_power(d.chi_p, b)
+        v1 = d.chi_p ** a * d.chi_pbar ** b
+        v2 = d.chi_pbar ** a * d.chi_p ** b
         coeffs = poly_mul([one, -v1], [one, -v2])
     else:
-        v = _char_power(d.chi_p, a + b)
+        v = d.chi_p ** (a + b)
         coeffs = [one, zero, -v]
     return ReciprocalPoly(coeffs, d.p)
 

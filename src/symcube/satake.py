@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .cyclo import Cyclo
-
 DEFAULT_TOL = 1e-8
 
 
@@ -110,9 +108,7 @@ def twist(c: SatakeClass, chi_p) -> SatakeClass:
 def contragredient(c: SatakeClass) -> SatakeClass:
     """Class with inverted parameters; inverts the central character."""
     a, b = c.alpha, c.beta
-    if isinstance(a, Cyclo) or isinstance(b, Cyclo):
-        return SatakeClass(Cyclo.coerce(a).inverse(), Cyclo.coerce(b).inverse(), c.q)
-    if a == 0 or b == 0:
+    if not a or not b:
         raise ValueError("zero Satake parameter has no contragredient")
     return SatakeClass(1 / a, 1 / b, c.q)
 

@@ -114,6 +114,17 @@ def test_unknown_flag_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["region", "--seed", "3"],
+                                  ["scan", "--coeffs", "builtin:delta:100", "--tol", "1e-3"]])
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("usage:") and "Traceback" not in err_text
+    assert len([l for l in err_text.splitlines() if l.startswith("usage:")]) == 1
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -232,3 +232,24 @@ def test_terms_round_trip(a):
     assert all(type(c) is Q and c != 0 for c in terms.values())
     back = Cyclo(terms)
     assert back == a and back.terms == terms and repr(back) == repr(a)
+
+
+@settings(deadline=None)
+@given(cyclos, monomials(), NONZERO)
+def test_division_by_monomials_and_rationals(x, m, q):
+    assert (x / m) * m == x
+    assert 1 / m == m.inverse() and repr(1 / m) == repr(m.inverse())
+    assert x / q == x * Q(1, q)
+    assert q / m == q * m.inverse()
+
+
+@settings(deadline=None)
+@given(cyclos, cyclos.filter(lambda d: not d.is_monomial()))
+def test_division_by_a_non_monomial_raises(x, d):
+    # zero (no terms) included, as for inverse()
+    with pytest.raises(ValueError):
+        x / d
+    with pytest.raises(ValueError):
+        1 / d
+    with pytest.raises(ValueError):
+        x / 0

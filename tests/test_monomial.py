@@ -174,6 +174,16 @@ def test_monomial_checks_float_mode():
         assert check_monomial_r30(d) < 1e-12
 
 
+def test_mixed_split_pair_demotes_to_float_mode():
+    # one exact and one complex value: the constructor demotes both to complex
+    d = HeckeLocalData(5, SPLIT, Cyclo.root_of_unity(1, 3), 1j)
+    e3, e30 = check_monomial_r3(d), check_monomial_r30(d)
+    assert type(e3) is float and e3 < 1e-12
+    assert type(e30) is float and e30 < 1e-12
+    assert type(d.chi_p) is complex and type(d.chi_pbar) is complex
+    assert not d.is_exact()
+
+
 def test_split_induced_equals_direct_sym3_exactly():
     rng = random.Random(58)
     for _ in range(20):
