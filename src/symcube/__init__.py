@@ -19,10 +19,26 @@ from .intertwining import (PrincipalParams, UnitarityCase,
                            gk_pole_set, l_ratio, langlands_quotient_unitary,
                            principal_series_pole_set, region_membership,
                            torus_character_value)
-from .analytic import (AFEConfig, CoefficientTable, afe_value, afe_values,
-                       delta_sym3_config, dirichlet_coeffs, dirichlet_sum,
-                       epsilon_probe, inject_pole_factor, partial_L, pole_scan)
-from .ingest import (ParsedForm, ParsedHeckeData, delta_form, eta24_qexpansion,
-                     parse_afe_config, parse_form, parse_hecke, satake_table)
 
 __version__ = "0.1.0"
+
+# Resolved on first use (PEP 562): analytic imports numpy, which the exact
+# modules above never need.
+_LAZY = {
+    "analytic": ("AFEConfig", "CoefficientTable", "afe_value", "afe_values",
+                 "delta_sym3_config", "dirichlet_coeffs", "dirichlet_sum",
+                 "epsilon_probe", "inject_pole_factor", "partial_L", "pole_scan"),
+    "ingest": ("ParsedForm", "ParsedHeckeData", "delta_form", "eta24_qexpansion",
+               "parse_afe_config", "parse_form", "parse_hecke", "satake_table"),
+}
+_LAZY_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY_SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -19,7 +19,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import analytic, ingest, intertwining, localfactor, monomial
+from . import ingest, intertwining, localfactor, monomial
 from .g2root import (POSITIVE_ROOTS, coroot_decomposition, gram,
                      inverted_roots, lambda_weight, pairing, parabolic_weyl_element,
                      rho_parabolic, weyl_group, ROOT_NAMES)
@@ -291,7 +291,12 @@ def cmd_intertwine(args) -> int:
     return EXIT_FAIL if failed else EXIT_OK
 
 
+# the numeric commands import analytic (and with it numpy) when they run, so
+# that the exact commands start without it
+
 def cmd_euler(args) -> int:
+    from . import analytic
+
     form = _load_form(args.coeffs)
     s = _parse_complex(args.s)
     factors = _sym3_factors(form, args.X)
@@ -308,7 +313,9 @@ def cmd_euler(args) -> int:
     return EXIT_OK
 
 
-def _build_sym3_table(form, cfg, points) -> analytic.CoefficientTable:
+def _build_sym3_table(form, cfg, points):
+    from . import analytic
+
     n = cfg.cutoff or max(analytic.default_cutoff(s, cfg) for s in points)
     factors = _sym3_factors(form, n)
     return analytic.dirichlet_coeffs(factors, n, rep_tag=RepTag.SYM3,
@@ -316,6 +323,8 @@ def _build_sym3_table(form, cfg, points) -> analytic.CoefficientTable:
 
 
 def cmd_afe(args) -> int:
+    from . import analytic
+
     form = _load_form(args.coeffs)
     cfg = ingest.parse_afe_config(args.config) if args.config \
         else analytic.delta_sym3_config()
@@ -345,6 +354,8 @@ def cmd_afe(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import analytic
+
     form = _load_form(args.coeffs)
     cfg = ingest.parse_afe_config(args.config) if args.config \
         else analytic.delta_sym3_config()
@@ -476,7 +487,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except analytic.LocalPoleError as exc:
+    except localfactor.LocalPoleError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -96,9 +96,15 @@ def _make(n: int, coeffs: dict) -> "Cyclo":
 
 
 def _rational(q):
-    """q as an int when integral, else as a Fraction (ints pass through untouched)."""
+    """q as an int when integral, else as a Fraction (ints pass through untouched).
+
+    A float is refused with TypeError: taken at its exact binary value it
+    would make an exact result silently inexact.
+    """
     if type(q) is int:
         return q
+    if isinstance(q, float):
+        raise TypeError(f"exact arithmetic does not take the float {q!r}")
     q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
 

@@ -11,12 +11,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .analytic import AFEConfig
 from .cyclo import Cyclo
+from .localfactor import primes_upto
 from .monomial import INERT, SPLIT, HeckeLocalData
 from .satake import SatakeClass, satake_from_hecke
+
+if TYPE_CHECKING:
+    from .analytic import AFEConfig
 
 
 class FormParseError(ValueError):
@@ -235,6 +238,8 @@ def serialize_hecke(data: ParsedHeckeData) -> str:
 
 def parse_afe_config(path: str) -> AFEConfig:
     """key = value lines: gamma_shifts, conductor, cutoff, self_dual, x_scale."""
+    from .analytic import AFEConfig   # analytic loads numpy; parsing does not
+
     values = {}
     with open(path) as fh:
         for i, raw in enumerate(fh, start=1):
@@ -324,8 +329,6 @@ def satake_table(form: ParsedForm) -> Dict[int, SatakeClass]:
 
     Primes dividing the level are the ramified set and are skipped.
     """
-    from .analytic import primes_upto
-
     out = {}
     for p in primes_upto(form.n_max):
         if form.level % p == 0:

@@ -10,6 +10,8 @@ when the Satake parameters are roots of unity.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +35,18 @@ TAG_DEGREE = {
     RepTag.ADJOINT_CUBE: 4, RepTag.WEDGE2: 1, RepTag.GJ_ADJOINT: 3,
     RepTag.RANKIN_SELBERG: 6, RepTag.TRIPLE: 8,
 }
+
+
+def primes_upto(n: int) -> list:
+    """The primes p <= n in ascending order (sieve of Eratosthenes)."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 def poly_mul(a: Sequence, b: Sequence) -> list:
@@ -112,6 +126,14 @@ class ReciprocalPoly:
             worst = max(worst, abs(xc - yc))
             scale = max(scale, abs(xc), abs(yc))
         return worst / scale
+
+
+class LocalPoleError(ArithmeticError):
+    """A local L-value 1/P(p^{-s}) requested at a zero of P."""
+
+    def __init__(self, p: int, s: complex):
+        self.p, self.s = p, s
+        super().__init__(f"local factor at p={p} has a pole at s={s}")
 
 
 def eigenvalues(tag: RepTag, c: SatakeClass) -> list:

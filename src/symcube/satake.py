@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .cyclo import one_like
+
 DEFAULT_TOL = 1e-8
 
 
@@ -106,11 +108,19 @@ def twist(c: SatakeClass, chi_p) -> SatakeClass:
 
 
 def contragredient(c: SatakeClass) -> SatakeClass:
-    """Class with inverted parameters; inverts the central character."""
+    """Class with inverted parameters; inverts the central character.
+
+    Beside a Cyclo, a rational parameter is inverted exactly, as a Cyclo;
+    float and complex parameters are inverted as 1 / x.
+    """
     a, b = c.alpha, c.beta
     if not a or not b:
         raise ValueError("zero Satake parameter has no contragredient")
-    return SatakeClass(1 / a, 1 / b, c.q)
+    one = one_like(a, b)
+    if isinstance(one, complex):   # no Cyclo in the class
+        one = 1
+    alpha, beta = (1 / x if isinstance(x, (float, complex)) else one / x for x in (a, b))
+    return SatakeClass(alpha, beta, c.q)
 
 
 # --- local representation classes for the unitarity criterion ------------

@@ -13,7 +13,7 @@ import symcube
 from symcube.analytic import (
     AFEConfig, CutoffTooSmall, LocalPoleError, MissingPrimeError,
     VERDICT_CONSISTENT, VERDICT_FLAGGED, _BABY, _CONTOUR, _GIANT, _NODES, _STEP,
-    _VMAX, _kernel_sums, _kernel_weights, afe_value, afe_values,
+    _VMAX, _kernel_sums, _kernel_weights, _loggamma, afe_value, afe_values,
     analytic_conductor, default_cutoff, delta_sym3_config,
     dirichlet_coeffs, dirichlet_sum, epsilon_probe, gamma_completed,
     inject_pole_factor, partial_L, pole_scan, primes_upto, smoothing_weights)
@@ -359,9 +359,60 @@ def test_inject_pole_factor_series():
 
 
 def test_import_does_not_load_scipy_special():
-    """scipy.special is loaded by the first Gamma evaluation, not by the import."""
+    """Neither the import nor an afe run, which evaluates every Gamma factor,
+    loads scipy: log Gamma is computed in the package."""
     src = os.path.dirname(os.path.dirname(symcube.__file__))
-    code = "import sys, symcube; print('scipy.special' in sys.modules)"
+    repo = os.path.dirname(src)
+    code = ("import sys, symcube\n"
+            "print('scipy' in sys.modules)\n"
+            "from symcube.cli import main\n"
+            "code = main(['afe', '--coeffs', 'builtin:delta:4000',\n"
+            "             '--config', 'data/delta_sym3_afe.cfg'])\n"
+            "print(code, 'scipy' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert out.stdout.strip() == "False"
+                         cwd=repo, env=dict(os.environ, PYTHONPATH=src), check=True)
+    lines = out.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 False"
+
+
+@pytest.mark.parametrize("re_w", [-3.3, 0.5, 2.5, 8.0, 19.5])
+def test_loggamma_against_mpmath(re_w):
+    # the principal branch too: mpmath.loggamma is continuous off the
+    # negative real axis, as scipy.special.loggamma is
+    import mpmath
+    w = re_w + 1j * np.linspace(-62.0, 62.0, 497)
+    got = _loggamma(w)
+    with mpmath.workdps(40):
+        for wi, g in zip(w, got):
+            exact = complex(mpmath.loggamma(mpmath.mpc(wi.real, wi.imag)))
+            assert abs(g - exact) <= 1e-14 * max(1.0, abs(exact))
+
+
+def test_loggamma_of_a_batch_is_elementwise():
+    # a point's weights do not depend on the other points of its batch
+    cfg = delta_sym3_config()
+    points = [0.55, 0.5 + 2j, 1 - (0.5 + 2j), 3 + 1.3j, -0.4 + 7j]
+    w = np.add.outer(np.array(points), _NODES)[..., None] + np.array(cfg.gamma_shifts)
+    batch = _loggamma(w)
+    for i, s in enumerate(points):
+        assert np.array_equal(_loggamma(w[i]), batch[i])
+        assert np.array_equal(_kernel_weights(s, cfg), _kernel_weights(points, cfg)[i])
+        assert gamma_completed(s, cfg) == gamma_completed(points, cfg)[i]
+
+
+def test_primes_upto_matches_a_numpy_sieve():
+    def numpy_sieve(n):
+        if n < 2:
+            return []
+        sieve = np.ones(n + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, int(n ** 0.5) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = False
+        return np.nonzero(sieve)[0].tolist()
+    for n in list(range(-1, 200)) + [9973, 10007, 100000]:
+        got = primes_upto(n)
+        assert got == numpy_sieve(n)
+        assert all(type(p) is int for p in got)
+    assert len(primes_upto(100000)) == 9592

@@ -254,3 +254,27 @@ def test_afe_json_root_numbers():
         assert abs(re + 1) < 1e-9
         assert abs(im) < 1e-6
     assert obj["modulus_deviation"] < 1e-9
+
+
+def test_exact_commands_do_not_load_numpy():
+    """Only euler, afe and scan compute with numpy; a fresh interpreter that
+    imports symcube and runs every other command in-process never loads it."""
+    commands = [
+        ["roots", "weyl"],
+        ["region", "--grid", "20"],
+        ["identity", "--samples", "10"],
+        ["monomial-check", "--hecke", "data/hecke_q_sqrt_minus23.txt"],
+        ["intertwine", "--samples", "10"],
+        ["satake", "--coeffs", "builtin:delta:200"],
+        ["lfactor", "--coeffs", "builtin:delta:200", "--p", "7"],
+    ]
+    code = ("import contextlib, io, sys, symcube\n"
+            "from symcube.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print('numpy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=REPO, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -253,3 +253,14 @@ def test_division_by_a_non_monomial_raises(x, d):
         1 / d
     with pytest.raises(ValueError):
         x / 0
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: x * 0.1, lambda x: 0.1 * x, lambda x: x + 0.5, lambda x: 0.5 - x,
+    lambda x: x / 0.5, lambda x: Cyclo.from_rational(0.25),
+    lambda x: Cyclo({Q(1, 3): 0.5}),
+])
+def test_float_operand_is_refused(op):
+    # a float taken at its binary value would make an exact result inexact
+    with pytest.raises(TypeError):
+        op(Cyclo.one())

@@ -124,3 +124,24 @@ def test_local_rep_class_validation():
     assert rep.mu_cubed_is_one and not rep.mu_is_order_two
     rep2 = principal_tempered(-1.0)
     assert rep2.mu_is_order_two and not rep2.mu_cubed_is_one
+
+
+def test_contragredient_keeps_a_rational_partner_of_a_cyclo_exact():
+    from fractions import Fraction
+    from symcube.cyclo import Cyclo
+    zeta3 = Cyclo.root_of_unity(1, 3)
+    cc = contragredient(SatakeClass(zeta3, 3, 5))
+    assert isinstance(cc.beta, Cyclo) and cc.beta == Cyclo.from_rational(Fraction(1, 3))
+    assert cc.alpha == Cyclo.root_of_unity(2, 3)
+    assert contragredient(SatakeClass(zeta3, Fraction(2, 7), 5)).beta \
+        == Cyclo.from_rational(Fraction(7, 2))
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (2.0, 0.5), (3, 0.25), (0.3 + 1.7j, 0.1 - 2.2j), (cmath.exp(0.7j), 4),
+    (7, 3),
+])
+def test_contragredient_of_float_and_complex_classes_is_one_over_x(alpha, beta):
+    cc = contragredient(SatakeClass(alpha, beta, 3))
+    for got, x in ((cc.alpha, alpha), (cc.beta, beta)):
+        assert type(got) is type(1 / x) and repr(got) == repr(1 / x)
