@@ -160,6 +160,7 @@ def dirichlet_sum(s: complex, coeffs: CoefficientTable, N: Optional[int] = None)
 class AFEConfig:
     """Archimedean data and evaluation parameters for a completed L-function.
 
+    Each gamma shift is one Gamma_C factor, so the degree is 2 len(gamma_shifts).
     x_scale controls how far the smoothed sum is unbalanced: reflected terms
     carry weights V(n * x_scale), and the dropped reflected term is about
     1e-7 of Lambda at the default 16 for the sym3 of Delta, about 1e-11 at
@@ -167,7 +168,6 @@ class AFEConfig:
     need a larger x_scale (with a correspondingly larger cutoff).
     """
 
-    degree: int
     gamma_shifts: Tuple[float, ...]
     conductor: int = 1
     self_dual: bool = True
@@ -177,14 +177,12 @@ class AFEConfig:
     def __post_init__(self):
         if not self.gamma_shifts:
             raise ValueError("gamma_shifts must be nonempty")
-        if self.degree != 2 * len(self.gamma_shifts):
-            raise ValueError("degree must equal 2 x number of Gamma_C factors")
         object.__setattr__(self, "gamma_shifts", tuple(float(k) for k in self.gamma_shifts))
 
 
 def delta_sym3_config(cutoff: int = 4000) -> AFEConfig:
     """Shipped configuration for the symmetric cube of the weight-12 level-1 form."""
-    return AFEConfig(degree=4, gamma_shifts=(5.5, 16.5), conductor=1,
+    return AFEConfig(gamma_shifts=(5.5, 16.5), conductor=1,
                      self_dual=True, cutoff=cutoff)
 
 

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -83,10 +84,13 @@ def _emit(fmt, header, rows, json_obj=None):
 
 
 def _load_form(source: str) -> ingest.ParsedForm:
-    """A path, or builtin:delta[:N] for the shipped q-expansion sample."""
-    if source.startswith("builtin:delta"):
-        bits = source.split(":")
-        n = int(bits[2]) if len(bits) > 2 else 1000
+    """A path, or builtin:delta[:N] (N >= 1, default 1000) for the shipped sample."""
+    if source.startswith("builtin:"):
+        match = re.fullmatch(r"builtin:delta(?::([0-9]+))?", source)
+        n = int(match.group(1) or 1000) if match else 0
+        if n < 1:
+            raise ValueError(f"--coeffs {source!r}: expected builtin:delta or "
+                             f"builtin:delta:N with N >= 1")
         return ingest.delta_form(n)
     return ingest.parse_form(source)
 

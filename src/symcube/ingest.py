@@ -3,11 +3,15 @@
 Coefficient files carry integer Fourier coefficients in arithmetic
 normalization; integers are parsed exactly and only converted to floats when
 Satake classes are built.  A built-in q-expansion of the weight-12 level-1
-cusp form (eta^24) supplies test data without external downloads.
+cusp form (eta^24) supplies test data without external downloads; its two
+exact polynomial squarings pack coefficients into base-10^w slots of a
+stdlib decimal.Decimal, which libmpdec multiplies by number-theoretic
+transform, with w chosen so that no slot carries.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from dataclasses import dataclass
@@ -237,7 +241,10 @@ def serialize_hecke(data: ParsedHeckeData) -> str:
 
 
 def parse_afe_config(path: str) -> AFEConfig:
-    """key = value lines: gamma_shifts, conductor, cutoff, self_dual, x_scale."""
+    """key = value lines: gamma_shifts, conductor, cutoff, self_dual, x_scale.
+
+    An optional degree key must equal twice the number of gamma shifts.
+    """
     from .analytic import AFEConfig   # analytic loads numpy; parsing does not
 
     values = {}
@@ -253,9 +260,10 @@ def parse_afe_config(path: str) -> AFEConfig:
     if "gamma_shifts" not in values:
         raise ValueError("config must set gamma_shifts")
     shifts = tuple(float(x) for x in values["gamma_shifts"].split(","))
-    degree = int(values.get("degree", 2 * len(shifts)))
+    if "degree" in values and int(values["degree"]) != 2 * len(shifts):
+        raise ValueError(f"config degree = {values['degree']} disagrees with "
+                         f"{len(shifts)} gamma shifts (degree {2 * len(shifts)})")
     return AFEConfig(
-        degree=degree,
         gamma_shifts=shifts,
         conductor=int(values.get("conductor", 1)),
         self_dual=values.get("self_dual", "true").lower() in ("true", "1", "yes"),
@@ -266,36 +274,51 @@ def parse_afe_config(path: str) -> AFEConfig:
 
 # --- built-in q-expansion oracle ------------------------------------------
 
+# Exact integer arithmetic on Decimals: nothing is rounded at any size.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN)
+
+
 def _square_packed(coeffs: List[int], nkeep: int) -> List[int]:
-    """Square an integer polynomial exactly via Kronecker substitution."""
+    """The first nkeep coefficients of the square of an integer polynomial.
+
+    Kronecker substitution at 10^w: coefficient i fills the w-digit slot i of
+    one decimal string, and libmpdec squares the resulting Decimal with its
+    number-theoretic transform.  A coefficient of the square is a sum of at
+    most n = len(coeffs) products, so it is at most n m^2 in size, m the
+    largest |coefficient|; w is the least width with 2 n m^2 < 10^w, which
+    keeps it below half = 10^w / 2.  With half added to each of the low nkeep
+    slots every one of them lies in (0, 10^w), so none borrows from or carries
+    into its neighbour and the low nkeep * w digits read off directly.
+
+    The slots hold c + m in [0, 2m], and the offset m in every slot comes
+    off as a second Decimal.  No large int passes through str() or
+    Decimal(): Decimal(int) is quadratic in the digits, and str(int) raises
+    past sys.get_int_max_str_digits().
+    """
     n = len(coeffs)
-    m = max(abs(x) for x in coeffs) or 1
-    slot_bytes = ((n * m * m).bit_length() + 2 + 7) // 8
-    bits = slot_bytes * 8
-    half = 1 << (bits - 1)
-    pos = bytearray(n * slot_bytes)
-    neg = bytearray(n * slot_bytes)
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            pos[i * slot_bytes:(i + 1) * slot_bytes] = c.to_bytes(slot_bytes, "little")
-        elif c < 0:
-            neg[i * slot_bytes:(i + 1) * slot_bytes] = (-c).to_bytes(slot_bytes, "little")
-    z = int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
-    z = z * z
-    # shift every base-2^bits digit by half so all digits are nonnegative;
-    # |true coefficient| < half - 1, so no carries are introduced
-    z += int.from_bytes(half.to_bytes(slot_bytes, "little") * nkeep, "little")
-    z &= (1 << (bits * nkeep)) - 1
-    raw = z.to_bytes(nkeep * slot_bytes, "little")
-    return [int.from_bytes(raw[i * slot_bytes:(i + 1) * slot_bytes], "little") - half
-            for i in range(nkeep)]
+    m = max(map(abs, coeffs)) or 1
+    w = len(str(2 * n * m * m))
+    half = 10 ** w // 2
+    packed = "".join([str(c + m).zfill(w) for c in reversed(coeffs)])
+    with decimal.localcontext(_EXACT):
+        x = decimal.Decimal(packed) - decimal.Decimal(str(m).zfill(w) * n)
+        del packed   # freed before the product is allocated
+        digits = str(x * x + decimal.Decimal(str(half) * nkeep))
+    # the offset has nkeep * w digits, so digits is at least that long
+    end = len(digits)
+    out = [int(digits[j:j + w]) - half for j in range(end - nkeep * w, end, w)]
+    out.reverse()
+    return out
 
 
 def eta24_qexpansion(n_max: int) -> List[int]:
     """Coefficients a(0..n_max) of q prod_k (1-q^k)^24, exactly.
 
-    Built by squaring the cube of the Euler product three times; the cube is
-    the sparse series sum_k (-1)^k (2k+1) q^{k(k+1)/2}.
+    The cube of the Euler product is the sparse series
+    sum_k (-1)^k (2k+1) q^{k(k+1)/2} (Jacobi); its square is summed term by
+    term, and the 12th and 24th powers come from two _square_packed calls
+    (decimal Kronecker squarings, slot width from the coefficient bound).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

@@ -209,7 +209,7 @@ def test_criterion_9_epsilon_probe(delta_sym3_coeffs_8k):
         assert len(rep.estimates) == 3
         assert rep.max_pairwise_deviation < 1e-3
         assert rep.modulus_deviation < 1e-3
-        perturbed = AFEConfig(degree=4, gamma_shifts=(6.5, 16.5), conductor=1,
+        perturbed = AFEConfig(gamma_shifts=(6.5, 16.5), conductor=1,
                               self_dual=True, cutoff=4000)
         bad = epsilon_probe(points, perturbed, delta_sym3_coeffs_8k)
         assert bad.max_pairwise_deviation > 1e-1

@@ -102,11 +102,8 @@ def test_local_pole_error():
 
 def test_afe_config_validation():
     with pytest.raises(ValueError):
-        AFEConfig(degree=4, gamma_shifts=())
-    with pytest.raises(ValueError):
-        AFEConfig(degree=3, gamma_shifts=(5.5,))
+        AFEConfig(gamma_shifts=())
     cfg = delta_sym3_config()
-    assert cfg.degree == 2 * len(cfg.gamma_shifts)
     assert analytic_conductor(0.5, cfg) > 1
 
 
@@ -163,7 +160,7 @@ def test_afe_degree2_sanity_oracle(delta_8k):
     table = satake_table(delta_8k)
     factors = {p: local_factor(RepTag.STANDARD, c) for p, c in table.items()}
     coeffs = dirichlet_coeffs(factors, 8192, rep_tag=RepTag.STANDARD)
-    cfg = AFEConfig(degree=2, gamma_shifts=(5.5,), conductor=1,
+    cfg = AFEConfig(gamma_shifts=(5.5,), conductor=1,
                     self_dual=True, cutoff=2000)
     s = 3.0
     direct = gamma_completed(s, cfg) * dirichlet_sum(s, coeffs)
@@ -293,7 +290,7 @@ def test_epsilon_probe_positive_control(delta_sym3_coeffs_8k):
 
 
 def test_epsilon_probe_negative_control(delta_sym3_coeffs_8k):
-    cfg = AFEConfig(degree=4, gamma_shifts=(6.5, 16.5), conductor=1,
+    cfg = AFEConfig(gamma_shifts=(6.5, 16.5), conductor=1,
                     self_dual=True, cutoff=4000)
     rep = epsilon_probe([0.5 + 0.5j, 0.5 + 1j, 0.5 + 2j], cfg,
                         delta_sym3_coeffs_8k)
@@ -318,7 +315,7 @@ def test_epsilon_probe_stable_under_cutoff_doubling(delta_sym3_coeffs_8k):
 
 
 def test_epsilon_probe_requires_self_dual(delta_sym3_coeffs_8k):
-    cfg = AFEConfig(degree=4, gamma_shifts=(5.5, 16.5), self_dual=False,
+    cfg = AFEConfig(gamma_shifts=(5.5, 16.5), self_dual=False,
                     cutoff=4000)
     with pytest.raises(ValueError):
         epsilon_probe([0.5 + 1j], cfg, delta_sym3_coeffs_8k)

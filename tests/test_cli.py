@@ -136,6 +136,22 @@ def test_missing_file_is_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("coeffs", ["builtin:deltafoo", "builtin:delta:10:20",
+                                    "builtin:delta:0", "builtin:delta:", "builtin:delta:-5",
+                                    "builtin:delta:1e3", "builtin:eta"])
+def test_builtin_coeffs_outside_the_grammar_are_usage_errors(coeffs, capsys):
+    code, out = run_cli(["satake", "--coeffs", coeffs])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "builtin:delta or builtin:delta:N with N >= 1" in err
+
+
+def test_bare_builtin_delta_has_1000_terms():
+    assert run_cli(["lfactor", "--coeffs", "builtin:delta", "--p", "997"])[0] == 0
+    assert run_cli(["lfactor", "--coeffs", "builtin:delta", "--p", "1009"])[0] == 2
+
+
 def test_local_pole_is_usage_error(capsys):
     # at s = 3i arg(alpha_2) / log 2 the sym3 factor 1 - alpha_2^3 2^{-s} vanishes
     alpha = satake_table(delta_form(100))[2].alpha

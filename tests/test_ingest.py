@@ -1,8 +1,12 @@
+import hashlib
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from symcube import ingest
 from symcube.cyclo import Cyclo
 from symcube.ingest import (
     FormParseError, HeckeParseError, MultiplicativityError, ParsedForm,
@@ -40,6 +44,66 @@ def test_eta24_multiplicativity_and_recurrence():
             assert a[m * n] == a[m] * a[n]
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67):
         assert a[p * p] == a[p] ** 2 - p ** 11
+
+
+def _int_square_packed(coeffs, nkeep):
+    """Reference: Kronecker squaring in base-2^bits slots with CPython ints."""
+    n = len(coeffs)
+    m = max(abs(x) for x in coeffs) or 1
+    slot_bytes = ((n * m * m).bit_length() + 2 + 7) // 8
+    bits = slot_bytes * 8
+    half = 1 << (bits - 1)
+    pos = bytearray(n * slot_bytes)
+    neg = bytearray(n * slot_bytes)
+    for i, c in enumerate(coeffs):
+        if c > 0:
+            pos[i * slot_bytes:(i + 1) * slot_bytes] = c.to_bytes(slot_bytes, "little")
+        elif c < 0:
+            neg[i * slot_bytes:(i + 1) * slot_bytes] = (-c).to_bytes(slot_bytes, "little")
+    z = int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
+    z = z * z
+    z += int.from_bytes(half.to_bytes(slot_bytes, "little") * nkeep, "little")
+    z &= (1 << (bits * nkeep)) - 1
+    raw = z.to_bytes(nkeep * slot_bytes, "little")
+    return [int.from_bytes(raw[i * slot_bytes:(i + 1) * slot_bytes], "little") - half
+            for i in range(nkeep)]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 1000, 8192])
+def test_eta24_matches_the_int_kronecker_reference(n_max, monkeypatch):
+    got = eta24_qexpansion(n_max)
+    monkeypatch.setattr(ingest, "_square_packed", _int_square_packed)
+    assert eta24_qexpansion(n_max) == got
+
+
+def test_eta24_pinned_at_100000_terms():
+    # sha256 of the int-squaring output; the coefficients near 1e5 have ~30
+    # digits, and the packed operands millions, so this also shows that no
+    # large int goes through str() (which raises past 4300 digits by default)
+    a = eta24_qexpansion(100_000)
+    assert hashlib.sha256(repr(a).encode()).hexdigest() == (
+        "63ece4b9cd325f3cf5510171949a3372da388fa57c173b2dc3d4e1ede6a7ebfc")
+
+
+_BIG = 10 ** 40
+coefficient_lists = st.one_of(
+    st.lists(st.integers(-_BIG, _BIG), min_size=1, max_size=40),
+    st.lists(st.integers(-_BIG, -1), min_size=1, max_size=40),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=40))
+
+
+@settings(deadline=None)
+@given(coefficient_lists, st.integers(1, 90))
+@example([0] * 7, 5)
+@example([-_BIG], 1)
+@example([_BIG], 3)
+@example([-_BIG] * 40, 79)
+def test_square_packed_is_the_truncated_schoolbook_square(coeffs, nkeep):
+    square = [0] * (nkeep + 2 * len(coeffs))
+    for i, a in enumerate(coeffs):
+        for j, b in enumerate(coeffs):
+            square[i + j] += a * b
+    assert ingest._square_packed(coeffs, nkeep) == square[:nkeep]
 
 
 def test_delta_form_roundtrip(tmp_path):
@@ -164,12 +228,23 @@ def test_parse_afe_config(tmp_path):
                     "cutoff = 4000\nself_dual = true\n")
     cfg = parse_afe_config(str(path))
     assert cfg.gamma_shifts == (5.5, 16.5)
-    assert cfg.degree == 4 and cfg.conductor == 1
+    assert cfg.conductor == 1
     assert cfg.cutoff == 4000 and cfg.self_dual
 
     path.write_text("conductor = 1\n")
     with pytest.raises(ValueError):
         parse_afe_config(str(path))
+
+
+def test_parse_afe_config_degree_key(tmp_path):
+    # the degree is 2 x the number of Gamma_C factors; a key may restate it
+    path = tmp_path / "cfg.txt"
+    path.write_text("gamma_shifts = 5.5, 16.5\ndegree = 4\n")
+    assert parse_afe_config(str(path)).gamma_shifts == (5.5, 16.5)
+    for degree in ("3", "2", "six"):
+        path.write_text(f"gamma_shifts = 5.5, 16.5\ndegree = {degree}\n")
+        with pytest.raises(ValueError):
+            parse_afe_config(str(path))
 
 
 def test_satake_table(delta_8k):
