@@ -23,7 +23,10 @@ configuration.
 V_s is a trapezoid sum over nodes u_k in arithmetic progression on the line
 Re(u) = 2.5.  So y^{-u_k} factors into a giant step times a baby step, and
 the sum over k is evaluated baby-step/giant-step, as a polynomial in
-y^{-i/8} (Paterson-Stockmeyer); the powers of y are shared by every s.
+y^{-i/4} (Paterson-Stockmeyer); the powers of y are shared by every s.
+The step 1/4 aliases the pole of 1/u at u = 0 into the sum with relative
+size about 2 pi e^{-2 pi * 2.5 / (1/4)} = 5e-28 (Trefethen and Weideman,
+SIAM Rev. 2014), far below rounding.
 """
 
 from __future__ import annotations
@@ -283,10 +286,17 @@ def default_cutoff(s: complex, cfg: AFEConfig) -> int:
 
 # quadrature for the vertical-line kernel: contour Re(u) = _CONTOUR,
 # trapezoid step _STEP, truncation at +-_VMAX; the integrand decays like the
-# Gamma_C product, i.e. faster than e^{-pi |v|} for degree >= 4
+# Gamma_C product, i.e. faster than e^{-pi |v|} for degree >= 4.  The
+# trapezoid error is the aliased pole of 1/u, about e^{-2 pi _CONTOUR / _STEP}
+# (module docstring)
 _CONTOUR = 2.5
-_STEP = 0.125
+_STEP = 0.25
 _VMAX = 40.0
+# largest supported |Im s|: the kernel sum cancels by about e^{pi |Im s|} and
+# the weights peak near v = -Im s, so accuracy falls as |Im s| grows (at
+# Re s = 3 the relative error against the Euler product is 9e-10 at
+# |Im s| = 6, 2e-9 at 7 and 6e2 at 20)
+_MAX_IM = 6.0
 
 
 # _kernel_sums relies on the nodes being an exact arithmetic progression: the
@@ -294,7 +304,7 @@ _VMAX = 40.0
 _NODES = _CONTOUR + 1j * np.arange(-_VMAX, _VMAX + _STEP / 2, _STEP)
 # node k = _BABY * j + m is the giant step _NODES[_BABY * j] plus the baby
 # step i * _STEP * m, so y^{-u_k} factors as the product of their powers
-_BABY = 32
+_BABY = 16
 _GIANT = -(-len(_NODES) // _BABY)
 # rows of log y the kernel factors are built for at once; bounds its memory
 _BLOCK = 2048
@@ -318,10 +328,10 @@ def _kernel_sums(logy: np.ndarray, weights: Sequence[np.ndarray],
     With k = _BABY * j + m, y^{-u_k} = P[n, j] * Q[n, m] for the giant steps
     P = y^{-_NODES[_BABY * j]} and the baby steps Q = y^{-i _STEP m}, so
     V_p[n] = sum_j P[n, j] * (Q @ W_p)[n, j] with W_p[m, j] = weights[p][k]
-    (zero past the last node): _BABY + _GIANT exponentials a row instead of
-    len(_NODES).  P and Q are built once per _BLOCK rows and shared by every
-    point; each point has its own product, so its value does not depend on
-    the other points of the batch.
+    (zero past the last node): _BABY + _GIANT = 37 exponentials a row
+    instead of len(_NODES) = 321.  P and Q are built once per _BLOCK rows
+    and shared by every point; each point has its own product, so its value
+    does not depend on the other points of the batch.
     """
     giant = -_NODES[::_BABY]
     baby = -1j * _STEP * np.arange(_BABY)
@@ -360,7 +370,8 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
     reflected term (about 1e-7 of Lambda at x_scale = 16; module docstring).
 
     Supported for Re(s) > 1 - _CONTOUR + 0.05 (the contour must stay inside
-    the region of absolute convergence of the shifted series).  Every point
+    the region of absolute convergence of the shifted series) and
+    |Im(s)| <= _MAX_IM (ValueError otherwise).  Every point
     is validated before any sum is formed.  The powers y^{-u} at
     y = n / x_scale do not depend on s: their giant-step and baby-step
     factors (see _kernel_sums) are built once per block of n for the whole
@@ -372,9 +383,9 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
     for s in points:
         if s.real + _CONTOUR <= 1.05:
             raise ValueError(f"Re(s) = {s.real} below the supported strip")
-        if abs(s.imag) > 20:
-            raise ValueError("quadrature grid supports |Im(s)| <= 20; "
-                             "recenter the contour for higher points")
+        if abs(s.imag) > _MAX_IM:
+            raise ValueError(f"Im(s) = {s.imag} outside the supported "
+                             f"|Im(s)| <= {_MAX_IM:g}")
         cutoff = cfg.cutoff or default_cutoff(s, cfg)
         if coeffs.n_max < cutoff:
             raise CutoffTooSmall(cutoff, coeffs.n_max)

@@ -57,12 +57,22 @@ def poly_mul(a: Sequence, b: Sequence) -> list:
     return out
 
 
+def times_linear(coeffs: Sequence, m) -> list:
+    """coeffs times (1 + m T): c'_k = c_k + c_{k-1} m, no product by the 1.
+
+    The top coefficient is 0 + c_d m, so no coefficient carries a negative
+    zero, as none of a poly_mul product does.
+    """
+    return [coeffs[0], *(c + p * m for c, p in zip(coeffs[1:], coeffs)),
+            0 + coeffs[-1] * m]
+
+
 def poly_from_eigenvalues(eigen: Sequence) -> list:
-    """Coefficients of prod (1 - e T), in the order given (no re-sorting)."""
-    one = one_like(*eigen)
-    coeffs = [one]
+    """Coefficients of prod (1 - e T), in the order given (no re-sorting),
+    one linear factor at a time."""
+    coeffs = [one_like(*eigen)]
     for e in eigen:
-        coeffs = poly_mul(coeffs, [one, -e])
+        coeffs = times_linear(coeffs, -e)
     return coeffs
 
 
@@ -142,22 +152,22 @@ def eigenvalues(tag: RepTag, c: SatakeClass) -> list:
     # x * (1 / y), not x / y: complex division rounds differently
     if tag is RepTag.STANDARD:
         return [a, b]
-    if tag is RepTag.SYM2:
-        return [a * a, a * b, b * b]
-    if tag is RepTag.SYM3:
-        return [a * a * a, a * a * b, a * b * b, b * b * b]
     if tag is RepTag.ADJOINT_CUBE:
         return [a * a * (1 / b), a, b, (1 / a) * b * b]
     if tag is RepTag.WEDGE2:
         return [a * b]
     if tag is RepTag.GJ_ADJOINT:
         return [a * (1 / b), one_like(a), (1 / a) * b]
+    # each product once, grouped left to right as a * a * b is
+    aa, ab, bb = a * a, a * b, b * b
+    if tag is RepTag.SYM2:
+        return [aa, ab, bb]
+    aab, abb = aa * b, ab * b
+    if tag is RepTag.SYM3:
+        return [aa * a, aab, abb, bb * b]
     if tag is RepTag.TRIPLE:
         # tensor cube: alpha^3 once, alpha^2 beta and alpha beta^2 three times
-        return [a * a * a,
-                a * a * b, a * a * b, a * a * b,
-                a * b * b, a * b * b, a * b * b,
-                b * b * b]
+        return [aa * a, aab, aab, aab, abb, abb, abb, bb * b]
     raise ValueError(f"{tag} has no direct eigenvalue list")
 
 

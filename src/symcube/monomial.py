@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .cyclo import Cyclo, one_like, zero_like
-from .localfactor import ReciprocalPoly, poly_mul
+from .localfactor import ReciprocalPoly, poly_from_eigenvalues, times_linear
 
 SPLIT = "split"
 INERT = "inert"
@@ -96,7 +96,9 @@ def _char_poly_4x4(n):
 
     A permutation through an exact-zero off-diagonal entry contributes zero
     and is skipped: of the 24 terms, a diagonal (split) induced matrix keeps
-    one and an anti-diagonal (inert) one keeps four.
+    one and an anti-diagonal (inert) one keeps four.  A term is built one
+    factor at a time, a diagonal (1 - n_ii T) by times_linear and an
+    off-diagonal (-n_ij T) by a shift: no product by the factor's 0 or 1.
     """
     entries = [x for row in n for x in row]
     one, zero = one_like(*entries), zero_like(*entries)
@@ -107,8 +109,11 @@ def _char_poly_4x4(n):
             continue
         term = [one]  # polynomial in T
         for i in range(4):
-            entry = [one if i == perm[i] else zero, -n[i][perm[i]]]
-            term = poly_mul(term, entry)
+            m = -n[i][perm[i]]
+            if i == perm[i]:
+                term = times_linear(term, m)               # (1 - n_ii T)
+            else:
+                term = [zero, *(t * m for t in term)]      # (0 - n_ij T)
         if sign < 0:
             term = [-t for t in term]
         for k, t in enumerate(term):
@@ -144,7 +149,7 @@ def hecke_factor(d: HeckeLocalData, exponents: Tuple[int, int]) -> ReciprocalPol
     if d.splitting == SPLIT:
         v1 = d.chi_p ** a * d.chi_pbar ** b
         v2 = d.chi_pbar ** a * d.chi_p ** b
-        coeffs = poly_mul([one, -v1], [one, -v2])
+        coeffs = poly_from_eigenvalues([v1, v2])
     else:
         v = d.chi_p ** (a + b)
         coeffs = [one, zero, -v]

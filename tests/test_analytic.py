@@ -127,6 +127,41 @@ def test_smoothing_weights_against_quadrature_oracle():
         assert abs(got - complex(want)) < 1e-12 * max(1.0, abs(complex(want)))
 
 
+@pytest.mark.parametrize("s", [0.55, 0.5 + 2j, 3 + 1.3j])
+def test_smoothing_weights_against_a_finer_trapezoid(s):
+    # oracle: the step-1/8 trapezoid sum of the contour integral at 30 digits,
+    # which the shipped step 1/4 must reach to rounding.  The float weights
+    # w_k carry their own rounding (about 10 eps sum |w_k| here, on either
+    # step); that part is carried through exactly and added to the bound
+    # the kernel meets on exact weights
+    import mpmath
+    cfg = delta_sym3_config()
+    ys = [1 / 16, 1.0, 16.0, 250.0]
+    got = smoothing_weights(s, np.array(ys), cfg)
+    w = _kernel_weights(s, cfg)
+    with mpmath.workdps(30):
+        fine = mpmath.mpf(1) / 8
+        sm = mpmath.mpc(s)
+        nodes, g = [], []
+        for k in range(int(2 * _VMAX / fine) + 1):
+            u = mpmath.mpc(_CONTOUR, -_VMAX + k * fine)
+            val = mpmath.mpf(cfg.conductor) ** ((sm + u) / 2) / u / (2 * mpmath.pi)
+            for kappa in cfg.gamma_shifts:
+                z = sm + u + kappa
+                val *= 2 * (2 * mpmath.pi) ** (-z) * mpmath.gamma(z)
+            nodes.append(u)
+            g.append(val)
+        r = round(_STEP / fine)     # the shipped nodes are every r-th fine node
+        assert [complex(u) for u in nodes[::r]] == _NODES.tolist()
+        for y, v in zip(ys, got):
+            ly = mpmath.log(y)
+            want = fine * mpmath.fsum(gk * mpmath.exp(-u * ly) for u, gk in zip(nodes, g))
+            rounded = mpmath.fsum((mpmath.mpc(complex(wk)) - _STEP * gk) * mpmath.exp(-u * ly)
+                                  for wk, u, gk in zip(w, nodes[::r], g[::r]))
+            bound = 8 * EPS * np.sum(np.abs(w)) * y ** -_CONTOUR + abs(complex(rounded))
+            assert abs(v - complex(want)) <= bound
+
+
 def test_afe_value_against_direct_series(delta_sym3_coeffs_8k):
     # in the region of absolute convergence the completed value must match
     # gamma(s) times the plain Dirichlet sum
@@ -176,20 +211,21 @@ def test_afe_out_of_strip_rejected(delta_sym3_coeffs_8k):
         afe_value(-2.0, delta_sym3_config(), delta_sym3_coeffs_8k)
 
 
-def _unbatched_afe(s, cfg, coeffs):
+def _unbatched_afe(s, cfg, coeffs, step=_STEP):
     """Reference: one point's smoothed sum with its own matrix of
-    exponentials exp(-outer(log y, u)), built in 2048-row blocks from the
-    module's quadrature parameters.  Returns the value and the rounding scale
-    S = sum_n |lambda_n n^{-s}| y_n^{-Re u} sum_k |w_k| of the sum."""
+    exponentials exp(-outer(log y, u)), built in 2048-row blocks, on the
+    module's contour and truncation with trapezoid step `step`.  Returns the
+    value and the rounding scale S = sum_n |lambda_n n^{-s}| y_n^{-Re u}
+    sum_k |w_k| of the sum."""
     s = complex(s)
     cutoff = cfg.cutoff or default_cutoff(s, cfg)
     n = np.arange(1, cutoff + 1, dtype=np.float64)
-    u = _CONTOUR + 1j * np.arange(-_VMAX, _VMAX + _STEP / 2, _STEP)
+    u = _CONTOUR + 1j * np.arange(-_VMAX, _VMAX + step / 2, step)
     lg = 0.5 * (s + u) * math.log(cfg.conductor)
     for k in cfg.gamma_shifts:
         w = s + u + k
         lg = lg + math.log(2.0) - w * math.log(2.0 * math.pi) + loggamma(w)
-    weights = np.exp(lg) / u * (_STEP / (2 * math.pi))
+    weights = np.exp(lg) / u * (step / (2 * math.pi))
     logy = np.log(n / cfg.x_scale)
     V = np.concatenate([np.exp(-np.outer(logy[i:i + 2048], u)) @ weights
                         for i in range(0, cutoff, 2048)])
@@ -219,6 +255,31 @@ def test_afe_values_equal_per_point_sums(delta_sym3_coeffs_8k, cfg, points):
     for s, value in zip(points, got):
         ref, scale = _unbatched_afe(s, cfg, coeffs)
         assert abs(value - ref) <= 8 * EPS * scale
+
+
+@pytest.mark.parametrize("cfg, points", [
+    (delta_sym3_config(cutoff=4000), PROBE_POINTS),
+    (MIXED_CONFIG, MIXED_POINTS),
+], ids=["probe-cutoff4000", "mixed-cutoff0"])
+def test_afe_values_against_a_finer_quadrature(delta_sym3_coeffs_8k, cfg, points):
+    # the step-1/8 trapezoid aliases the pole of 1/u at e^{-40 pi}, the
+    # shipped step at e^{-20 pi}: both far below rounding, so the sums agree
+    # to the rounding scale S
+    coeffs = delta_sym3_coeffs_8k
+    for s, value in zip(points, afe_values(points, cfg, coeffs)):
+        ref, scale = _unbatched_afe(s, cfg, coeffs, step=1 / 8)
+        assert abs(value - ref) <= 8 * EPS * scale
+
+
+def test_afe_values_support_im_s_up_to_6(delta_sym3_factors_8k, delta_sym3_coeffs_8k):
+    # oracle: gamma(s) times the Euler product, at Re(s) = 3 where it converges
+    # absolutely; the smoothed sum is 8.7e-10 off it at |Im s| = 6, 2e-9 at 7
+    cfg = delta_sym3_config()
+    for s in (3 + 6j, 3 - 6j):
+        want = gamma_completed(s, cfg) * partial_L(s, 8192, delta_sym3_factors_8k).value
+        assert abs(afe_value(s, cfg, delta_sym3_coeffs_8k) - want) < 1e-9 * abs(want)
+    with pytest.raises(ValueError, match=r"\|Im\(s\)\| <= 6"):
+        afe_value(3 + 7j, cfg, delta_sym3_coeffs_8k)
 
 
 def test_mixed_points_derive_cutoffs_across_a_block():

@@ -272,6 +272,13 @@ def test_afe_json_root_numbers():
     assert obj["modulus_deviation"] < 1e-9
 
 
+def test_afe_point_past_the_supported_height_is_usage_error():
+    out = run_cold(["afe", *AFE_ARGS, "--points", "0.5+7j"])
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert out.stderr == b"error: Im(s) = 7.0 outside the supported |Im(s)| <= 6\n"
+
+
 def test_exact_commands_do_not_load_numpy():
     """Only euler, afe and scan compute with numpy; a fresh interpreter that
     imports symcube and runs every other command in-process never loads it."""

@@ -1,10 +1,13 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from symcube.cyclo import Cyclo
+from symcube.cyclo import Cyclo, one_like
 from symcube.localfactor import (
     RepTag, ReciprocalPoly, TAG_DEGREE, check_gj_identity,
     check_triple_identity, check_twist_identity, eigenvalues, local_factor,
@@ -23,6 +26,38 @@ def _unitary_class(rng, q_choices=(2, 3, 5)):
     a = cmath.exp(2j * math.pi * rng.random())
     b = cmath.exp(2j * math.pi * rng.random())
     return SatakeClass(a, b, rng.choice(q_choices))
+
+
+def _poly_mul_chain(eigen):
+    """Reference: prod (1 - e T) as a chain of full dense products by [1, -e],
+    products by 1 and sums onto 0 included."""
+    one = one_like(*eigen)
+    coeffs = [one]
+    for e in eigen:
+        out = [0] * (len(coeffs) + 1)
+        for i, x in enumerate(coeffs):
+            for j, y in enumerate([one, -e]):
+                out[i + j] = out[i + j] + x * y
+        coeffs = out
+    return coeffs
+
+
+_cyclo_values = st.builds(
+    lambda n, k, num, den: Cyclo.root_of_unity(k, n) * Fraction(num, den),
+    st.integers(1, 16), st.integers(0, 15), st.integers(-3, 3), st.integers(1, 4))
+_float_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                         st.floats(-1e3, 1e3, allow_nan=False))
+_complex_values = st.builds(complex, _float_parts, _float_parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_cyclo_values, max_size=8), st.lists(_complex_values, max_size=8)))
+@example([1 + 0j])              # a lone real factor: the top coefficient reads -1+0j
+@example([complex(-0.0, 0.0), 2 + 0j, complex(0.0, -0.0)])
+def test_poly_from_eigenvalues_equals_the_product_chain(eigen):
+    # bit for bit, signed zeros included: the one-factor recurrence adds the
+    # same nonzero products in the same roundings as the full product
+    assert repr(poly_from_eigenvalues(eigen)) == repr(_poly_mul_chain(eigen))
 
 
 def test_degree_contract():

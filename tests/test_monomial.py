@@ -6,8 +6,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from symcube.cyclo import Cyclo
-from symcube.localfactor import RepTag, local_factor, poly_from_eigenvalues
+from symcube.cyclo import Cyclo, one_like
+from symcube.localfactor import RepTag, local_factor, poly_from_eigenvalues, poly_mul
 from symcube.monomial import (
     ENTIRE, HAS_POLE, INERT, SPLIT, HeckeLocalData, _char_poly_4x4, adjointcube_char_poly,
     check_monomial_r3, check_monomial_r30, hecke_factor, induced_local,
@@ -114,6 +114,19 @@ def test_hecke_factor_split_cube_roots():
     poly = hecke_factor(d, (3, 0))                    # chi^3 = 1 at both primes
     want = poly_from_eigenvalues([Cyclo.one(), Cyclo.one()])
     assert list(poly.coeffs) == want
+
+
+def test_hecke_factor_split_equals_the_two_factor_product():
+    # oracle: (1 - v1 T)(1 - v2 T) as one dense poly_mul of the two factors
+    for chi_p, chi_pbar in ((Cyclo.root_of_unity(1, 5), Cyclo.root_of_unity(3, 8)),
+                            (cmath.exp(0.3j), cmath.exp(-1.1j)),
+                            (1 + 0j, -1 + 0j)):
+        d = HeckeLocalData(7, SPLIT, chi_p, chi_pbar)
+        one = one_like(chi_p)
+        for a, b in ((3, 0), (2, 1), (2, -1), (1, 0)):
+            v1, v2 = chi_p ** a * chi_pbar ** b, chi_pbar ** a * chi_p ** b
+            want = poly_mul([one, -v1], [one, -v2])
+            assert repr(hecke_factor(d, (a, b)).coeffs) == repr(tuple(want))
 
 
 def test_hecke_factor_inert_examples():
