@@ -23,7 +23,9 @@ configuration.
 V_s is a trapezoid sum over nodes u_k in arithmetic progression on the line
 Re(u) = 2.5.  So y^{-u_k} factors into a giant step times a baby step, and
 the sum over k is evaluated baby-step/giant-step, as a polynomial in
-y^{-i/4} (Paterson-Stockmeyer); the powers of y are shared by every s.
+y^{-i/4} (Paterson-Stockmeyer); the powers of y are shared by every s,
+and afe_values keeps them (592 bytes a row, up to 8192 rows) for the next
+call with the same cutoff and x_scale.
 The step 1/4 aliases the pole of 1/u at u = 0 into the sum with relative
 size about 2 pi e^{-2 pi * 2.5 / (1/4)} = 5e-28 (Trefethen and Weideman,
 SIAM Rev. 2014), far below rounding.
@@ -31,9 +33,10 @@ SIAM Rev. 2014), far below rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -320,6 +323,40 @@ def _kernel_weights(s, cfg: AFEConfig) -> np.ndarray:
     return np.exp(lg) / u * (_STEP / (2 * math.pi))
 
 
+def _kernel_powers(logy: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The giant steps P = y^{-_NODES[_BABY * j]} and the baby steps
+    Q = y^{-i _STEP m} of y = exp(logy), one (P, Q) pair per _BLOCK rows.
+
+    Each factor is exponentiated in place, so a block holds no temporary
+    beside its two factors.
+    """
+    giant = -_NODES[::_BABY]
+    baby = -1j * _STEP * np.arange(_BABY)
+    for i in range(0, len(logy), _BLOCK):
+        t = logy[i:i + _BLOCK]
+        P = np.outer(t, giant)
+        Q = np.outer(t, baby)
+        yield np.exp(P, out=P), np.exp(Q, out=Q)
+
+
+def _sums_from_powers(blocks: Iterable[Tuple[np.ndarray, np.ndarray]],
+                      weights: Sequence[np.ndarray],
+                      lengths: Sequence[int]) -> List[np.ndarray]:
+    """_kernel_sums from the blocks of _kernel_powers, which must cover at
+    least max(lengths) rows; blocks past those rows are not drawn."""
+    W = np.zeros((len(weights), _GIANT * _BABY), dtype=np.complex128)
+    for row, w in zip(W, weights):
+        row[:len(_NODES)] = w
+    W = W.reshape(len(weights), _GIANT, _BABY).transpose(0, 2, 1)
+    out = [np.empty(n, dtype=np.complex128) for n in lengths]
+    for i, (P, Q) in zip(range(0, max(lengths, default=0), _BLOCK), blocks):
+        for V, W_p in zip(out, W):
+            rows = len(V) - i
+            if rows > 0:
+                V[i:i + _BLOCK] = np.einsum("nj,nj->n", P[:rows], Q[:rows] @ W_p)
+    return out
+
+
 def _kernel_sums(logy: np.ndarray, weights: Sequence[np.ndarray],
                  lengths: Sequence[int]) -> List[np.ndarray]:
     """V_p = exp(-outer(logy[:lengths[p]], u)) @ weights[p] for every p, with
@@ -329,26 +366,38 @@ def _kernel_sums(logy: np.ndarray, weights: Sequence[np.ndarray],
     P = y^{-_NODES[_BABY * j]} and the baby steps Q = y^{-i _STEP m}, so
     V_p[n] = sum_j P[n, j] * (Q @ W_p)[n, j] with W_p[m, j] = weights[p][k]
     (zero past the last node): _BABY + _GIANT = 37 exponentials a row
-    instead of len(_NODES) = 321.  P and Q are built once per _BLOCK rows
-    and shared by every point; each point has its own product, so its value
-    does not depend on the other points of the batch.
+    instead of len(_NODES) = 321, 592 bytes a row.  P and Q are built once
+    per _BLOCK rows (_kernel_powers) and shared by every point; each point
+    has its own product, so its value does not depend on the other points
+    of the batch.
     """
-    giant = -_NODES[::_BABY]
-    baby = -1j * _STEP * np.arange(_BABY)
-    W = np.zeros((len(weights), _GIANT * _BABY), dtype=np.complex128)
-    for row, w in zip(W, weights):
-        row[:len(_NODES)] = w
-    W = W.reshape(len(weights), _GIANT, _BABY).transpose(0, 2, 1)
-    out = [np.empty(n, dtype=np.complex128) for n in lengths]
-    for i in range(0, max(lengths, default=0), _BLOCK):
-        t = logy[i:i + _BLOCK]
-        P = np.exp(np.outer(t, giant))
-        Q = np.exp(np.outer(t, baby))
-        for V, W_p in zip(out, W):
-            rows = len(V) - i
-            if rows > 0:
-                V[i:i + _BLOCK] = np.einsum("nj,nj->n", P[:rows], Q[:rows] @ W_p)
-    return out
+    return _sums_from_powers(_kernel_powers(logy), weights, lengths)
+
+
+# afe_values keeps the kernel powers of its last (rows, x_scale) when there
+# are at most this many rows (37 complex128 a row: 4.9 MB at most); a longer
+# table streams its blocks as _kernel_sums does, so memory stays flat
+_CACHED_ROWS = 4 * _BLOCK
+
+
+def _afe_logy(rows: int, x_scale: float) -> np.ndarray:
+    """log(n / x_scale) for n = 1..rows, the rows of afe_values' kernel."""
+    return np.log(np.arange(1, rows + 1, dtype=np.float64) / x_scale)
+
+
+@functools.lru_cache(maxsize=1)
+def _afe_powers(rows: int, x_scale: float) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    """The _kernel_powers blocks of _afe_logy(rows, x_scale), read-only.
+
+    Keyed on the exact (rows, x_scale): the powers of a longer table are not
+    reused for a shorter one, whose last block's exponentials could round
+    differently.
+    """
+    blocks = tuple(_kernel_powers(_afe_logy(rows, x_scale)))
+    for block in blocks:
+        for factor in block:
+            factor.flags.writeable = False
+    return blocks
 
 
 class CutoffTooSmall(ValueError):
@@ -375,8 +424,9 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
     is validated before any sum is formed.  The powers y^{-u} at
     y = n / x_scale do not depend on s: their giant-step and baby-step
     factors (see _kernel_sums) are built once per block of n for the whole
-    batch.  Raises CutoffTooSmall when the tail of a smoothed sum is not yet
-    negligible.
+    batch, and up to _CACHED_ROWS rows they are kept for the next call with
+    the same largest cutoff and x_scale (_afe_powers).  Raises CutoffTooSmall
+    when the tail of a smoothed sum is not yet negligible.
     """
     points = [complex(s) for s in points]
     cutoffs = []
@@ -390,9 +440,11 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
         if coeffs.n_max < cutoff:
             raise CutoffTooSmall(cutoff, coeffs.n_max)
         cutoffs.append(cutoff)
-    n_all = np.arange(1, max(cutoffs, default=0) + 1, dtype=np.float64)
-    kernels = _kernel_sums(np.log(n_all / cfg.x_scale),
-                           _kernel_weights(points, cfg), cutoffs)
+    rows = max(cutoffs, default=0)
+    n_all = np.arange(1, rows + 1, dtype=np.float64)
+    blocks = (_afe_powers(rows, cfg.x_scale) if 0 < rows <= _CACHED_ROWS
+              else _kernel_powers(_afe_logy(rows, cfg.x_scale)))
+    kernels = _sums_from_powers(blocks, _kernel_weights(points, cfg), cutoffs)
     scales = np.abs(gamma_completed(points, cfg)).tolist()
     values = []
     for s, cutoff, V, scale in zip(points, cutoffs, kernels, scales):

@@ -101,6 +101,11 @@ def _sym3_factors(form, limit):
             for p, c in table.items() if p <= limit}
 
 
+def _ramified(form, limit):
+    """The primes p <= limit dividing the level, left out of Euler products."""
+    return {p for p in localfactor.primes_upto(limit) if form.level % p == 0}
+
+
 # --- subcommands -----------------------------------------------------------
 
 def cmd_roots(args) -> int:
@@ -304,7 +309,7 @@ def cmd_euler(args) -> int:
     form = _load_form(args.coeffs)
     s = _parse_complex(args.s)
     factors = _sym3_factors(form, args.X)
-    trace = analytic.partial_L(s, args.X, factors)
+    trace = analytic.partial_L(s, args.X, factors, ramified=_ramified(form, args.X))
     rows = [[i, x, f"{v.real:.15g}", f"{v.imag:.15g}"]
             for i, (x, v) in enumerate(trace.checkpoints)]
     _emit(args.format, ["checkpoint", "X", "Re", "Im"], rows,
@@ -322,8 +327,8 @@ def _build_sym3_table(form, cfg, points):
 
     n = cfg.cutoff or max(analytic.default_cutoff(s, cfg) for s in points)
     factors = _sym3_factors(form, n)
-    return analytic.dirichlet_coeffs(factors, n, rep_tag=RepTag.SYM3,
-                                     source=form.source_path)
+    return analytic.dirichlet_coeffs(factors, n, ramified=_ramified(form, n),
+                                     rep_tag=RepTag.SYM3, source=form.source_path)
 
 
 def cmd_afe(args) -> int:

@@ -34,6 +34,10 @@ _GK_ROOTS = ("beta2", "beta3", "beta4", "beta5", "beta6")
 _GK_ROOT_DATA = {name: (pairing(lambda_weight(), POSITIVE_ROOTS[name]),
                         coroot_decomposition(POSITIVE_ROOTS[name])[1])
                  for name in _GK_ROOTS}
+# the same forms with float coefficients: on float (r, s), c0 + cr * r + cs * s
+# makes the conversions and additions that Affine.__call__ makes, in its order
+_GK_FLOAT = {name: (float(form.const), float(form.r_coeff), float(form.s_coeff))
+             for name, (form, _) in _GK_ROOT_DATA.items()}
 
 POLE_TOL = 1e-10
 
@@ -91,6 +95,13 @@ def _exact_pole_root(p: PrincipalParams, ts) -> str:
     return None
 
 
+def _gk_pairings(r, s) -> dict:
+    """The pairing t_b(r, s) of every inverted root b, by name."""
+    if type(r) is float and type(s) is float:
+        return {name: c0 + cr * r + cs * s for name, (c0, cr, cs) in _GK_FLOAT.items()}
+    return {name: form(r, s) for name, (form, _) in _GK_ROOT_DATA.items()}
+
+
 def gk_coefficient(p: PrincipalParams) -> complex:
     """Per-root product of (1 - chi_b q^{-t_b - 1}) / (1 - chi_b q^{-t_b}).
 
@@ -100,7 +111,7 @@ def gk_coefficient(p: PrincipalParams) -> complex:
     the pole decision is exact, otherwise a denominator below POLE_TOL in
     modulus is a pole.
     """
-    ts = {name: form(p.r, p.s) for name, (form, _) in _GK_ROOT_DATA.items()}
+    ts = _gk_pairings(p.r, p.s)
     exact_pole = _exact_pole_root(p, ts)
     if exact_pole is not None:
         raise IntertwiningPole(exact_pole, ts[exact_pole])

@@ -1,19 +1,23 @@
 import dataclasses
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import loggamma
 
 import symcube
+from symcube import analytic
 from symcube.analytic import (
-    AFEConfig, CutoffTooSmall, LocalPoleError, MissingPrimeError,
-    VERDICT_CONSISTENT, VERDICT_FLAGGED, _BABY, _CONTOUR, _GIANT, _NODES, _STEP,
-    _VMAX, _kernel_sums, _kernel_weights, _loggamma, afe_value, afe_values,
+    AFEConfig, CoefficientTable, CutoffTooSmall, LocalPoleError, MissingPrimeError,
+    VERDICT_CONSISTENT, VERDICT_FLAGGED, _BABY, _BLOCK, _CACHED_ROWS, _CONTOUR,
+    _GIANT, _NODES, _STEP, _VMAX, _afe_powers, _kernel_powers, _kernel_sums,
+    _kernel_weights, _loggamma, afe_value, afe_values,
     analytic_conductor, default_cutoff, delta_sym3_config,
     dirichlet_coeffs, dirichlet_sum, epsilon_probe, gamma_completed,
     inject_pole_factor, partial_L, pole_scan, primes_upto, smoothing_weights)
@@ -289,7 +293,10 @@ def test_mixed_points_derive_cutoffs_across_a_block():
 
 
 def test_afe_values_empty_batch(delta_sym3_coeffs_8k):
+    afe_value(3, delta_sym3_config(), delta_sym3_coeffs_8k)
+    info = _afe_powers.cache_info()
     assert afe_values([], delta_sym3_config(), delta_sym3_coeffs_8k) == []
+    assert _afe_powers.cache_info() == info   # the cached powers stay
     assert _kernel_sums(np.log(np.arange(1.0, 9.0)), [], []) == []
 
 
@@ -321,6 +328,112 @@ def test_kernel_sums_against_exact_discrete_sum():
                                     for wk, u in zip(w, nodes))
                 bound = 8 * EPS * np.sum(np.abs(w)) * math.exp(-_CONTOUR * t)
                 assert abs(v - complex(exact)) <= bound
+
+
+# --- the kernel powers afe_values keeps between calls ----------------------
+
+PROBE_POINTS = [0.5 + 0.5j, 0.5 + 1j, 0.5 + 2j]
+# bytes of kernel powers per row: _GIANT + _BABY complex128 values
+ROW_BYTES = (_GIANT + _BABY) * 16
+
+
+def _afe_calls(cfg, coeffs):
+    """The three callers of afe_values, each as a call without arguments."""
+    return [lambda: epsilon_probe(PROBE_POINTS, cfg, coeffs),
+            lambda: pole_scan((0.55, 0.95), 9, cfg, coeffs),
+            lambda: afe_values([3, 3 + 1.3j, 0.7 - 5j], cfg, coeffs)]
+
+
+def _afe_results(cfg, coeffs):
+    return [call() for call in _afe_calls(cfg, coeffs)]
+
+
+def test_afe_results_equal_from_a_cold_cache_a_warm_cache_and_streaming(
+        delta_sym3_coeffs_8k, monkeypatch):
+    cfg = delta_sym3_config()
+    cold = []
+    for call in _afe_calls(cfg, delta_sym3_coeffs_8k):
+        _afe_powers.cache_clear()
+        cold.append(call())
+    hits = _afe_powers.cache_info().hits
+    assert _afe_results(cfg, delta_sym3_coeffs_8k) == cold
+    assert _afe_powers.cache_info().hits == hits + 3
+    monkeypatch.setattr(analytic, "_CACHED_ROWS", 0)
+    _afe_powers.cache_clear()
+    assert _afe_results(cfg, delta_sym3_coeffs_8k) == cold
+    assert _afe_powers.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("change", [{"x_scale": 20.0}, {"cutoff": 3000}])
+def test_afe_cache_rebuilds_for_a_new_cutoff_or_x_scale(delta_sym3_coeffs_8k, change):
+    cfg = dataclasses.replace(delta_sym3_config(), **change)
+    _afe_powers.cache_clear()
+    fresh = _afe_results(cfg, delta_sym3_coeffs_8k)
+    _afe_results(delta_sym3_config(), delta_sym3_coeffs_8k)
+    assert _afe_results(cfg, delta_sym3_coeffs_8k) == fresh
+    assert _afe_powers.cache_info().currsize == 1
+
+
+def test_cached_kernel_powers_are_read_only_and_equal_a_fresh_build():
+    rows = _CACHED_ROWS
+    blocks = _afe_powers(rows, 16.0)
+    fresh = list(_kernel_powers(np.log(np.arange(1, rows + 1, dtype=np.float64) / 16.0)))
+    assert len(blocks) == len(fresh) == rows // _BLOCK
+    for (P, Q), (P0, Q0) in zip(blocks, fresh):
+        assert P.shape == (_BLOCK, _GIANT) and Q.shape == (_BLOCK, _BABY)
+        assert np.array_equal(P, P0) and np.array_equal(Q, Q0)
+        for factor in (P, Q):
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0, 0] = 1
+
+
+def test_afe_values_above_the_cached_rows_stream_like_kernel_sums():
+    rows = 2 * _CACHED_ROWS
+    coeffs = CoefficientTable(np.random.default_rng(7).normal(size=rows + 1) + 0j)
+    points = [3 + 1j, 0.6 + 0j, 2 - 0.5j]
+    _afe_powers.cache_clear()
+    got = afe_values(points, delta_sym3_config(cutoff=rows), coeffs)
+    got += afe_values(points[:1], delta_sym3_config(cutoff=_CACHED_ROWS + 1), coeffs)
+    info = _afe_powers.cache_info()
+    assert info.currsize == 0 and info.misses == 0
+    n = np.arange(1, rows + 1, dtype=np.float64)
+    lengths = [rows] * len(points) + [_CACHED_ROWS + 1]
+    V = _kernel_sums(np.log(n / 16.0), _kernel_weights(points + points[:1], delta_sym3_config()),
+                     lengths)
+    for s, value, V_p in zip(points + points[:1], got, V):
+        terms = coeffs.values[1:len(V_p) + 1] * n[:len(V_p)] ** (-s) * V_p
+        assert value == complex(np.sum(terms))
+
+
+def test_afe_cache_holds_one_entry_of_at_most_cached_rows(delta_sym3_coeffs_8k):
+    # numpy reports its buffers to tracemalloc; each kind of call is made once
+    # before tracing, so that one-time state (lazy numpy tables) is not counted
+    cfg = delta_sym3_config()
+    # lambda(1) = 1 and 0 elsewhere, so every smoothed sum passes the tail check
+    big = CoefficientTable(np.zeros(2 * _CACHED_ROWS + 1, dtype=np.complex128))
+    big.values[1] = 1
+    big_cfg = delta_sym3_config(cutoff=big.n_max)
+    afe_values([3.0], cfg, delta_sym3_coeffs_8k)
+    afe_values([3.0], big_cfg, big)
+    _afe_powers.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        afe_values([3.0], cfg, delta_sym3_coeffs_8k)
+        afe_values([3.0], cfg, delta_sym3_coeffs_8k)
+        held = tracemalloc.get_traced_memory()[0] - base
+        assert 4000 * ROW_BYTES <= held <= 1.1 * 4000 * ROW_BYTES
+        tracemalloc.reset_peak()
+        afe_values([3.0], big_cfg, big)
+        current, peak = tracemalloc.get_traced_memory()
+        # the streamed call keeps nothing, and never holds as many kernel
+        # rows as the largest table that is cached
+        assert current - base <= (4000 + _BLOCK) * ROW_BYTES
+        assert peak - base - held <= _CACHED_ROWS * ROW_BYTES
+    finally:
+        tracemalloc.stop()
 
 
 def test_afe_values_rejects_a_batch_with_an_out_of_strip_point(delta_sym3_coeffs_8k):

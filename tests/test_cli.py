@@ -9,6 +9,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from symcube.cli import main
@@ -227,6 +228,40 @@ def test_euler_csv_trace():
     rows = out.strip().splitlines()
     assert rows[0] == "checkpoint,X,Re,Im"
     assert rows[-1].split(",")[1] == "500"
+
+
+def _level_2_copy(tmp_path):
+    # the shipped level-1 file relabelled level 2: p = 2 becomes ramified
+    text = (REPO / "data" / "delta_coeffs_small.txt").read_text()
+    assert text.startswith("weight 12 level 1 ")
+    path = tmp_path / "level2.txt"
+    path.write_text(text.replace("level 1", "level 2", 1))
+    return path
+
+
+def test_euler_leaves_out_primes_dividing_the_level(tmp_path):
+    from symcube.analytic import partial_L
+    from symcube.ingest import parse_form
+    from symcube.localfactor import RepTag, local_factor
+    path = _level_2_copy(tmp_path)
+    out = run_cold(["euler", "--coeffs", str(path), "--X", "50", "--format", "json"])
+    assert out.returncode == 0, out.stderr
+    factors = {p: local_factor(RepTag.SYM3, c)
+               for p, c in satake_table(parse_form(str(path))).items() if p <= 50}
+    want = partial_L(3, 50, factors, ramified={2}).value
+    assert json.loads(out.stdout)["value"] == [want.real, want.imag]
+
+
+def test_sym3_table_of_a_level_2_form_vanishes_at_powers_of_2(tmp_path):
+    from symcube.analytic import AFEConfig, dirichlet_coeffs
+    from symcube.cli import _build_sym3_table, _sym3_factors
+    from symcube.ingest import parse_form
+    form = parse_form(str(_level_2_copy(tmp_path)))
+    coeffs = _build_sym3_table(form, AFEConfig((5.5, 16.5), cutoff=100), [0.5])
+    want = dirichlet_coeffs(_sym3_factors(form, 100), 100, ramified={2})
+    assert np.array_equal(coeffs.values, want.values)
+    assert not coeffs.values[[2, 4, 8, 16, 32, 64]].any()
+    assert coeffs.values[3] != 0
 
 
 def test_scan_json_and_injected_pole():

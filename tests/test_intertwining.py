@@ -6,7 +6,7 @@ from numbers import Integral
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcube.g2root import POSITIVE_ROOTS, RootVector
@@ -16,7 +16,7 @@ from symcube.intertwining import (
     PrincipalParams, UnitarityCase, forbidden_triangle_contains,
     gk_coefficient, gk_pole_set, l_ratio, langlands_quotient_unitary,
     _sign_values, principal_series_pole_set, region_membership,
-    torus_character_value)
+    torus_character_value, _GK_ROOT_DATA, _gk_pairings)
 from symcube.satake import (
     DISCRETE_NONSUPERCUSPIDAL, LocalRepClass, PAIR_ONE_MU,
     SUPERCUSPIDAL_S3, SUPERCUSPIDAL_SELFDUAL, complementary_rep,
@@ -58,6 +58,17 @@ def test_gk_equals_l_ratio_seeded_samples():
             continue
         count += 1
         assert abs(g - l) < 1e-10 * max(abs(l), 1e-30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(), st.floats())
+@example(-0.0, -0.0)   # the sign of a zero pairing shows the constant term's 0.0 +
+def test_float_pairings_equal_the_affine_forms(r, s):
+    # the float table must round exactly as Fraction-times-float evaluation
+    ts = _gk_pairings(r, s)
+    assert list(ts) == list(_GK_ROOT_DATA)
+    for name, (form, _) in _GK_ROOT_DATA.items():
+        assert repr(ts[name]) == repr(form(r, s))
 
 
 def test_contragredient_convention_is_pinned():
