@@ -11,9 +11,9 @@ from .satake import (LocalRepClass, SatakeClass, complementary_params,
 from .localfactor import (RepTag, ReciprocalPoly, check_gj_identity,
                           check_triple_identity, check_twist_identity,
                           local_factor, rankin_selberg, triple_product)
-from .monomial import (HeckeLocalData, InducedClass, adjointcube_char_poly,
-                       check_monomial_r3, check_monomial_r30, hecke_factor,
-                       induced_local, pole_criterion, symcube_char_poly)
+from .monomial import (HeckeLocalData, adjointcube_char_poly, check_monomial_r3,
+                       check_monomial_r30, hecke_factor, induced_local,
+                       pole_criterion, symcube_char_poly)
 from .intertwining import (PrincipalParams, UnitarityCase,
                            forbidden_triangle_contains, gk_coefficient,
                            gk_pole_set, l_ratio, langlands_quotient_unitary,

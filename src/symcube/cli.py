@@ -33,17 +33,26 @@ EXIT_USAGE = 2
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
-def _positive_int(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"must be a rational number, got {text!r}") from None
+
+
+def _int_at_least(low: int):
+    """An argparse type for integers >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _parse_complex(text: str) -> complex:
@@ -111,8 +120,7 @@ def _ramified(form, limit):
 def cmd_roots(args) -> int:
     what = args.what
     if what == "pairing":
-        r = _parse_fraction(args.r) if args.r else None
-        s = _parse_fraction(args.s) if args.s else None
+        r, s = args.r, args.s
         lam = lambda_weight()
         rows = []
         for name, beta in POSITIVE_ROOTS.items():
@@ -285,12 +293,11 @@ def cmd_intertwine(args) -> int:
         worst = max(worst, abs(g - l) / max(abs(l), 1e-30))
     ok = worst < args.tol
     rows.append(["gk-vs-lratio", args.samples, f"{worst:.3e}", "pass" if ok else "FAIL"])
+    r = args.r
     for order in (1, 2, 5):
-        r = Fraction(args.r) if args.r else Fraction(1, 10)
         want = intertwining.principal_series_pole_set(order, r)
         got = intertwining.gk_pole_set(order, r)
-        match = want == got
-        ok2 = match
+        ok2 = want == got
         rows.append([f"pole-set-order-{order}", str(r),
                      "{" + ",".join(sorted(map(str, got))) + "}",
                      "pass" if ok2 else "FAIL"])
@@ -409,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="pairing table, gram matrix, weyl data")
     p.add_argument("what", choices=["pairing", "gram", "coroots", "weyl"])
-    p.add_argument("--r", help="rational value of r, e.g. 1/10")
-    p.add_argument("--s", help="rational value of s, e.g. 2/3")
+    p.add_argument("--r", type=_parse_fraction, help="rational value of r, e.g. 1/10")
+    p.add_argument("--s", type=_parse_fraction, help="rational value of s, e.g. 2/3")
     common(p)
     p.set_defaults(fn=cmd_roots)
 
@@ -424,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("satake", help="Satake classes from a coefficient file")
     p.add_argument("--coeffs", required=True,
                    help="path or builtin:delta[:N]")
-    p.add_argument("--limit", type=int, default=25)
+    p.add_argument("--limit", type=_positive_int, default=25)
     common(p, tol=1e-8)
     p.set_defaults(fn=cmd_satake)
 
@@ -438,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity", help="seeded random factorization-identity suites")
     p.add_argument("--suite", choices=["all", "triple", "twist", "gj"], default="all")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--bound", type=float, default=4.0)
     common(p, tol=1e-12, seed=True)
     p.set_defaults(fn=cmd_identity)
@@ -449,10 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_monomial_check)
 
     p = sub.add_parser("intertwine", help="constant-term coefficient checks / grid")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--r", help="rational r for pole-set checks")
-    p.add_argument("--grid", type=int, default=0,
+    p.add_argument("--q", type=_int_at_least(2), default=2)
+    p.add_argument("--samples", type=_positive_int, default=50)
+    p.add_argument("--r", type=_parse_fraction, default=Fraction(1, 10),
+                   help="rational r for pole-set checks")
+    p.add_argument("--grid", type=_int_at_least(0), default=0,
                    help="emit an (r,s) CSV grid of the coefficient instead")
     common(p, tol=1e-10, seed=True)
     p.set_defaults(fn=cmd_intertwine)
@@ -493,7 +501,7 @@ def main(argv=None) -> int:
     except (ingest.FormParseError, ingest.HeckeParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except localfactor.LocalPoleError as exc:

@@ -289,19 +289,3 @@ class Cyclo:
                 bits.append(f"{pre}zeta^({Fraction(k, self._n)})")
         return "Cyclo(" + " + ".join(bits) + ")"
 
-
-def one_like(*values):
-    """1 in the scalar ring of the values: exact when any of them is a Cyclo,
-    complex otherwise."""
-    for v in values:
-        if isinstance(v, Cyclo):
-            return Cyclo.one()
-    return 1.0 + 0j
-
-
-def zero_like(*values):
-    """0 in the scalar ring of the values, as for one_like."""
-    for v in values:
-        if isinstance(v, Cyclo):
-            return Cyclo.zero()
-    return 0j

@@ -134,21 +134,11 @@ def parse_form(path: str) -> ParsedForm:
     return ParsedForm(weight, level, coeffs, source_path=path)
 
 
-def serialize_form(form: ParsedForm) -> str:
-    out = [f"weight {form.weight} level {form.level} character trivial"]
-    for n in sorted(form.coefficients):
-        out.append(f"{n} {form.coefficients[n]}")
-    return "\n".join(out) + "\n"
-
-
 @dataclass
 class ParsedHeckeData:
     entries: List[HeckeLocalData]
     chi_order: Optional[int] = None
     field_disc: Optional[int] = None
-
-    def exact(self) -> bool:
-        return all(e.is_exact() for e in self.entries)
 
 
 def _parse_char_value(token: str, line: int):
@@ -221,23 +211,6 @@ def parse_hecke(path: str) -> ParsedHeckeData:
                                              f"but chi-order is finite")
         entries.append(entry)
     return ParsedHeckeData(entries, chi_order=order, field_disc=disc)
-
-
-def serialize_hecke(data: ParsedHeckeData) -> str:
-    def fmt(v):
-        if isinstance(v, Cyclo):
-            (e, c), = v.terms.items()
-            return f"{e.numerator}/{e.denominator}" if e.denominator > 1 else f"{e.numerator}/1"
-        return f"{v.real},{v.imag}"
-    head = f"field-disc {data.field_disc if data.field_disc is not None else 0} chi-order " \
-           f"{data.chi_order if data.chi_order is not None else 'unknown'}"
-    out = [head]
-    for e in data.entries:
-        if e.splitting == SPLIT:
-            out.append(f"{e.p} split {fmt(e.chi_p)} {fmt(e.chi_pbar)}")
-        else:
-            out.append(f"{e.p} inert {fmt(e.chi_p)}")
-    return "\n".join(out) + "\n"
 
 
 def parse_afe_config(path: str) -> AFEConfig:

@@ -231,11 +231,12 @@ def langlands_quotient_unitary(case: UnitarityCase) -> bool:
     if rep.kind == sk.DISCRETE_NONSUPERCUSPIDAL:
         return 0 < s <= 0.5
     if rep.kind == sk.PRINCIPAL_TEMPERED:
+        mu = complex(rep.mu)
         if rep.pair_form == sk.PAIR_ONE_MU:
-            if not rep.mu_is_order_two:
+            if abs(mu + 1) > sk.DEFAULT_TOL:
                 raise ValueError("pi(1, mu) case requires mu of order two")
             return 0 < s <= 1
-        if rep.mu_cubed_is_one:
+        if abs(mu ** 3 - 1) <= sk.DEFAULT_TOL:
             return 0 < s <= 0.5 or s == 1
         return 0 < s <= 0.5
     raise ValueError(f"unsupported kind {rep.kind!r}")

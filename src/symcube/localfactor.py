@@ -3,8 +3,10 @@
 Every factor is stored through the polynomial P(T) = prod_i (1 - lambda_i T)
 over its eigenvalue list, so the local L-value is 1/P(q^{-s}) and
 factorization identities become exact polynomial equalities, checked
-coefficientwise.  Coefficients are complex doubles, or exact Cyclo values
-when the Satake parameters are roots of unity.
+coefficientwise.  Coefficients live in the scalar ring of the parameters:
+complex doubles, exact Cyclo values when the Satake parameters are roots of
+unity, or any commutative ring whose values take int operands; the ring's 1
+and 0 are the ints 1 and 0.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cyclo import one_like
 from .satake import SatakeClass, twist
 
 
@@ -70,7 +71,7 @@ def times_linear(coeffs: Sequence, m) -> list:
 def poly_from_eigenvalues(eigen: Sequence) -> list:
     """Coefficients of prod (1 - e T), in the order given (no re-sorting),
     one linear factor at a time."""
-    coeffs = [one_like(*eigen)]
+    coeffs = [1]
     for e in eigen:
         coeffs = times_linear(coeffs, -e)
     return coeffs
@@ -88,7 +89,7 @@ class ReciprocalPoly:
         if not coeffs:
             raise ValueError("empty coefficient list")
         lead = coeffs[0]
-        if not (lead == one_like(lead) or abs(complex(lead) - 1) < 1e-12):
+        if not (lead == 1 or abs(complex(lead) - 1) < 1e-12):
             raise ValueError("constant coefficient must be 1")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "q", q)
@@ -157,7 +158,7 @@ def eigenvalues(tag: RepTag, c: SatakeClass) -> list:
     if tag is RepTag.WEDGE2:
         return [a * b]
     if tag is RepTag.GJ_ADJOINT:
-        return [a * (1 / b), one_like(a), (1 / a) * b]
+        return [a * (1 / b), 1, (1 / a) * b]
     # each product once, grouped left to right as a * a * b is
     aa, ab, bb = a * a, a * b, b * b
     if tag is RepTag.SYM2:

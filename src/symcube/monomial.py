@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .cyclo import Cyclo, one_like, zero_like
+from .cyclo import Cyclo
 from .localfactor import ReciprocalPoly, poly_from_eigenvalues, times_linear
 
 SPLIT = "split"
@@ -46,30 +46,15 @@ class HeckeLocalData:
         if not self.chi_p or (self.splitting == SPLIT and not self.chi_pbar):
             raise ValueError("character values must be nonzero")
 
-    def is_exact(self) -> bool:
-        vals = [self.chi_p] + ([self.chi_pbar] if self.chi_pbar is not None else [])
-        return all(isinstance(v, Cyclo) for v in vals)
 
+def induced_local(d: HeckeLocalData):
+    """Frobenius matrix of the induced two-dimensional local parameter.
 
-@dataclass(frozen=True)
-class InducedClass:
-    """Frobenius matrix of the induced two-dimensional local parameter."""
-
-    frobenius: Tuple[Tuple[object, object], Tuple[object, object]]
-
-    def determinant(self):
-        (a, b), (c, d) = self.frobenius
-        return a * d - b * c
-
-
-def induced_local(d: HeckeLocalData) -> InducedClass:
-    """Split: diag(chi_P, chi_Pbar).  Inert: [[0, chi_P], [1, 0]]."""
-    zero, one = zero_like(d.chi_p), one_like(d.chi_p)
+    Split: diag(chi_P, chi_Pbar).  Inert: [[0, chi_P], [1, 0]].
+    """
     if d.splitting == SPLIT:
-        m = ((d.chi_p, zero), (zero, d.chi_pbar))
-    else:
-        m = ((zero, d.chi_p), (one, zero))
-    return InducedClass(m)
+        return ((d.chi_p, 0), (0, d.chi_pbar))
+    return ((0, d.chi_p), (1, 0))
 
 
 def sym_cube_matrix(m):
@@ -92,7 +77,7 @@ _PERMS4 = [(perm, (-1) ** sum(perm[i] > perm[j] for i in range(4) for j in range
 
 def _char_poly_4x4(n):
     """det(I - N T) by permutation expansion; division-free, in the scalar
-    ring of the entries (one_like).
+    ring of the entries.
 
     A permutation through an exact-zero off-diagonal entry contributes zero
     and is skipped: of the 24 terms, a diagonal (split) induced matrix keeps
@@ -100,20 +85,18 @@ def _char_poly_4x4(n):
     factor at a time, a diagonal (1 - n_ii T) by times_linear and an
     off-diagonal (-n_ij T) by a shift: no product by the factor's 0 or 1.
     """
-    entries = [x for row in n for x in row]
-    one, zero = one_like(*entries), zero_like(*entries)
     zero_at = [[i != j and not n[i][j] for j in range(4)] for i in range(4)]
-    out = [zero] * 5
+    out = [0] * 5
     for perm, sign in _PERMS4:
         if any(zero_at[i][perm[i]] for i in range(4)):
             continue
-        term = [one]  # polynomial in T
+        term = [1]  # polynomial in T
         for i in range(4):
             m = -n[i][perm[i]]
             if i == perm[i]:
                 term = times_linear(term, m)               # (1 - n_ii T)
             else:
-                term = [zero, *(t * m for t in term)]      # (0 - n_ij T)
+                term = [0, *(t * m for t in term)]         # (0 - n_ij T)
         if sign < 0:
             term = [-t for t in term]
         for k, t in enumerate(term):
@@ -145,27 +128,26 @@ def hecke_factor(d: HeckeLocalData, exponents: Tuple[int, int]) -> ReciprocalPol
     fixes an inert prime, so the inert factor is 1 - chi^{a+b}(p) T^2.
     """
     a, b = exponents
-    one, zero = one_like(d.chi_p), zero_like(d.chi_p)
     if d.splitting == SPLIT:
         v1 = d.chi_p ** a * d.chi_pbar ** b
         v2 = d.chi_pbar ** a * d.chi_p ** b
         coeffs = poly_from_eigenvalues([v1, v2])
     else:
         v = d.chi_p ** (a + b)
-        coeffs = [one, zero, -v]
+        coeffs = [1, 0, -v]
     return ReciprocalPoly(coeffs, d.p)
 
 
 def check_monomial_r3(d: HeckeLocalData) -> float:
     """Sym-cube factor of the induced class against chi^3 times chi^2 chi'."""
-    lhs = symcube_char_poly(induced_local(d).frobenius)
+    lhs = symcube_char_poly(induced_local(d))
     rhs = hecke_factor(d, (3, 0)) * hecke_factor(d, (2, 1))
     return lhs.max_coeff_diff(rhs)
 
 
 def check_monomial_r30(d: HeckeLocalData) -> float:
     """Adjoint-cube factor of the induced class against chi^2 chi'^{-1} times chi."""
-    lhs = adjointcube_char_poly(induced_local(d).frobenius)
+    lhs = adjointcube_char_poly(induced_local(d))
     rhs = hecke_factor(d, (2, -1)) * hecke_factor(d, (1, 0))
     return lhs.max_coeff_diff(rhs)
 

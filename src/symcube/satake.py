@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
-
-from .cyclo import one_like
 
 DEFAULT_TOL = 1e-8
 
@@ -116,11 +115,13 @@ def contragredient(c: SatakeClass) -> SatakeClass:
     a, b = c.alpha, c.beta
     if not a or not b:
         raise ValueError("zero Satake parameter has no contragredient")
-    one = one_like(a, b)
-    if isinstance(one, complex):   # no Cyclo in the class
-        one = 1
-    alpha, beta = (1 / x if isinstance(x, (float, complex)) else one / x for x in (a, b))
-    return SatakeClass(alpha, beta, c.q)
+
+    def inverse(x, partner):
+        if isinstance(x, numbers.Rational) and not isinstance(partner, numbers.Number):
+            return partner / (x * partner)   # exact, in the partner's ring
+        return 1 / x
+
+    return SatakeClass(inverse(a, b), inverse(b, a), c.q)
 
 
 # --- local representation classes for the unitarity criterion ------------
@@ -144,15 +145,13 @@ class LocalRepClass:
 
     Supercuspidal / discrete kinds are pure tags (they are ramified, so not
     recoverable from Satake data).  Principal kinds carry the unitary
-    character value mu and its finite-order flags.
+    character value mu; its finite order is read from mu where it matters.
     """
 
     kind: str
     mu: Optional[complex] = None
     r: Optional[float] = None
     pair_form: str = PAIR_MU_MUINV
-    mu_cubed_is_one: Optional[bool] = None
-    mu_is_order_two: Optional[bool] = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -165,18 +164,3 @@ class LocalRepClass:
                 raise ValueError(f"{self.kind} requires mu")
             if abs(abs(complex(self.mu)) - 1.0) > 1e-8:
                 raise ValueError("|mu| must be 1")
-
-
-def principal_tempered(mu, pair_form: str = PAIR_MU_MUINV,
-                       tol: float = DEFAULT_TOL) -> LocalRepClass:
-    """Principal tempered class with order flags computed from mu."""
-    m = complex(mu)
-    return LocalRepClass(
-        PRINCIPAL_TEMPERED, mu=mu, pair_form=pair_form,
-        mu_cubed_is_one=abs(m ** 3 - 1) <= tol,
-        mu_is_order_two=abs(m + 1) <= tol,
-    )
-
-
-def complementary_rep(mu, r: float) -> LocalRepClass:
-    return LocalRepClass(COMPLEMENTARY, mu=mu, r=r)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from symcube.cli import main
-from symcube.ingest import delta_form, satake_table, serialize_form
+from symcube.ingest import delta_form, satake_table
 from symcube.intertwining import (UPPER_VERTICES, forbidden_triangle_contains,
                                   region_membership)
 
@@ -137,6 +137,31 @@ def test_missing_file_is_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    # a directory where a file is expected (IsADirectoryError, an OSError)
+    ["monomial-check", "--hecke", "data"],
+    ["afe", "--coeffs", "builtin:delta:100", "--config", "data"],
+    ["satake", "--coeffs", "data"],
+    # a zero denominator or a non-number where a rational is expected
+    ["roots", "pairing", "--r", "1/0", "--s", "1"],
+    ["roots", "pairing", "--r", "1/10", "--s", "two"],
+    ["intertwine", "--r", "1/0"],
+    # counts out of range
+    ["satake", "--coeffs", "builtin:delta:100", "--limit", "-5"],
+    ["identity", "--samples", "-2"],
+    ["intertwine", "--samples", "-1"],
+    ["intertwine", "--grid", "-3"],
+    ["intertwine", "--q", "1"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_input_is_one_line_usage_error(argv):
+    out = run_cold(argv)
+    err = out.stderr.decode()
+    assert out.returncode == 2 and out.stdout == b"" and "Traceback" not in err
+    # argparse prints its usage block first; the message itself is one line
+    message = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+    assert len(message) == 1, err
+
+
 @pytest.mark.parametrize("coeffs", ["builtin:deltafoo", "builtin:delta:10:20",
                                     "builtin:delta:0", "builtin:delta:", "builtin:delta:-5",
                                     "builtin:delta:1e3", "builtin:eta"])
@@ -172,7 +197,8 @@ def test_bad_form_file_is_usage_error(tmp_path):
 
 def test_satake_table_output(tmp_path):
     p = tmp_path / "delta.txt"
-    p.write_text(serialize_form(delta_form(100)))
+    p.write_text("weight 12 level 1 character trivial\n" + "".join(
+        f"{n} {a}\n" for n, a in sorted(delta_form(100).coefficients.items())))
     code, out = run_cli(["satake", "--coeffs", str(p), "--limit", "5"])
     assert code == 0
     assert "tempered" in out.splitlines()[0]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcube.cyclo import Cyclo, _cyclotomic, one_like, zero_like
+from symcube.cyclo import Cyclo, _cyclotomic
 
 
 def z(k, n):
@@ -110,17 +110,6 @@ def test_coercion():
     assert Cyclo.coerce(5) == Cyclo.from_rational(5)
     assert Cyclo.coerce(Q(1, 2)) * 2 == 1
     assert (Cyclo.one() + 1) == 2
-
-
-def test_one_like_and_zero_like():
-    c = Cyclo.root_of_unity(1, 3)
-    # exact as soon as one value is exact, whatever its position
-    for values in ((c,), (0, c), (0.5, 0j, c)):
-        assert type(one_like(*values)) is Cyclo and one_like(*values) == 1
-        assert type(zero_like(*values)) is Cyclo and zero_like(*values) == 0
-    for values in ((), (2,), (0.5, 1j)):
-        assert type(one_like(*values)) is complex and one_like(*values) == 1
-        assert type(zero_like(*values)) is complex and zero_like(*values) == 0
 
 
 def test_repr():

@@ -18,9 +18,8 @@ from symcube.intertwining import (
     _sign_values, principal_series_pole_set, region_membership,
     torus_character_value, _GK_ROOT_DATA, _gk_pairings)
 from symcube.satake import (
-    DISCRETE_NONSUPERCUSPIDAL, LocalRepClass, PAIR_ONE_MU,
-    SUPERCUSPIDAL_S3, SUPERCUSPIDAL_SELFDUAL, complementary_rep,
-    principal_tempered)
+    COMPLEMENTARY, DISCRETE_NONSUPERCUSPIDAL, LocalRepClass, PAIR_MU_MUINV,
+    PAIR_ONE_MU, PRINCIPAL_TEMPERED, SUPERCUSPIDAL_S3, SUPERCUSPIDAL_SELFDUAL)
 
 
 def test_torus_character_values():
@@ -152,9 +151,9 @@ def test_unitarity_cases():
     sc = LocalRepClass(SUPERCUSPIDAL_SELFDUAL)
     s3 = LocalRepClass(SUPERCUSPIDAL_S3)
     ds = LocalRepClass(DISCRETE_NONSUPERCUSPIDAL)
-    mu_generic = principal_tempered(cmath.exp(0.7j))
-    mu_cubic = principal_tempered(cmath.exp(2j * math.pi / 3))
-    mu_two = principal_tempered(-1.0, pair_form=PAIR_ONE_MU)
+    mu_generic = LocalRepClass(PRINCIPAL_TEMPERED, mu=cmath.exp(0.7j))
+    mu_cubic = LocalRepClass(PRINCIPAL_TEMPERED, mu=cmath.exp(2j * math.pi / 3))
+    mu_two = LocalRepClass(PRINCIPAL_TEMPERED, mu=-1.0, pair_form=PAIR_ONE_MU)
 
     assert langlands_quotient_unitary(UnitarityCase(sc, 0.4))
     assert langlands_quotient_unitary(UnitarityCase(sc, 0.5))
@@ -176,7 +175,26 @@ def test_unitarity_cases():
     assert not langlands_quotient_unitary(UnitarityCase(sc, -0.3))
 
     with pytest.raises(ValueError):
-        langlands_quotient_unitary(UnitarityCase(complementary_rep(1.0, 0.2), 0.5))
+        langlands_quotient_unitary(
+            UnitarityCase(LocalRepClass(COMPLEMENTARY, mu=1.0, r=0.2), 0.5))
+    with pytest.raises(ValueError):   # pi(1, mu) needs mu of order two
+        langlands_quotient_unitary(UnitarityCase(
+            LocalRepClass(PRINCIPAL_TEMPERED, mu=1j, pair_form=PAIR_ONE_MU), 0.5))
+
+
+@pytest.mark.parametrize("mu, pair_form, s, unitary", [
+    (cmath.exp(2j * math.pi / 3), PAIR_MU_MUINV, 1.0, True),
+    (cmath.exp(-2j * math.pi / 3), PAIR_MU_MUINV, 1.0, True),
+    (1.0, PAIR_MU_MUINV, 1.0, True),
+    (cmath.exp(0.7j), PAIR_MU_MUINV, 1.0, False),
+    (-1.0, PAIR_ONE_MU, 1.0, True),
+    (-1.0, PAIR_ONE_MU, 1.5, False),
+])
+def test_directly_built_principal_classes_read_their_order_from_mu(
+        mu, pair_form, s, unitary):
+    """A class built straight from its mu gets the verdict its mu implies."""
+    rep = LocalRepClass(PRINCIPAL_TEMPERED, mu=mu, pair_form=pair_form)
+    assert langlands_quotient_unitary(UnitarityCase(rep, s)) is unitary
 
 
 def test_region_vertices_are_boundary():

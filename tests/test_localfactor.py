@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symcube.cyclo import Cyclo, one_like
+from symcube.cyclo import Cyclo
 from symcube.localfactor import (
     RepTag, ReciprocalPoly, TAG_DEGREE, check_gj_identity,
     check_triple_identity, check_twist_identity, eigenvalues, local_factor,
@@ -31,12 +31,11 @@ def _unitary_class(rng, q_choices=(2, 3, 5)):
 def _poly_mul_chain(eigen):
     """Reference: prod (1 - e T) as a chain of full dense products by [1, -e],
     products by 1 and sums onto 0 included."""
-    one = one_like(*eigen)
-    coeffs = [one]
+    coeffs = [1]
     for e in eigen:
         out = [0] * (len(coeffs) + 1)
         for i, x in enumerate(coeffs):
-            for j, y in enumerate([one, -e]):
+            for j, y in enumerate([1, -e]):
                 out[i + j] = out[i + j] + x * y
         coeffs = out
     return coeffs

@@ -6,8 +6,8 @@ import pytest
 
 from symcube.satake import (
     SatakeClass, complementary_params, contragredient, is_tempered,
-    principal_tempered, satake_from_hecke, twist, LocalRepClass,
-    COMPLEMENTARY, PRINCIPAL_TEMPERED)
+    satake_from_hecke, twist, LocalRepClass, COMPLEMENTARY, PAIR_ONE_MU,
+    PRINCIPAL_TEMPERED)
 
 # frozen from the built-in q-expansion: a_2 = -24, weight 12
 A2_OVER_SCALE = -0.530330085889911
@@ -120,10 +120,12 @@ def test_local_rep_class_validation():
         LocalRepClass(PRINCIPAL_TEMPERED)          # missing mu
     with pytest.raises(ValueError):
         LocalRepClass("nonsense")
-    rep = principal_tempered(cmath.exp(2j * math.pi / 3))
-    assert rep.mu_cubed_is_one and not rep.mu_is_order_two
-    rep2 = principal_tempered(-1.0)
-    assert rep2.mu_is_order_two and not rep2.mu_cubed_is_one
+    with pytest.raises(ValueError):
+        LocalRepClass(PRINCIPAL_TEMPERED, mu=2.0)  # not unitary
+    # the class is its data: no order flags to set beside mu
+    rep = LocalRepClass(PRINCIPAL_TEMPERED, mu=-1.0, pair_form=PAIR_ONE_MU)
+    assert (rep.kind, rep.mu, rep.r, rep.pair_form) == \
+        (PRINCIPAL_TEMPERED, -1.0, None, PAIR_ONE_MU)
 
 
 def test_contragredient_keeps_a_rational_partner_of_a_cyclo_exact():
