@@ -55,6 +55,18 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
+def _prime_power(text: str) -> int:
+    """An argparse type for prime powers p^k, k >= 1."""
+    q = _int_at_least(2)(text)
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    rest = q
+    while rest % p == 0:
+        rest //= p
+    if rest != 1:
+        raise argparse.ArgumentTypeError(f"must be a prime power, got {text!r}")
+    return q
+
+
 def _parse_complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
@@ -140,20 +152,17 @@ def cmd_roots(args) -> int:
                 for name, beta in POSITIVE_ROOTS.items()]
         _emit(args.format, ["root", "c1", "c6"], rows)
         return EXIT_OK
-    if what == "weyl":
-        rows = []
-        for w in weyl_group():
-            inv = sorted(ROOT_NAMES[b] for b in inverted_roots(w))
-            rows.append(["*".join(w.word) or "1", len(w.word),
-                         "{" + ",".join(inv) + "}"])
-        rows.append(["rho_P", "", str(rho_parabolic())])
-        long_w = parabolic_weyl_element()
-        rows.append(["parabolic element", len(long_w.word),
-                     "{" + ",".join(sorted(ROOT_NAMES[b] for b in inverted_roots(long_w))) + "}"])
-        _emit(args.format, ["element", "length", "inverted/table"], rows)
-        return EXIT_OK
-    print(f"unknown roots action {what!r}", file=sys.stderr)
-    return EXIT_USAGE
+    rows = []  # weyl, the last of the parser's choices
+    for w in weyl_group():
+        inv = sorted(ROOT_NAMES[b] for b in inverted_roots(w))
+        rows.append(["*".join(w.word) or "1", len(w.word),
+                     "{" + ",".join(inv) + "}"])
+    rows.append(["rho_P", "", str(rho_parabolic())])
+    long_w = parabolic_weyl_element()
+    rows.append(["parabolic element", len(long_w.word),
+                 "{" + ",".join(sorted(ROOT_NAMES[b] for b in inverted_roots(long_w))) + "}"])
+    _emit(args.format, ["element", "length", "inverted/table"], rows)
+    return EXIT_OK
 
 
 def cmd_region(args) -> int:
@@ -234,11 +243,7 @@ def cmd_identity(args) -> int:
 
 
 def cmd_monomial_check(args) -> int:
-    try:
-        data = ingest.parse_hecke(args.hecke)
-    except ValueError as exc:
-        print(f"hecke data error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    data = ingest.parse_hecke(args.hecke)
     rows, failed = [], False
     for entry in data.entries:
         e3 = monomial.check_monomial_r3(entry)
@@ -257,15 +262,17 @@ def cmd_monomial_check(args) -> int:
 def cmd_intertwine(args) -> int:
     rng = random.Random(args.seed)
     rows, failed = [], False
+    if args.q is not None and not args.grid:
+        raise ValueError("--q sets the q of the --grid rows; the samples draw q from {2, 3, 5}")
     if args.grid:
-        n = args.grid
+        n, q = args.grid, args.q or 2
 
         def grid_row(i):
             r = 0.5 * i / n
             out = []
             for j in range(1, n):
                 s = 3.0 * j / n
-                p = intertwining.PrincipalParams(1.0, args.q, r, s)
+                p = intertwining.PrincipalParams(1.0, q, r, s)
                 try:
                     val = intertwining.gk_coefficient(p)
                     out.append([f"{r:.6f}", f"{s:.6f}",
@@ -456,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_monomial_check)
 
     p = sub.add_parser("intertwine", help="constant-term coefficient checks / grid")
-    p.add_argument("--q", type=_int_at_least(2), default=2)
+    p.add_argument("--q", type=_prime_power,
+                   help="prime power q of the --grid rows (default 2)")
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--r", type=_parse_fraction, default=Fraction(1, 10),
                    help="rational r for pole-set checks")
@@ -468,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("euler", help="partial Euler product with doubling trace")
     p.add_argument("--coeffs", required=True, help="path or builtin:delta[:N]")
     p.add_argument("--s", default="3")
-    p.add_argument("--X", type=int, default=10000)
+    p.add_argument("--X", type=_int_at_least(2), default=10000)
     common(p)
     p.set_defaults(fn=cmd_euler)
 
@@ -498,13 +506,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ingest.FormParseError, ingest.HeckeParseError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except localfactor.LocalPoleError as exc:
+    except (ingest.FormParseError, ingest.HeckeParseError, OSError,
+            localfactor.LocalPoleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -246,8 +246,6 @@ def reflect(alpha: RootVector, v):
     """Simple reflection v - <v, alpha^vee> alpha; an involution and isometry."""
     p = pairing(v, alpha)
     if isinstance(v, RootVector):
-        if not isinstance(p, (Fraction, int)):
-            p = p.const
         return v - alpha.scaled(p)
     v = as_weight(v)
     c1, c6 = v.simple_coords()

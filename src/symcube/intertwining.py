@@ -12,6 +12,11 @@ locus {mu = 1, s in {+-r, +-3r}} or {mu^2 = 1, s = 0}.  Matching the L-ratio
 requires building it from the Satake class (mu q^{-r}, mu q^{r}) itself, not
 its contragredient; both orientations were tried and this is the one that
 agrees identically (see tests).
+
+Each inverted root b contributes one row (c0, cr, cs, c6) of integers: the
+pairing t_b = c0 + cr*r + cs*s and the character chi_b = mu^c6.  One loop
+serves every scalar type of (mu, r, s): a factor is a pole when t_b == 0 and
+mu^c6 == 1 hold exactly, or else when its denominator is below POLE_TOL.
 """
 
 from __future__ import annotations
@@ -29,15 +34,18 @@ from .localfactor import RepTag, eigenvalues
 # roots inverted by the parabolic Weyl element, in product order
 _GK_ROOTS = ("beta2", "beta3", "beta4", "beta5", "beta6")
 
-# per inverted root: the affine pairing form t_b(r, s) and the coroot
-# coefficient c6 with chi_b = mu^c6; neither depends on the parameters
-_GK_ROOT_DATA = {name: (pairing(lambda_weight(), POSITIVE_ROOTS[name]),
-                        coroot_decomposition(POSITIVE_ROOTS[name])[1])
-                 for name in _GK_ROOTS}
-# the same forms with float coefficients: on float (r, s), c0 + cr * r + cs * s
-# makes the conversions and additions that Affine.__call__ makes, in its order
-_GK_FLOAT = {name: (float(form.const), float(form.r_coeff), float(form.s_coeff))
-             for name, (form, _) in _GK_ROOT_DATA.items()}
+
+def _gk_row(beta: RootVector):
+    """(c0, cr, cs, c6): the pairing t_b = c0 + cr*r + cs*s and chi_b = mu^c6."""
+    form = pairing(lambda_weight(), beta)
+    coeffs = (form.const, form.r_coeff, form.s_coeff)
+    assert all(c.denominator == 1 for c in coeffs)
+    return (*map(int, coeffs), coroot_decomposition(beta)[1])
+
+
+# integer coefficients: c0 + cr*r + cs*s is exact on rational (r, s) and, on
+# float (r, s), rounds as the Fraction-coefficient form does
+_GK_TABLE = {name: _gk_row(POSITIVE_ROOTS[name]) for name in _GK_ROOTS}
 
 POLE_TOL = 1e-10
 
@@ -76,70 +84,41 @@ def torus_character_value(p: PrincipalParams, beta: RootVector) -> complex:
     return complex(p.mu) ** c6
 
 
-def _exact_pole_root(p: PrincipalParams, ts) -> str:
-    """An exact-arithmetic pole decision when (mu, r, s) are exact; None if pole-free.
-
-    A denominator 1 - chi_b q^{-t_b} vanishes at real parameters exactly when
-    chi_b = 1 and t_b = 0, both decidable without tolerances for a
-    root-of-unity mu and rational r, s.
-    """
-    from .cyclo import Cyclo
-    if not isinstance(p.mu, Cyclo):
-        return None
-    for name, (_, c6) in _GK_ROOT_DATA.items():
-        t = ts[name]
-        if not isinstance(t, (int, Fraction)):
-            return None
-        if t == 0 and p.mu ** c6 == 1:
-            return name
-    return None
-
-
-def _gk_pairings(r, s) -> dict:
-    """The pairing t_b(r, s) of every inverted root b, by name."""
-    if type(r) is float and type(s) is float:
-        return {name: c0 + cr * r + cs * s for name, (c0, cr, cs) in _GK_FLOAT.items()}
-    return {name: form(r, s) for name, (form, _) in _GK_ROOT_DATA.items()}
-
-
 def gk_coefficient(p: PrincipalParams) -> complex:
     """Per-root product of (1 - chi_b q^{-t_b - 1}) / (1 - chi_b q^{-t_b}).
 
     t_b runs over the coroot pairings of the parameter weight with the five
     inverted roots.  A vanishing denominator factor raises IntertwiningPole
-    naming the offending root; with a root-of-unity mu and rational (r, s)
-    the pole decision is exact, otherwise a denominator below POLE_TOL in
-    modulus is a pole.
+    naming the offending root.  Root by root, the pole test is first exact,
+    t_b == 0 and mu^c6 == 1 in the rings of (r, s) and mu (decisive for a
+    root-of-unity mu and rational r, s), then a denominator below POLE_TOL in
+    modulus.
     """
-    ts = _gk_pairings(p.r, p.s)
-    exact_pole = _exact_pole_root(p, ts)
-    if exact_pole is not None:
-        raise IntertwiningPole(exact_pole, ts[exact_pole])
     value = 1.0 + 0j
-    mu = complex(p.mu)
-    for name, (_, c6) in _GK_ROOT_DATA.items():
-        t = complex(ts[name])
-        chi = mu ** c6
-        den = 1.0 - chi * complex(p.q) ** (-t)
+    mu, q = complex(p.mu), complex(p.q)
+    for name, (c0, cr, cs, c6) in _GK_TABLE.items():
+        t = c0 + cr * p.r + cs * p.s
+        if t == 0 and p.mu ** c6 == 1:
+            raise IntertwiningPole(name, t)
+        chi, tc = mu ** c6, complex(t)
+        den = 1.0 - chi * q ** (-tc)
         if abs(den) < POLE_TOL:
-            raise IntertwiningPole(name, ts[name])
-        num = 1.0 - chi * complex(p.q) ** (-t - 1)
+            raise IntertwiningPole(name, t)
+        num = 1.0 - chi * q ** (-tc - 1)
         value *= num / den
     return value
 
 
-def l_ratio(p: PrincipalParams, _use_contragredient: bool = False) -> complex:
+def l_ratio(p: PrincipalParams) -> complex:
     """L(s,r30) L(2s,wedge2) / [L(1+s,r30) L(1+2s,wedge2)] at the class of p.
 
-    The class used is (mu q^{-r}, mu q^{r}); the keyword flips to the
-    contragredient and exists only so tests can pin the convention.  A
-    denominator below POLE_TOL in modulus raises IntertwiningPole.
+    The class used is (mu q^{-r}, mu q^{r}), not its contragredient (see the
+    module docstring).  A denominator below POLE_TOL in modulus raises
+    IntertwiningPole.
     """
     mu = complex(p.mu)
     qr = float(p.q) ** float(p.r)
     cls = sk.SatakeClass(mu / qr, mu * qr, p.q)
-    if _use_contragredient:
-        cls = sk.contragredient(cls)
     r30 = eigenvalues(RepTag.ADJOINT_CUBE, cls)
     w2 = eigenvalues(RepTag.WEDGE2, cls)
     s = complex(p.s)
@@ -173,35 +152,23 @@ def principal_series_pole_set(mu_order, r) -> Set:
     if not 0 <= float(r) < 0.5:
         raise ValueError("r must lie in [0, 1/2)")
     if mu_order == 1:
-        vals = {r, -r, 3 * r, -3 * r, 0 * r}
-        return {_canon_zero(v) for v in vals}
+        return {r, -r, 3 * r, -3 * r, 0 * r}
     if mu_order == 2:
-        return {_canon_zero(0 * r)}
+        return {0 * r}
     return set()
-
-
-def _canon_zero(v):
-    return type(v)(0) if v == 0 else v
 
 
 def gk_pole_set(mu_order, r) -> Set:
     """Pole locus re-derived root by root from the per-root product.
 
     For each inverted root, the denominator 1 - chi_b q^{-t_b} vanishes at a
-    real s exactly when chi_b = 1 and t_b = 0; solving the affine pairing
-    forms for s gives the locus.  Independent route used to cross-check
-    principal_series_pole_set.
+    real s exactly when chi_b = 1 and t_b = 0; solving c0 + cr*r + cs*s = 0
+    for s gives the locus, as Fractions.  Independent route used to
+    cross-check principal_series_pole_set.
     """
-    out = set()
-    for form, c6 in _GK_ROOT_DATA.values():
-        if c6 % mu_order != 0:
-            continue  # chi_b = mu^c6 != 1
-        # form = const + rc*r + sc*s; solve for s at t = 0
-        if form.s_coeff == 0:
-            continue
-        s_at = -(form.const + form.r_coeff * Fraction(r)) / form.s_coeff
-        out.add(_canon_zero(s_at))
-    return out
+    return {-(c0 + cr * Fraction(r)) / cs
+            for c0, cr, cs, c6 in _GK_TABLE.values()
+            if c6 % mu_order == 0}  # else chi_b = mu^c6 != 1
 
 
 # --- unitarity of the degenerate-quotient family --------------------------

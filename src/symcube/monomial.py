@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .cyclo import Cyclo
 from .localfactor import ReciprocalPoly, poly_from_eigenvalues, times_linear
 
 SPLIT = "split"
@@ -28,7 +27,7 @@ class HeckeLocalData:
 
     p: int
     splitting: str
-    chi_p: object                 # value at a prime above p (complex or Cyclo)
+    chi_p: object                 # value at a prime above p (complex or exact)
     chi_pbar: object = None       # second value, split case only
 
     def __post_init__(self):
@@ -38,9 +37,8 @@ class HeckeLocalData:
             raise ValueError(f"split entry at p={self.p} needs two character values")
         if self.splitting == INERT and self.chi_pbar is not None:
             raise ValueError(f"inert entry at p={self.p} carries a single value")
-        # the exact path needs both values exact; a mixed split pair demotes
-        exact = isinstance(self.chi_p, Cyclo), isinstance(self.chi_pbar, Cyclo)
-        if self.splitting == SPLIT and exact[0] != exact[1]:
+        # the exact path needs both values in one ring; a mixed split pair demotes
+        if self.splitting == SPLIT and type(self.chi_p) is not type(self.chi_pbar):
             object.__setattr__(self, "chi_p", complex(self.chi_p))
             object.__setattr__(self, "chi_pbar", complex(self.chi_pbar))
         if not self.chi_p or (self.splitting == SPLIT and not self.chi_pbar):

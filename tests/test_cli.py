@@ -152,6 +152,10 @@ def test_missing_file_is_usage_error():
     ["intertwine", "--samples", "-1"],
     ["intertwine", "--grid", "-3"],
     ["intertwine", "--q", "1"],
+    ["intertwine", "--grid", "12", "--q", "6"],
+    ["intertwine", "--q", "3"],
+    ["euler", "--coeffs", "builtin:delta:100", "--X", "0"],
+    ["euler", "--coeffs", "builtin:delta:100", "--X", "-5"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_is_one_line_usage_error(argv):
     out = run_cold(argv)
@@ -245,6 +249,14 @@ def test_intertwine_grid_csv():
     assert code == 0
     assert out.splitlines()[0] == "r,s,re,im"
     assert len(out.splitlines()) == 26
+
+
+def test_intertwine_grid_q_takes_prime_powers():
+    default = run_cli(["intertwine", "--grid", "6"])
+    assert run_cli(["intertwine", "--grid", "6", "--q", "2"]) == default
+    for q in ("4", "9", "7"):
+        code, out = run_cli(["intertwine", "--grid", "6", "--q", q])
+        assert code == 0 and out != default[1] and len(out.splitlines()) == 26
 
 
 def test_euler_csv_trace():

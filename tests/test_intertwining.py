@@ -9,14 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symcube.g2root import POSITIVE_ROOTS, RootVector
+from symcube import satake
+from symcube.g2root import POSITIVE_ROOTS, RootVector, lambda_weight, pairing
 from symcube.intertwining import (
     BOUNDARY, FORBIDDEN_VERTICES, LOWER, LOWER_VERTICES, MU_ORDER2,
     MU_TRIVIAL, OUTSIDE, UPPER, UPPER_VERTICES, IntertwiningPole,
     PrincipalParams, UnitarityCase, forbidden_triangle_contains,
     gk_coefficient, gk_pole_set, l_ratio, langlands_quotient_unitary,
     _sign_values, principal_series_pole_set, region_membership,
-    torus_character_value, _GK_ROOT_DATA, _gk_pairings)
+    torus_character_value, _GK_TABLE, _p_value)
+from symcube.localfactor import RepTag, eigenvalues
 from symcube.satake import (
     COMPLEMENTARY, DISCRETE_NONSUPERCUSPIDAL, LocalRepClass, PAIR_MU_MUINV,
     PAIR_ONE_MU, PRINCIPAL_TEMPERED, SUPERCUSPIDAL_S3, SUPERCUSPIDAL_SELFDUAL)
@@ -59,15 +61,29 @@ def test_gk_equals_l_ratio_seeded_samples():
         assert abs(g - l) < 1e-10 * max(abs(l), 1e-30)
 
 
+def _table_pairing(name, r, s):
+    c0, cr, cs, _ = _GK_TABLE[name]
+    return c0 + cr * r + cs * s
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(), st.floats())
 @example(-0.0, -0.0)   # the sign of a zero pairing shows the constant term's 0.0 +
 def test_float_pairings_equal_the_affine_forms(r, s):
-    # the float table must round exactly as Fraction-times-float evaluation
-    ts = _gk_pairings(r, s)
-    assert list(ts) == list(_GK_ROOT_DATA)
-    for name, (form, _) in _GK_ROOT_DATA.items():
-        assert repr(ts[name]) == repr(form(r, s))
+    # the integer table must round exactly as Fraction-times-float evaluation
+    assert list(_GK_TABLE) == ["beta2", "beta3", "beta4", "beta5", "beta6"]
+    for name in _GK_TABLE:
+        form = pairing(lambda_weight(), POSITIVE_ROOTS[name])
+        assert repr(_table_pairing(name, r, s)) == repr(form(r, s))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(), st.fractions())
+def test_table_pairings_are_exact_on_rationals(r, s):
+    for name in _GK_TABLE:
+        t = _table_pairing(name, r, s)
+        assert type(t) is Q
+        assert t == pairing(lambda_weight(r, s), POSITIVE_ROOTS[name])
 
 
 def test_contragredient_convention_is_pinned():
@@ -77,7 +93,14 @@ def test_contragredient_convention_is_pinned():
     p = PrincipalParams(mu, 3, 0.17, 1.3)
     g = gk_coefficient(p)
     assert abs(g - l_ratio(p)) < 1e-12 * abs(g)
-    wrong = l_ratio(p, _use_contragredient=True)
+    # the same ratio on the contragredient class (mu q^{-r}, mu q^{r})^vee
+    qr = p.q ** p.r
+    cls = satake.contragredient(satake.SatakeClass(mu / qr, mu * qr, p.q))
+    r30 = eigenvalues(RepTag.ADJOINT_CUBE, cls)
+    w2 = eigenvalues(RepTag.WEDGE2, cls)
+    s = complex(p.s)
+    wrong = (_p_value(r30, p.q ** (-1 - s)) * _p_value(w2, p.q ** (-1 - 2 * s))
+             / (_p_value(r30, p.q ** (-s)) * _p_value(w2, p.q ** (-2 * s))))
     assert abs(g - wrong) > 1e-3 * abs(g)
 
 

@@ -79,10 +79,11 @@ def test_every_export_resolves_to_its_modules_object():
         symcube.no_such_name
 
 
-@pytest.mark.parametrize("module", ["localfactor", "satake"])
+@pytest.mark.parametrize("module", ["localfactor", "satake", "monomial", "intertwining"])
 def test_scalar_modules_import_nothing_from_cyclo(module):
-    """localfactor and satake take the ring's 0 and 1 from the values, not from
-    a scalar class, so any commutative ring with int operands runs through."""
+    """These modules take the ring's 0 and 1 from the values, not from a scalar
+    class, so any commutative ring with int operands runs through; only cyclo
+    and ingest know Cyclo."""
     tree = ast.parse((REPO / "src" / "symcube" / f"{module}.py").read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
