@@ -15,7 +15,7 @@ the default X = 16 the dropped term is about 1e-7 of Lambda on the sym3 of
 Delta (the probe reads Im eps = 2.39e-7, -8.74e-7 and 7.34e-7 at
 0.5 + 0.5i, 0.5 + i and 0.5 + 2i, where eps = -1 exactly), and X = 32 brings
 it to about 1e-11.  The fix is the two-sided sum with a solved root number
-(ROADMAP.md, item 1).  The root-number probe reads eps off as
+(ROADMAP.md).  The root-number probe reads eps off as
 Lambda(s)/Lambda(1-s); a wrong gamma configuration destroys the constancy of
 that ratio, which is the negative control validating the shipped
 configuration.
@@ -65,50 +65,37 @@ class CoefficientTable:
 
 
 def dirichlet_coeffs(local_factors: Dict[int, ReciprocalPoly], N: int,
-                     ramified: Iterable[int] = (), rep_tag: Optional[RepTag] = None,
+                     rep_tag: Optional[RepTag] = None,
                      source: str = "") -> CoefficientTable:
     """Expand an Euler product into Dirichlet coefficients up to N.
 
-    lambda(p^k) follows the linear recurrence of the local polynomial,
-    lambda is extended multiplicatively, and ramified primes contribute the
-    factor 1 (all their prime-power coefficients vanish).
+    Every prime p <= N needs a factor; one of degree 0 (L_p = 1) leaves
+    lambda zero on the multiples of p.  lambda(p^k) follows the recurrence of
+    the local polynomial.  In descending prime order each p^k <= N sets
+    lambda(p^k m) = lambda(p^k) lambda(m) for all m: the last write to p^e m
+    (p not dividing m) is k = e, and reads lambda(m), untouched by p.
     """
-    ramified = set(ramified)
-    lam = np.zeros(N + 1, dtype=np.complex128)
-    lam[1] = 1.0
     plist = primes_upto(N)
-    spf = np.zeros(N + 1, dtype=np.int64)
     for p in plist:
-        sel = spf[p::p]
-        sel[sel == 0] = p
-        spf[p::p] = sel
-    for p in plist:
-        if p in ramified:
-            continue
         if p not in local_factors:
             raise MissingPrimeError(p)
-        poly = local_factors[p].to_complex()
-        c = poly.coeffs
-        d = poly.degree
-        vals = {0: 1.0 + 0j}
+    lam = np.zeros(N + 1, dtype=np.complex128)
+    lam[1] = 1.0
+    for p in reversed(plist):
+        poly = local_factors[p]
+        if poly.degree == 0:
+            continue
+        c = [complex(x) for x in poly.coeffs]
+        vals = [1.0 + 0j]
         k, pk = 1, p
         while pk <= N:
             v = 0j
-            for j in range(1, min(k, d) + 1):
+            for j in range(1, min(k, poly.degree) + 1):
                 v -= c[j] * vals[k - j]
-            vals[k] = v
-            lam[pk] = v
+            vals.append(v)
+            lam[pk::pk] = v * lam[1:N // pk + 1]
             k += 1
             pk *= p
-    # multiplicative extension along smallest prime factors
-    for n in range(2, N + 1):
-        p = int(spf[n])
-        m, pk = n, 1
-        while m % p == 0:
-            m //= p
-            pk *= p
-        if m > 1:
-            lam[n] = lam[pk] * lam[m]
     return CoefficientTable(lam, rep_tag=rep_tag, source=source)
 
 
@@ -119,28 +106,29 @@ class PartialProductTrace:
     outside_convergence: bool = False
 
 
-def partial_L(s: complex, X: int, local_factors: Dict[int, ReciprocalPoly],
-              ramified: Iterable[int] = ()) -> PartialProductTrace:
+def partial_L(s: complex, X: int,
+              local_factors: Dict[int, ReciprocalPoly]) -> PartialProductTrace:
     """prod_{p <= X} 1/P_p(p^{-s}) with compensated log-space accumulation.
 
-    Checkpoints record the running product each time the prime bound doubles.
-    Evaluation with Re(s) <= 1 is permitted but flagged as outside the
-    absolute-convergence contract.
+    local_factors needs an entry for every prime p <= X; a factor of degree 0
+    (L_p = 1) is skipped.  Checkpoints record the running product each time
+    the prime bound doubles.  Evaluation with Re(s) <= 1 is permitted but
+    flagged as outside the absolute-convergence contract.
     """
-    ramified = set(ramified)
     total = 0j
     comp = 0j   # Kahan compensation
     checkpoints = []
     next_mark = 2
     for p in primes_upto(X):
-        if p in ramified:
-            continue
         if p not in local_factors:
             raise MissingPrimeError(p)
+        poly = local_factors[p]
+        if poly.degree == 0:
+            continue
         while p > next_mark:
             checkpoints.append((next_mark, np.exp(total)))
             next_mark *= 2
-        val = local_factors[p].to_complex().evaluate(p ** (-s))
+        val = poly.evaluate(p ** (-s))
         if abs(val) < 1e-12:
             raise LocalPoleError(p, s)
         term = -np.log(val) - comp
@@ -542,16 +530,20 @@ def inject_pole_factor(coeffs: CoefficientTable, p: int, sigma0: float) -> Coeff
     """Multiply the Dirichlet series by (1 - p^{sigma0 - s})^{-1}.
 
     Negative-control helper: the product acquires a pole at s = sigma0, which
-    pole_scan must flag.
+    pole_scan must flag.  p must be an int >= 2.
     """
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"the injected factor needs an integer p >= 2, got {p!r}")
     N = coeffs.n_max
     lam = coeffs.values.copy()
-    w = float(p) ** float(sigma0)
     k, pk = 1, p
-    while pk <= N:
-        idx = np.arange(pk, N + 1, pk)
-        lam[idx] += (w ** k) * coeffs.values[idx // pk]
-        k += 1
-        pk *= p
+    try:
+        w = float(p) ** float(sigma0)
+        while pk <= N:
+            lam[pk::pk] += (w ** k) * coeffs.values[1:N // pk + 1]
+            k += 1
+            pk *= p
+    except OverflowError:
+        raise ValueError(f"{p}^({k} sigma0) overflows at sigma0 = {sigma0}") from None
     return CoefficientTable(lam, rep_tag=coeffs.rep_tag,
                             source=coeffs.source + f"+pole(p={p},sigma={sigma0})")

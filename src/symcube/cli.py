@@ -67,6 +67,19 @@ def _prime_power(text: str) -> int:
     return q
 
 
+def _pole_spec(text: str) -> tuple:
+    """An argparse type for p,sigma0: an integer p >= 2 and a finite sigma0."""
+    try:
+        p_str, sig_str = text.split(",")
+        p, sigma0 = int(p_str), float(sig_str)
+    except ValueError:
+        p, sigma0 = 0, math.nan
+    if p < 2 or not math.isfinite(sigma0):
+        raise argparse.ArgumentTypeError(
+            f"must be p,sigma0 with an integer p >= 2 and a finite sigma0, got {text!r}")
+    return p, sigma0
+
+
 def _parse_complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
@@ -117,14 +130,12 @@ def _load_form(source: str) -> ingest.ParsedForm:
 
 
 def _sym3_factors(form, limit):
-    table = ingest.satake_table(form)
-    return {p: localfactor.local_factor(RepTag.SYM3, c)
-            for p, c in table.items() if p <= limit}
-
-
-def _ramified(form, limit):
-    """The primes p <= limit dividing the level, left out of Euler products."""
-    return {p for p in localfactor.primes_upto(limit) if form.level % p == 0}
+    """The sym3 factor map of the primes p <= limit; 1 at those dividing the level."""
+    factors = {p: localfactor.ReciprocalPoly([1], p)
+               for p in localfactor.primes_upto(limit) if form.level % p == 0}
+    factors.update((p, localfactor.local_factor(RepTag.SYM3, c))
+                   for p, c in ingest.satake_table(form).items() if p <= limit)
+    return factors
 
 
 # --- subcommands -----------------------------------------------------------
@@ -205,12 +216,11 @@ def cmd_lfactor(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     tag = RepTag(args.tag)
-    poly = localfactor.local_factor(tag, table[args.p])
-    rows = [[k, f"{c.real:.15g}", f"{c.imag:.15g}"]
-            for k, c in enumerate(poly.to_complex().coeffs)]
+    coeffs = localfactor.local_factor(tag, table[args.p]).to_complex().coeffs
+    rows = [[k, f"{c.real:.15g}", f"{c.imag:.15g}"] for k, c in enumerate(coeffs)]
     _emit(args.format, ["power", "re", "im"], rows,
           json_obj={"p": args.p, "tag": args.tag,
-                    "coeffs": [[c.real, c.imag] for c in poly.to_complex().coeffs]})
+                    "coeffs": [[c.real, c.imag] for c in coeffs]})
     return EXIT_OK
 
 
@@ -323,7 +333,7 @@ def cmd_euler(args) -> int:
     form = _load_form(args.coeffs)
     s = _parse_complex(args.s)
     factors = _sym3_factors(form, args.X)
-    trace = analytic.partial_L(s, args.X, factors, ramified=_ramified(form, args.X))
+    trace = analytic.partial_L(s, args.X, factors)
     rows = [[i, x, f"{v.real:.15g}", f"{v.imag:.15g}"]
             for i, (x, v) in enumerate(trace.checkpoints)]
     _emit(args.format, ["checkpoint", "X", "Re", "Im"], rows,
@@ -341,8 +351,8 @@ def _build_sym3_table(form, cfg, points):
 
     n = cfg.cutoff or max(analytic.default_cutoff(s, cfg) for s in points)
     factors = _sym3_factors(form, n)
-    return analytic.dirichlet_coeffs(factors, n, ramified=_ramified(form, n),
-                                     rep_tag=RepTag.SYM3, source=form.source_path)
+    return analytic.dirichlet_coeffs(factors, n, rep_tag=RepTag.SYM3,
+                                     source=form.source_path)
 
 
 def cmd_afe(args) -> int:
@@ -384,8 +394,7 @@ def cmd_scan(args) -> int:
         else analytic.delta_sym3_config()
     coeffs = _build_sym3_table(form, cfg, [args.a, args.b])
     if args.inject_pole:
-        p_str, sig_str = args.inject_pole.split(",")
-        coeffs = analytic.inject_pole_factor(coeffs, int(p_str), float(sig_str))
+        coeffs = analytic.inject_pole_factor(coeffs, *args.inject_pole)
     report = analytic.pole_scan((args.a, args.b), args.grid, cfg, coeffs,
                                 threshold=args.threshold)
     obj = {
@@ -494,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=0.95)
     p.add_argument("--grid", type=int, default=9)
     p.add_argument("--threshold", type=float, default=3.0)
-    p.add_argument("--inject-pole", dest="inject_pole",
+    p.add_argument("--inject-pole", dest="inject_pole", type=_pole_spec,
                    help="p,sigma0 : multiply in an Euler factor with a pole")
     common(p)
     p.set_defaults(fn=cmd_scan)

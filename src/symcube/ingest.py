@@ -57,9 +57,6 @@ class ParsedForm:
     def n_max(self) -> int:
         return max(self.coefficients) if self.coefficients else 0
 
-    def a(self, n: int):
-        return self.coefficients[n]
-
 
 def _audit_multiplicativity(coeffs: Dict[int, object], seed: int = 20121) -> None:
     """a(mn) = a(m) a(n) on all small coprime pairs plus 50 seeded larger ones."""

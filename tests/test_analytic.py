@@ -70,7 +70,8 @@ def test_missing_prime_signaled():
 def test_ramified_primes_contribute_one():
     factors = {p: local_factor(RepTag.SYM3, SatakeClass(1.0, 1.0, p))
                for p in primes_upto(30)}
-    t = dirichlet_coeffs(factors, 30, ramified=(2,))
+    factors[2] = ReciprocalPoly([1], 2)
+    t = dirichlet_coeffs(factors, 30)
     assert complex(t.values[2]) == 0.0 and complex(t.values[4]) == 0.0
     assert complex(t.values[6]) == 0.0
     assert complex(t.values[3]) == 4.0     # e1 of four unit eigenvalues, then Hecke growth
@@ -527,6 +528,17 @@ def test_inject_pole_factor_series():
     assert abs(out.values[4] - (1 + 2.0 + 4.0)) < 1e-14
     assert abs(out.values[3] - 1.0) < 1e-14
     assert abs(out.values[12] - (1 + 2 + 4)) < 1e-14   # 12 = 4 * 3
+
+
+@pytest.mark.parametrize("p", [1, 0, -2, 2.0])
+def test_inject_pole_factor_needs_an_integer_p_at_least_2(delta_sym3_coeffs_8k, p):
+    with pytest.raises(ValueError):
+        inject_pole_factor(delta_sym3_coeffs_8k, p, 0.75)
+
+
+def test_inject_pole_factor_overflow_is_a_value_error(delta_sym3_coeffs_8k):
+    with pytest.raises(ValueError, match="overflows"):
+        inject_pole_factor(delta_sym3_coeffs_8k, 2, 1000.0)
 
 
 def test_import_does_not_load_scipy_special():

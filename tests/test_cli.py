@@ -29,10 +29,11 @@ def run_cli(argv):
 
 
 def run_cold(argv):
-    """The CLI in a fresh interpreter, run from the repository root."""
+    """The CLI in a fresh interpreter, run from the repository root; a run
+    that hangs fails its test after two minutes."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     return subprocess.run([sys.executable, "-m", "symcube.cli", *argv], cwd=REPO,
-                          env=env, capture_output=True)
+                          env=env, capture_output=True, timeout=120)
 
 
 def test_roots_pairing_exact_row():
@@ -156,6 +157,9 @@ def test_missing_file_is_usage_error():
     ["intertwine", "--q", "3"],
     ["euler", "--coeffs", "builtin:delta:100", "--X", "0"],
     ["euler", "--coeffs", "builtin:delta:100", "--X", "-5"],
+    # an injected factor needs an integer p >= 2 and finite powers of p^sigma0
+    *(["scan", "--coeffs", "builtin:delta:4000", f"--inject-pole={spec}"]
+      for spec in ("1,0.75", "0,0.75", "-2,0.75", "2", "2,x", "2,nan", "2,1000")),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_is_one_line_usage_error(argv):
     out = run_cold(argv)
@@ -280,13 +284,14 @@ def _level_2_copy(tmp_path):
 def test_euler_leaves_out_primes_dividing_the_level(tmp_path):
     from symcube.analytic import partial_L
     from symcube.ingest import parse_form
-    from symcube.localfactor import RepTag, local_factor
+    from symcube.localfactor import RepTag, ReciprocalPoly, local_factor
     path = _level_2_copy(tmp_path)
     out = run_cold(["euler", "--coeffs", str(path), "--X", "50", "--format", "json"])
     assert out.returncode == 0, out.stderr
     factors = {p: local_factor(RepTag.SYM3, c)
                for p, c in satake_table(parse_form(str(path))).items() if p <= 50}
-    want = partial_L(3, 50, factors, ramified={2}).value
+    factors[2] = ReciprocalPoly([1], 2)
+    want = partial_L(3, 50, factors).value
     assert json.loads(out.stdout)["value"] == [want.real, want.imag]
 
 
@@ -294,9 +299,12 @@ def test_sym3_table_of_a_level_2_form_vanishes_at_powers_of_2(tmp_path):
     from symcube.analytic import AFEConfig, dirichlet_coeffs
     from symcube.cli import _build_sym3_table, _sym3_factors
     from symcube.ingest import parse_form
+    from symcube.localfactor import ReciprocalPoly
     form = parse_form(str(_level_2_copy(tmp_path)))
     coeffs = _build_sym3_table(form, AFEConfig((5.5, 16.5), cutoff=100), [0.5])
-    want = dirichlet_coeffs(_sym3_factors(form, 100), 100, ramified={2})
+    factors = _sym3_factors(form, 100)
+    assert factors[2] == ReciprocalPoly([1], 2)
+    want = dirichlet_coeffs(factors, 100)
     assert np.array_equal(coeffs.values, want.values)
     assert not coeffs.values[[2, 4, 8, 16, 32, 64]].any()
     assert coeffs.values[3] != 0
