@@ -17,8 +17,8 @@ from .monomial import (HeckeLocalData, adjointcube_char_poly, check_monomial_r3,
 from .intertwining import (PrincipalParams, UnitarityCase,
                            forbidden_triangle_contains, gk_coefficient,
                            gk_pole_set, l_ratio, langlands_quotient_unitary,
-                           principal_series_pole_set, region_membership,
-                           torus_character_value)
+                           principal_series_pole_set, region_grid,
+                           region_membership, torus_character_value)
 
 __version__ = "0.1.0"
 

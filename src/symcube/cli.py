@@ -80,8 +80,35 @@ def _pole_spec(text: str) -> tuple:
     return p, sigma0
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(text.replace(" ", ""))
+def _finite_float(positive: bool = False):
+    """An argparse type for finite floats (no nan or inf), > 0 if positive."""
+    what = "a finite number > 0" if positive else "a finite number"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or (positive and value <= 0):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+def _finite_complex(text: str) -> complex:
+    """An argparse type for finite complex numbers; spaces are ignored."""
+    try:
+        value = complex(text.replace(" ", ""))
+    except ValueError:
+        value = complex(math.nan)
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite complex number, got {text!r}")
+    return value
+
+
+def _complex_list(text: str) -> list:
+    """An argparse type for comma-separated finite complex numbers."""
+    return [_finite_complex(t) for t in text.split(",")]
 
 
 def _emit_json(obj) -> None:
@@ -179,20 +206,14 @@ def cmd_roots(args) -> int:
 def cmd_region(args) -> int:
     n = args.grid
     step = max(n - 1, 1)  # a one-point grid is the origin
-    ss = [Fraction(j, step) for j in range(n)]
-    s_strs = [str(s) for s in ss]
-    rows = []
-    for i in range(n):
-        r = Fraction(i, 2 * step)
-        r_str = str(r)
-        for s, s_str in zip(ss, s_strs):
-            rows.append([r_str, s_str, intertwining.region_membership(r, s, args.mu_case),
-                         int(intertwining.forbidden_triangle_contains(r, s))])
-    vertex_rows = []
-    for vr, vs in intertwining.UPPER_VERTICES:
-        vertex_rows.append([str(vr), str(vs),
-                            intertwining.region_membership(vr, vs, args.mu_case), 0])
-    _emit(args.format, ["r", "s", "class", "forbidden"], rows + vertex_rows)
+    r_strs = [str(Fraction(i, 2 * step)) for i in range(n)]
+    s_strs = [str(Fraction(j, step)) for j in range(n)]
+    labels = ((r, s) for r in r_strs for s in s_strs)
+    rows = [[r, s, cls, int(forbidden)] for (r, s), (cls, forbidden)
+            in zip(labels, intertwining.region_grid(n, args.mu_case))]
+    rows += [[str(vr), str(vs), intertwining.region_membership(vr, vs, args.mu_case), 0]
+             for vr, vs in intertwining.UPPER_VERTICES]
+    _emit(args.format, ["r", "s", "class", "forbidden"], rows)
     return EXIT_OK
 
 
@@ -331,13 +352,12 @@ def cmd_euler(args) -> int:
     from . import analytic
 
     form = _load_form(args.coeffs)
-    s = _parse_complex(args.s)
     factors = _sym3_factors(form, args.X)
-    trace = analytic.partial_L(s, args.X, factors)
+    trace = analytic.partial_L(args.s, args.X, factors)
     rows = [[i, x, f"{v.real:.15g}", f"{v.imag:.15g}"]
             for i, (x, v) in enumerate(trace.checkpoints)]
     _emit(args.format, ["checkpoint", "X", "Re", "Im"], rows,
-          json_obj={"s": str(s), "value": [trace.value.real, trace.value.imag],
+          json_obj={"s": str(args.s), "value": [trace.value.real, trace.value.imag],
                     "outside_convergence": trace.outside_convergence,
                     "checkpoints": [[x, v.real, v.imag] for x, v in trace.checkpoints]})
     if trace.outside_convergence:
@@ -361,8 +381,7 @@ def cmd_afe(args) -> int:
     form = _load_form(args.coeffs)
     cfg = ingest.parse_afe_config(args.config) if args.config \
         else analytic.delta_sym3_config()
-    points = [_parse_complex(t) for t in args.points.split(",")] if args.points \
-        else [0.5 + 0.5j, 0.5 + 1j, 0.5 + 2j]
+    points = args.points or [0.5 + 0.5j, 0.5 + 1j, 0.5 + 2j]
     probe_points = points + [1 - complex(s) for s in points]
     coeffs = _build_sym3_table(form, cfg, probe_points)
     report = analytic.epsilon_probe(points, cfg, coeffs)
@@ -426,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         """--format everywhere; --tol and --seed only where a command reads them."""
         p.add_argument("--format", choices=["table", "json", "csv"], default="table")
         if tol is not None:
-            p.add_argument("--tol", type=float, default=tol)
+            p.add_argument("--tol", type=_finite_float(positive=True), default=tol)
         if seed:
             p.add_argument("--seed", type=int, default=7)
 
@@ -462,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identity", help="seeded random factorization-identity suites")
     p.add_argument("--suite", choices=["all", "triple", "twist", "gj"], default="all")
     p.add_argument("--samples", type=_positive_int, default=100)
-    p.add_argument("--bound", type=float, default=4.0)
+    p.add_argument("--bound", type=_finite_float(positive=True), default=4.0)
     common(p, tol=1e-12, seed=True)
     p.set_defaults(fn=cmd_identity)
 
@@ -484,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("euler", help="partial Euler product with doubling trace")
     p.add_argument("--coeffs", required=True, help="path or builtin:delta[:N]")
-    p.add_argument("--s", default="3")
+    p.add_argument("--s", type=_finite_complex, default=complex(3))
     p.add_argument("--X", type=_int_at_least(2), default=10000)
     common(p)
     p.set_defaults(fn=cmd_euler)
@@ -492,17 +511,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("afe", help="root-number probe for the completed function")
     p.add_argument("--coeffs", required=True, help="path or builtin:delta[:N]")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--points", help="comma-separated complex points")
+    p.add_argument("--points", type=_complex_list, help="comma-separated complex points")
     common(p, tol=1e-3)
     p.set_defaults(fn=cmd_afe)
 
     p = sub.add_parser("scan", help="boundedness scan on a real interval")
     p.add_argument("--coeffs", required=True, help="path or builtin:delta[:N]")
     p.add_argument("--config")
-    p.add_argument("--a", type=float, default=0.55)
-    p.add_argument("--b", type=float, default=0.95)
+    p.add_argument("--a", type=_finite_float(), default=0.55)
+    p.add_argument("--b", type=_finite_float(), default=0.95)
     p.add_argument("--grid", type=int, default=9)
-    p.add_argument("--threshold", type=float, default=3.0)
+    p.add_argument("--threshold", type=_finite_float(), default=3.0)
     p.add_argument("--inject-pole", dest="inject_pole", type=_pole_spec,
                    help="p,sigma0 : multiply in an Euler factor with a pole")
     common(p)

@@ -233,25 +233,53 @@ FORBIDDEN_VERTICES = ((Fraction(0), Fraction(1)),
 _EXACT_TYPES = frozenset((int, Fraction))
 
 
-def _sign_values(r, s):
-    """The five edge forms ``(a, b, d, r, half)``, sign-exactly for rational input.
+def _forms(R, S, D):
+    """The five edge forms ``(a, b, d, r, half)`` at (R/D, S/D), times D > 0.
 
     a = s+3r-1, b = 1-(s+r), d = s-3r, r = r, half = 1-2s (twice 1/2-s).
+    For integer R, S, D each entry is an integer with the sign of its form.
+    """
+    return S + 3 * R - D, D - (S + R), S - 3 * R, R, D - 2 * S
+
+
+def _sign_values(r, s):
+    """The five edge forms at (r, s), sign-exactly for rational input.
+
     Rational (r, s) are cleared to the common denominator of r and s, so each
     entry is an integer with the sign of its form; other input gives floats.
-    int and Fraction are recognised by type first: the Rational ABC check
-    (which bool and numpy integers need) is most of the cost of this call.
+    int and Fraction are read by ``as_integer_ratio()``, one call each; other
+    Rationals (bool, numpy integers) go through the ABC check and the
+    numerator and denominator properties.
     """
-    if ((type(r) in _EXACT_TYPES or isinstance(r, Rational))
-            and (type(s) in _EXACT_TYPES or isinstance(s, Rational))):
-        rd, sd = r.denominator, s.denominator
-        # common denominator rd*sd; numerators of r and s over it:
-        R = r.numerator * sd
-        S = s.numerator * rd
-        D = rd * sd
-        return S + 3 * R - D, D - (S + R), S - 3 * R, R, D - 2 * S
-    rf, sf = float(r), float(s)
-    return sf + 3 * rf - 1.0, 1.0 - (sf + rf), sf - 3 * rf, rf, 1.0 - 2.0 * sf
+    if type(r) in _EXACT_TYPES and type(s) in _EXACT_TYPES:
+        rn, rd = r.as_integer_ratio()
+        sn, sd = s.as_integer_ratio()
+    elif isinstance(r, Rational) and isinstance(s, Rational):
+        rn, rd, sn, sd = r.numerator, r.denominator, s.numerator, s.denominator
+    else:
+        return _forms(float(r), float(s), 1.0)
+    return _forms(rn * sd, sn * rd, rd * sd)
+
+
+def _upper_applies(mu_case: str) -> bool:
+    if mu_case not in (MU_TRIVIAL, MU_ORDER2):
+        raise ValueError("mu_case must be trivial or order2")
+    return mu_case == MU_TRIVIAL
+
+
+def _classify(a, b, d, rr, half, upper):
+    """The region class from the signs of the edge forms; see region_membership."""
+    if upper and a > 0 and b > 0 and d > 0 and rr > 0:
+        return UPPER
+    if rr > 0 and half > 0 and d > 0:
+        return LOWER
+    # closed upper triangle: a >= 0, b >= 0, d >= 0 (r >= 0 follows)
+    if upper and a >= 0 and b >= 0 and d >= 0 and (a == 0 or b == 0 or d == 0):
+        return BOUNDARY
+    # closed lower triangle: r >= 0, s <= 1/2, s >= 3r
+    if rr >= 0 and half >= 0 and d >= 0 and (rr == 0 or half == 0 or d == 0):
+        return BOUNDARY
+    return OUTSIDE
 
 
 def region_membership(r, s, mu_case: str = MU_TRIVIAL) -> str:
@@ -262,24 +290,8 @@ def region_membership(r, s, mu_case: str = MU_TRIVIAL) -> str:
     open: r > 0, s < 1/2, s > 3r; vertices (0,1/2), (1/6,1/2), (0,0).
     Points on the edges of an applicable closed triangle classify as boundary.
     """
-    if mu_case not in (MU_TRIVIAL, MU_ORDER2):
-        raise ValueError("mu_case must be trivial or order2")
-    a, b, d, rr, half = _sign_values(r, s)
-
-    if mu_case == MU_TRIVIAL:
-        if a > 0 and b > 0 and d > 0 and rr > 0:
-            return UPPER
-    if rr > 0 and half > 0 and d > 0:
-        return LOWER
-
-    if mu_case == MU_TRIVIAL:
-        # closed upper triangle: a >= 0, b >= 0, d >= 0 (r >= 0 follows)
-        if a >= 0 and b >= 0 and d >= 0 and (a == 0 or b == 0 or d == 0):
-            return BOUNDARY
-    # closed lower triangle: r >= 0, s <= 1/2, s >= 3r
-    if rr >= 0 and half >= 0 and d >= 0 and (rr == 0 or half == 0 or d == 0):
-        return BOUNDARY
-    return OUTSIDE
+    upper = _upper_applies(mu_case)
+    return _classify(*_sign_values(r, s), upper)
 
 
 def forbidden_triangle_contains(r, s) -> bool:
@@ -290,3 +302,23 @@ def forbidden_triangle_contains(r, s) -> bool:
     """
     a, _, _, rr, half = _sign_values(r, s)
     return rr > 0 and half < 0 and a < 0
+
+
+def region_grid(n: int, mu_case: str = MU_TRIVIAL) -> list:
+    """``(region_membership, forbidden_triangle_contains)`` on the n x n grid.
+
+    The points are r = i/2(n-1), s = j/(n-1) for 0 <= i, j < n, row-major
+    (r outer); a one-point grid is the origin.  Every point has the common
+    denominator 2(n-1), so the forms are evaluated in integers.
+    """
+    if n < 1:
+        raise ValueError(f"grid size must be >= 1, got {n}")
+    upper = _upper_applies(mu_case)
+    den = 2 * max(n - 1, 1)
+    out = []
+    for R in range(n):  # (R/den, S/den) = (i/2(n-1), j/(n-1))
+        for S in range(0, 2 * n, 2):
+            a, b, d, rr, half = _forms(R, S, den)
+            out.append((_classify(a, b, d, rr, half, upper),
+                        rr > 0 and half < 0 and a < 0))  # forbidden_triangle_contains
+    return out

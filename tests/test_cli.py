@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import io
 import json
 import math
@@ -101,6 +102,23 @@ def test_region_csv_rows_match_the_library(n, mu_case):
     assert rows[1:] == want
 
 
+# sha256 of `region --grid 200 --mu-case <case> --format csv` stdout as the
+# per-point Fraction classifier printed it, before the grid was classified
+# in integers by `region_grid`
+REGION_200_CSV_SHA256 = {
+    "trivial": "7119fea2f277e7f96e6084aad0f4852129b70c8757852dabc9d61303ad5121f8",
+    "order2": "e4d5ea737e0fe1d9ca719b00e7de76cd9aec1a6443a0f8542cedf82db0c0b46d",
+}
+
+
+@pytest.mark.parametrize("mu_case", sorted(REGION_200_CSV_SHA256))
+def test_region_grid_200_csv_bytes_are_pinned(mu_case):
+    code, out = run_cli(["region", "--grid", "200", "--mu-case", mu_case,
+                         "--format", "csv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REGION_200_CSV_SHA256[mu_case]
+
+
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_region_nonpositive_grid_is_usage_error(grid, capsys):
     with pytest.raises(SystemExit) as err:
@@ -160,6 +178,25 @@ def test_missing_file_is_usage_error():
     # an injected factor needs an integer p >= 2 and finite powers of p^sigma0
     *(["scan", "--coeffs", "builtin:delta:4000", f"--inject-pole={spec}"]
       for spec in ("1,0.75", "0,0.75", "-2,0.75", "2", "2,x", "2,nan", "2,1000")),
+    # float flags are finite; a bound and a tolerance are also > 0
+    ["scan", "--coeffs", "builtin:delta:4000", "--a", "nan"],
+    ["scan", "--coeffs", "builtin:delta:4000", "--b", "inf"],
+    ["scan", "--coeffs", "builtin:delta:4000", "--threshold", "nan"],
+    ["scan", "--coeffs", "builtin:delta:4000", "--threshold", "-inf"],
+    ["euler", "--coeffs", "builtin:delta:200", "--X", "100", "--s", "nan"],
+    ["euler", "--coeffs", "builtin:delta:200", "--X", "100", "--s", "inf"],
+    ["euler", "--coeffs", "builtin:delta:200", "--X", "100", "--s", "1+nanj"],
+    ["afe", "--coeffs", "builtin:delta:100", "--points", "nan+1j"],
+    ["afe", "--coeffs", "builtin:delta:100", "--points", "0.5+1j,inf"],
+    ["afe", "--coeffs", "builtin:delta:100", "--tol", "-1"],
+    ["identity", "--bound", "nan"],
+    ["identity", "--bound", "-1"],
+    ["identity", "--bound", "0"],
+    ["identity", "--tol", "0"],
+    ["identity", "--tol", "nan"],
+    ["satake", "--coeffs", "builtin:delta:100", "--tol", "inf"],
+    ["monomial-check", "--hecke", "data/hecke_q_sqrt_minus23.txt", "--tol", "-1e-12"],
+    ["intertwine", "--tol", "nan"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_is_one_line_usage_error(argv):
     out = run_cold(argv)

@@ -2,7 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction as Q
-from numbers import Integral
+from numbers import Integral, Rational
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from symcube.intertwining import (
     MU_TRIVIAL, OUTSIDE, UPPER, UPPER_VERTICES, IntertwiningPole,
     PrincipalParams, UnitarityCase, forbidden_triangle_contains,
     gk_coefficient, gk_pole_set, l_ratio, langlands_quotient_unitary,
-    _sign_values, principal_series_pole_set, region_membership,
+    _sign_values, principal_series_pole_set, region_grid, region_membership,
     torus_character_value, _GK_TABLE, _p_value)
 from symcube.localfactor import RepTag, eigenvalues
 from symcube.satake import (
@@ -341,10 +341,24 @@ def test_region_classifiers_match_the_inequalities(point):
     assert forbidden_triangle_contains(r, s) == _oracle_forbidden(r, s)
 
 
-# bool and numpy integers are Rational through the ABC only, not by type,
-# and must take the exact branch as well
-ABC_RATIONALS = st.one_of(st.booleans(), st.integers(-1, 2).map(np.int64),
-                          st.integers(-1, 2).map(np.int32))
+class _Ratio:
+    """A Rational by registration only: a numerator and a denominator."""
+
+    def __init__(self, q):
+        self.numerator, self.denominator = q.numerator, q.denominator
+
+    def __float__(self):
+        return self.numerator / self.denominator
+
+
+Rational.register(_Ratio)
+
+
+# bool, numpy integers and other Rationals are Rational through the ABC only,
+# not by type, and must take the exact branch as well
+ABC_RATIONALS = st.one_of(
+    st.booleans(), st.integers(-1, 2).map(np.int64), st.integers(-1, 2).map(np.int32),
+    st.fractions(min_value=Q(-1, 2), max_value=Q(3, 2), max_denominator=12).map(_Ratio))
 
 
 @st.composite
@@ -362,6 +376,48 @@ def test_region_classifiers_take_bool_and_numpy_integers(point):
     assert forbidden_triangle_contains(r, s) == _oracle_forbidden(r, s)
     exact = not isinstance(r, float) and not isinstance(s, float)
     assert all(isinstance(v, Integral) for v in _sign_values(r, s)) == exact
+    if exact:
+        assert _sign_values(r, s) == _sign_values(Q(r), Q(s))
+
+
+def _inline_float_forms(r, s):
+    """The float edge forms as written out before ``_forms`` was shared."""
+    rf, sf = float(r), float(s)
+    return sf + 3 * rf - 1.0, 1.0 - (sf + rf), sf - 3 * rf, rf, 1.0 - 2.0 * sf
+
+
+# random floats, and boundary values that are rounded in binary
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [1 / 6, 0.5, 1 / 3, 1 / 4, 3 / 4, 2 / 3, 1 / 12, 1.0, 0.0, -0.0, 1 - 1 / 3, 1 - 3 / 6]))
+
+
+@settings(deadline=None, max_examples=400)
+@given(FLOATS, st.one_of(FLOATS, st.fractions(), st.integers(-3, 3)), st.booleans())
+def test_float_forms_are_bit_identical_to_the_inline_expressions(x, y, swap):
+    r, s = (y, x) if swap else (x, y)
+    got = _sign_values(r, s)
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [v.hex() for v in _inline_float_forms(r, s)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 60))
+@example(1)
+@example(2)
+def test_region_grid_equals_the_point_classifiers(n):
+    step = max(n - 1, 1)
+    points = [(Q(i, 2 * step), Q(j, step)) for i in range(n) for j in range(n)]
+    for mu_case in (MU_TRIVIAL, MU_ORDER2):
+        assert region_grid(n, mu_case) == [
+            (region_membership(r, s, mu_case), forbidden_triangle_contains(r, s))
+            for r, s in points]
+
+
+def test_region_grid_refuses_an_empty_grid_and_an_unknown_mu_case():
+    with pytest.raises(ValueError):
+        region_grid(0)
+    with pytest.raises(ValueError):
+        region_grid(3, "order3")
 
 
 def test_region_classifiers_match_the_inequalities_at_the_vertices():

@@ -63,8 +63,8 @@ def test_every_export_resolves_to_its_modules_object():
         "intertwining": ["PrincipalParams", "UnitarityCase",
                          "forbidden_triangle_contains", "gk_coefficient",
                          "gk_pole_set", "l_ratio", "langlands_quotient_unitary",
-                         "principal_series_pole_set", "region_membership",
-                         "torus_character_value"],
+                         "principal_series_pole_set", "region_grid",
+                         "region_membership", "torus_character_value"],
         "analytic": ["AFEConfig", "CoefficientTable", "afe_value", "afe_values",
                      "delta_sym3_config", "dirichlet_coeffs", "dirichlet_sum",
                      "epsilon_probe", "inject_pole_factor", "partial_L", "pole_scan"],
