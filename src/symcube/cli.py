@@ -55,16 +55,44 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
+# Miller-Rabin with the first 13 prime bases decides every n below this bound
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 2 <= n < _MR_BOUND."""
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _prime_power(text: str) -> int:
-    """An argparse type for prime powers p^k, k >= 1."""
+    """An argparse type for prime powers p^k, k >= 1, below _MR_BOUND."""
     q = _int_at_least(2)(text)
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    rest = q
-    while rest % p == 0:
-        rest //= p
-    if rest != 1:
-        raise argparse.ArgumentTypeError(f"must be a prime power, got {text!r}")
-    return q
+    if q >= _MR_BOUND:
+        raise argparse.ArgumentTypeError(f"must be below {_MR_BOUND}, got {text!r}")
+    # k < bit_length(q); for k >= 2 the root is below 2^41, so the rounded
+    # float root is exact whenever q is a k-th power
+    for k in range(1, q.bit_length()):
+        p = q if k == 1 else round(q ** (1 / k))
+        if p ** k == q and _is_prime(p):
+            return q
+    raise argparse.ArgumentTypeError(f"must be a prime power, got {text!r}")
 
 
 def _pole_spec(text: str) -> tuple:

@@ -5,7 +5,18 @@ A value is stored as an integer order n and a dict {k: coefficient} with
 plain ints when integral and Fractions otherwise, and n is kept minimal
 (the lcm of the exponent denominators), so one formal sum has exactly one
 representation.  Sums and products align their operands at the lcm of the
-two orders with integer key arithmetic.  The representation is lazy (ties
+two orders with integer key arithmetic.  Two fast paths give the same
+result, term order included, as the general rebuild:
+
+- a product with a single term c*zeta^k only shifts the other operand's keys
+  by k and scales its coefficients by c, so no keys collide and none vanish;
+  only the gcd reduction (zeta_4 * zeta_4 = zeta_2) and the int form of an
+  integral Fraction are left to do;
+- a sum in which no coefficient cancels is already minimal: at n = lcm(n1, n2)
+  the lifted keys of the two operands have gcds n/n1 and n/n2 with n, which
+  are coprime, so the union of the keys has gcd 1 with n.
+
+The representation is lazy (ties
 like 1 + zeta_2 = 0 are not collapsed on construction, which keeps
 monomials monomial), but equality and the zero test are complete: the
 difference is reduced modulo the cyclotomic polynomial of its order, so two
@@ -24,13 +35,30 @@ from functools import lru_cache
 def _cyclotomic(n: int):
     """Ascending integer coefficients of the n-th cyclotomic polynomial.
 
-    Computed by exact division: x^n - 1 = prod over d | n of Phi_d.
+    Built from the primes of n by exact division: Phi_1 = x - 1,
+    Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for a prime p not dividing m, and
+    Phi_n(x) = Phi_rad(x^(n/rad)) with rad the product of the primes of n.
     """
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _polydiv_monic(poly, _cyclotomic(d))
-    return tuple(poly)
+    primes, rest, p = [], n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    poly = [-1, 1]
+    for p in primes:
+        poly = _polydiv_monic(_spread(poly, p), poly)
+    return tuple(_spread(poly, n // math.prod(primes)))
+
+
+def _spread(poly, step):
+    """The ascending coefficients of poly(x^step)."""
+    out = [0] * ((len(poly) - 1) * step + 1)
+    out[::step] = poly
+    return out
 
 
 def _polydiv_monic(num, den):
@@ -85,13 +113,23 @@ def _make(n: int, coeffs: dict) -> "Cyclo":
             if type(c) is not int and c.denominator == 1:
                 c = c.numerator
             out[k] = c
-    g = math.gcd(n, *out) if out else n
+    return _lowest(n, out)
+
+
+def _lowest(n: int, coeffs: dict) -> "Cyclo":
+    """Cyclo from nonzero normalized coefficients, its order reduced by gcd(n, *keys)."""
+    g = math.gcd(n, *coeffs)
     if g > 1:
         n //= g
-        out = {k // g: c for k, c in out.items()}
+        coeffs = {k // g: c for k, c in coeffs.items()}
+    return _raw(n, coeffs)
+
+
+def _raw(n: int, coeffs: dict) -> "Cyclo":
+    """Cyclo holding n and coeffs as they are; the caller vouches that they are canonical."""
     self = object.__new__(Cyclo)
     self._n = n
-    self._c = out
+    self._c = coeffs
     return self
 
 
@@ -193,19 +231,35 @@ class Cyclo:
             if type(other) is int and other == 0:
                 return self
             other = Cyclo.from_rational(other)
+        if not other._c:
+            return self
+        if not self._c:
+            return other
         n1, n2 = self._n, other._n
-        n = math.lcm(n1, n2)
-        m1, m2 = n // n1, n // n2
-        out = {k * m1: c for k, c in self._c.items()}
-        for k, c in other._c.items():
-            k *= m2
-            out[k] = out.get(k, 0) + c
-        return _make(n, out)
+        if n1 == n2:
+            n = n1
+            out = dict(self._c)
+            right = other._c.items()
+        else:
+            n = math.lcm(n1, n2)
+            m1, m2 = n // n1, n // n2
+            out = {k * m1: c for k, c in self._c.items()}
+            right = [(k * m2, c) for k, c in other._c.items()]
+        cancelled = False
+        for k, c in right:
+            if k in out:
+                c = out[k] + c
+                if not c:
+                    cancelled = True
+                elif type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+            out[k] = c
+        return _make(n, out) if cancelled else _raw(n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self._n, {k: -c for k, c in self._c.items()})
+        return _raw(self._n, {k: -c for k, c in self._c.items()})
 
     def __sub__(self, other):
         return self + (-Cyclo.coerce(other))
@@ -220,6 +274,20 @@ class Cyclo:
         n1, n2 = self._n, other._n
         n = math.lcm(n1, n2)
         m1, m2 = n // n1, n // n2
+        if len(self._c) == 1 or len(other._c) == 1:
+            if len(self._c) == 1:
+                (k0, c0), = self._c.items()
+                k0, step, many = k0 * m1, m2, other._c
+            else:
+                (k0, c0), = other._c.items()
+                k0, step, many = k0 * m2, m1, self._c
+            out = {}
+            for k, c in many.items():
+                c *= c0
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                out[(k0 + k * step) % n] = c
+            return _lowest(n, out)
         right = [(k * m2, c) for k, c in other._c.items()]
         out = {}
         for k1, c1 in self._c.items():

@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import hashlib
 import io
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symcube.cli import main
+from symcube.cli import _prime_power, main
 from symcube.ingest import delta_form, satake_table
 from symcube.intertwining import (UPPER_VERTICES, forbidden_triangle_contains,
                                   region_membership)
@@ -173,6 +175,9 @@ def test_missing_file_is_usage_error():
     ["intertwine", "--q", "1"],
     ["intertwine", "--grid", "12", "--q", "6"],
     ["intertwine", "--q", "3"],
+    # q = 9999999967 * 9999999943, and q at the bound of the primality test
+    ["intertwine", "--grid", "2", "--q", "99999999100000001881"],
+    ["intertwine", "--grid", "2", "--q", "3317044064679887385961981"],
     ["euler", "--coeffs", "builtin:delta:100", "--X", "0"],
     ["euler", "--coeffs", "builtin:delta:100", "--X", "-5"],
     # an injected factor needs an integer p >= 2 and finite powers of p^sigma0
@@ -300,6 +305,24 @@ def test_intertwine_grid_q_takes_prime_powers():
         assert code == 0 and out != default[1] and len(out.splitlines()) == 26
 
 
+def test_intertwine_q_is_decided_without_trial_division():
+    # 10^18 + 3 is prime; trial division to its square root would take 10^9 steps
+    start = time.perf_counter()
+    out = run_cold(["intertwine", "--grid", "2", "--q", "1000000000000000003"])
+    assert time.perf_counter() - start < 1.0
+    assert out.returncode == 0 and out.stdout.decode().splitlines()[1].split()[:2] == [
+        "0.250000", "1.500000"]
+    # the largest prime the test decides, and 2^81 (k = bit_length - 1)
+    for q in ("4", "1024", "3486784401", str(1000003 ** 3), str(2 ** 81),
+              "3317044064679887385961813"):
+        assert _prime_power(q) == int(q)
+    # 318665857834031151167461 is a strong pseudoprime to the bases 2..37
+    for q in ("6", "36", "1000000016000000063", str(2 ** 80 * 3),
+              "318665857834031151167461"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _prime_power(q)
+
+
 def test_euler_csv_trace():
     code, out = run_cli(["euler", "--coeffs", "builtin:delta:500", "--s", "3",
                          "--X", "500", "--format", "csv"])
@@ -406,6 +429,7 @@ def test_exact_commands_do_not_load_numpy():
         ["identity", "--samples", "10"],
         ["monomial-check", "--hecke", "data/hecke_q_sqrt_minus23.txt"],
         ["intertwine", "--samples", "10"],
+        ["intertwine", "--grid", "2", "--q", "1000000000000000003"],
         ["satake", "--coeffs", "builtin:delta:200"],
         ["lfactor", "--coeffs", "builtin:delta:200", "--p", "7"],
     ]

@@ -1,13 +1,15 @@
 import cmath
+import functools
 import math
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcube.cyclo import Cyclo, _cyclotomic
+from symcube.cyclo import Cyclo, _cyclotomic, _polydiv_monic
 
 
 def z(k, n):
@@ -24,6 +26,31 @@ def test_cyclotomic_polynomials():
     # degree is Euler phi
     for n, phi in ((5, 4), (8, 4), (9, 6), (10, 4), (15, 8)):
         assert len(_cyclotomic(n)) - 1 == phi
+
+
+@functools.lru_cache(maxsize=None)
+def reference_cyclotomic(n):
+    """The earlier construction: x^n - 1 divided by Phi_d for every proper divisor d."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _polydiv_monic(poly, reference_cyclotomic(d))
+    return tuple(poly)
+
+
+def test_cyclotomic_matches_the_divisor_recursion():
+    for n in range(1, 501):
+        assert _cyclotomic(n) == reference_cyclotomic(n), n
+
+
+def test_cyclotomic_of_many_primes_is_fast():
+    for n in (2310, 4620):
+        _cyclotomic.cache_clear()
+        start = time.perf_counter()
+        phi = _cyclotomic(n)
+        assert time.perf_counter() - start < 0.05
+        assert len(phi) - 1 == 480 * n // 2310      # Euler phi
+        assert phi[-1] == 1 and phi[0] == 1
 
 
 def test_arithmetic_basics():
@@ -253,3 +280,92 @@ def test_float_operand_is_refused(op):
     # a float taken at its binary value would make an exact result inexact
     with pytest.raises(TypeError):
         op(Cyclo.one())
+
+
+# --- the fast paths against the general sum, product and negation -----------
+
+def reference_make(n, coeffs):
+    out = {}
+    for k, c in coeffs.items():
+        if c:
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            out[k] = c
+    g = math.gcd(n, *out) if out else n
+    if g > 1:
+        n //= g
+        out = {k // g: c for k, c in out.items()}
+    self = object.__new__(Cyclo)
+    self._n = n
+    self._c = out
+    return self
+
+
+def reference_add(a, b):
+    n1, n2 = a._n, b._n
+    n = math.lcm(n1, n2)
+    m1, m2 = n // n1, n // n2
+    out = {k * m1: c for k, c in a._c.items()}
+    for k, c in b._c.items():
+        k *= m2
+        out[k] = out.get(k, 0) + c
+    return reference_make(n, out)
+
+
+def reference_neg(a):
+    return reference_make(a._n, {k: -c for k, c in a._c.items()})
+
+
+def reference_mul(a, b):
+    n1, n2 = a._n, b._n
+    n = math.lcm(n1, n2)
+    m1, m2 = n // n1, n // n2
+    right = [(k * m2, c) for k, c in b._c.items()]
+    out = {}
+    for k1, c1 in a._c.items():
+        k1 *= m1
+        for k2, c2 in right:
+            k = (k1 + k2) % n
+            out[k] = out.get(k, 0) + c1 * c2
+    return reference_make(n, out)
+
+
+def rep(x):
+    """Everything a result is made of: order, terms in dict order, coefficient types."""
+    return x._n, list(x._c.items()), [type(c) for c in x._c.values()]
+
+
+SMALL = st.one_of(st.integers(-2, 2),
+                  st.fractions(min_value=-2, max_value=2, max_denominator=4))
+
+
+@st.composite
+def canonical(draw):
+    """A value of order up to 24 built by the reference constructor; empty
+    values, single terms and few-term sums are all likely."""
+    n = draw(st.integers(1, 24))
+    keys = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+    return reference_make(n, {k: draw(SMALL) for k in keys})
+
+
+@settings(deadline=None, max_examples=400)
+@given(canonical(), canonical())
+def test_fast_paths_equal_the_general_rebuild(a, b):
+    assert rep(a + b) == rep(reference_add(a, b))
+    assert rep(a - b) == rep(reference_add(a, reference_neg(b)))
+    assert rep(a * b) == rep(reference_mul(a, b))
+    assert rep(b * a) == rep(reference_mul(b, a))
+    assert rep(-a) == rep(reference_neg(a))
+    assert rep(a + (-a) + b) == rep(reference_add(reference_add(a, reference_neg(a)), b))
+
+
+def test_fast_path_cases():
+    # a monomial product reduces its order
+    assert rep(z(1, 4) * z(1, 4)) == (2, [(1, 1)], [int])
+    assert rep((z(1, 4) + z(3, 4)) * z(1, 4)) == (2, [(1, 1), (0, 1)], [int, int])
+    # an integral Fraction product becomes an int
+    assert rep(Q(1, 2) * z(1, 3) * (2 * z(2, 3))) == (1, [(0, 1)], [int])
+    # a sum is lazy: 1 + zeta_2 keeps both terms, yet it is zero
+    one_plus = Cyclo.one() + z(1, 2)
+    assert rep(one_plus) == (2, [(0, 1), (1, 1)], [int, int])
+    assert bool(one_plus) is False
