@@ -81,18 +81,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """The integer part of the k-th root of n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_power(text: str) -> int:
-    """An argparse type for prime powers p^k, k >= 1, below _MR_BOUND."""
+    """An argparse type for prime powers p^k, k >= 1, with p below _MR_BOUND."""
     q = _int_at_least(2)(text)
-    if q >= _MR_BOUND:
-        raise argparse.ArgumentTypeError(f"must be below {_MR_BOUND}, got {text!r}")
-    # k < bit_length(q); for k >= 2 the root is below 2^41, so the rounded
-    # float root is exact whenever q is a k-th power
-    for k in range(1, q.bit_length()):
-        p = q if k == 1 else round(q ** (1 / k))
-        if p ** k == q and _is_prime(p):
-            return q
-    raise argparse.ArgumentTypeError(f"must be a prime power, got {text!r}")
+    # with k the largest exponent such that q = m^k, m is no perfect power,
+    # so q is a prime power exactly when m is prime
+    for k in range(q.bit_length() - 1, 0, -1):
+        m = _iroot(q, k)
+        if m ** k == q:
+            break
+    if m >= _MR_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"must be a prime power p^k with p below {_MR_BOUND}, got {text!r}")
+    if not _is_prime(m):
+        raise argparse.ArgumentTypeError(f"must be a prime power, got {text!r}")
+    return q
 
 
 def _pole_spec(text: str) -> tuple:

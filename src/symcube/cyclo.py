@@ -236,17 +236,12 @@ class Cyclo:
         if not self._c:
             return other
         n1, n2 = self._n, other._n
-        if n1 == n2:
-            n = n1
-            out = dict(self._c)
-            right = other._c.items()
-        else:
-            n = math.lcm(n1, n2)
-            m1, m2 = n // n1, n // n2
-            out = {k * m1: c for k, c in self._c.items()}
-            right = [(k * m2, c) for k, c in other._c.items()]
+        n = math.lcm(n1, n2)
+        m1, m2 = n // n1, n // n2
+        out = {k * m1: c for k, c in self._c.items()}
         cancelled = False
-        for k, c in right:
+        for k, c in other._c.items():
+            k *= m2
             if k in out:
                 c = out[k] + c
                 if not c:

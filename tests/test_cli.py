@@ -309,16 +309,22 @@ def test_intertwine_q_is_decided_without_trial_division():
     # 10^18 + 3 is prime; trial division to its square root would take 10^9 steps
     start = time.perf_counter()
     out = run_cold(["intertwine", "--grid", "2", "--q", "1000000000000000003"])
-    assert time.perf_counter() - start < 1.0
+    # cold start and import included; the trial division took minutes
+    assert time.perf_counter() - start < 10.0
     assert out.returncode == 0 and out.stdout.decode().splitlines()[1].split()[:2] == [
         "0.250000", "1.500000"]
-    # the largest prime the test decides, and 2^81 (k = bit_length - 1)
+    # the largest prime the test decides, 2^81 (k = bit_length - 1), and powers
+    # at and past the test's bound whose roots are exact only in integers
     for q in ("4", "1024", "3486784401", str(1000003 ** 3), str(2 ** 81),
-              "3317044064679887385961813"):
+              "3317044064679887385961813", str(2 ** 82), str(2 ** 90), str(3 ** 60),
+              str(3317044064679887385961813 ** 2)):
         assert _prime_power(q) == int(q)
-    # 318665857834031151167461 is a strong pseudoprime to the bases 2..37
+    # 318665857834031151167461 is a strong pseudoprime to the bases 2..37;
+    # 6^50 is a perfect power of a composite; the last two have roots the
+    # test cannot decide
     for q in ("6", "36", "1000000016000000063", str(2 ** 80 * 3),
-              "318665857834031151167461"):
+              "318665857834031151167461", str(6 ** 50), "3317044064679887385961981",
+              str(3317044064679887385961981 ** 2)):
         with pytest.raises(argparse.ArgumentTypeError):
             _prime_power(q)
 
