@@ -1,30 +1,34 @@
 """Cross-checks for GL(2) symmetric-cube and adjoint-cube local factors,
 their dihedral factorizations, and the rank-two constant-term calculus."""
 
-from .g2root import (Affine, RootVector, WeightVector, WeylElement,
-                     POSITIVE_ROOTS, coroot_decomposition, gram, inverted_roots,
-                     lambda_weight, pairing, pairing_table, reflect,
-                     rho_parabolic, weyl_group)
-from .cyclo import Cyclo
-from .satake import (LocalRepClass, SatakeClass, complementary_params,
-                     contragredient, is_tempered, satake_from_hecke, twist)
-from .localfactor import (RepTag, ReciprocalPoly, check_gj_identity,
-                          check_triple_identity, check_twist_identity,
-                          local_factor, rankin_selberg, triple_product)
-from .monomial import (HeckeLocalData, adjointcube_char_poly, check_monomial_r3,
-                       check_monomial_r30, hecke_factor, induced_local,
-                       pole_criterion, symcube_char_poly)
-from .intertwining import (PrincipalParams, UnitarityCase,
-                           forbidden_triangle_contains, gk_coefficient,
-                           gk_pole_set, l_ratio, langlands_quotient_unitary,
-                           principal_series_pole_set, region_grid,
-                           region_membership, torus_character_value)
-
 __version__ = "0.1.0"
 
-# Resolved on first use (PEP 562): analytic imports numpy, which the exact
-# modules above never need.
+
+class SymcubeInputError(ValueError):
+    """A coefficient or Hecke file that the parsers in `ingest` reject."""
+
+
+# Every export is resolved on first use (PEP 562), so `import symcube` loads
+# no submodule and each CLI command pays only for the modules it runs.
 _LAZY = {
+    "g2root": ("Affine", "RootVector", "WeightVector", "WeylElement",
+               "POSITIVE_ROOTS", "coroot_decomposition", "gram", "inverted_roots",
+               "lambda_weight", "pairing", "pairing_table", "reflect",
+               "rho_parabolic", "weyl_group"),
+    "cyclo": ("Cyclo",),
+    "satake": ("LocalRepClass", "SatakeClass", "complementary_params",
+               "contragredient", "is_tempered", "satake_from_hecke", "twist"),
+    "localfactor": ("RepTag", "ReciprocalPoly", "check_gj_identity",
+                    "check_triple_identity", "check_twist_identity",
+                    "local_factor", "rankin_selberg", "triple_product"),
+    "monomial": ("HeckeLocalData", "adjointcube_char_poly", "check_monomial_r3",
+                 "check_monomial_r30", "hecke_factor", "induced_local",
+                 "pole_criterion", "symcube_char_poly"),
+    "intertwining": ("PrincipalParams", "UnitarityCase",
+                     "forbidden_triangle_contains", "gk_coefficient",
+                     "gk_pole_set", "l_ratio", "langlands_quotient_unitary",
+                     "principal_series_pole_set", "region_grid",
+                     "region_membership", "torus_character_value"),
     "analytic": ("AFEConfig", "CoefficientTable", "afe_value", "afe_values",
                  "delta_sym3_config", "dirichlet_coeffs", "dirichlet_sum",
                  "epsilon_probe", "inject_pole_factor", "partial_L", "pole_scan"),

@@ -19,13 +19,15 @@ import random
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import ingest, intertwining, localfactor, monomial
-from .g2root import (POSITIVE_ROOTS, coroot_decomposition, gram,
-                     inverted_roots, lambda_weight, pairing, parabolic_weyl_element,
-                     rho_parabolic, weyl_group, ROOT_NAMES)
+from . import SymcubeInputError, localfactor
 from .localfactor import RepTag
-from .satake import SatakeClass, is_tempered
+
+# Beyond what building the parser needs, each command imports the modules it
+# runs when it runs, so that a process loads only those.
+if TYPE_CHECKING:
+    from .ingest import ParsedForm
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -185,8 +187,10 @@ def _emit(fmt, header, rows, json_obj=None):
         _emit_table(header, rows)
 
 
-def _load_form(source: str) -> ingest.ParsedForm:
+def _load_form(source: str) -> ParsedForm:
     """A path, or builtin:delta[:N] (N >= 1, default 1000) for the shipped sample."""
+    from . import ingest
+
     if source.startswith("builtin:"):
         match = re.fullmatch(r"builtin:delta(?::([0-9]+))?", source)
         n = int(match.group(1) or 1000) if match else 0
@@ -199,6 +203,8 @@ def _load_form(source: str) -> ingest.ParsedForm:
 
 def _sym3_factors(form, limit):
     """The sym3 factor map of the primes p <= limit; 1 at those dividing the level."""
+    from . import ingest
+
     factors = {p: localfactor.ReciprocalPoly([1], p)
                for p in localfactor.primes_upto(limit) if form.level % p == 0}
     factors.update((p, localfactor.local_factor(RepTag.SYM3, c))
@@ -209,42 +215,48 @@ def _sym3_factors(form, limit):
 # --- subcommands -----------------------------------------------------------
 
 def cmd_roots(args) -> int:
+    from . import g2root
+
     what = args.what
     if what == "pairing":
         r, s = args.r, args.s
-        lam = lambda_weight()
+        lam = g2root.lambda_weight()
         rows = []
-        for name, beta in POSITIVE_ROOTS.items():
-            form = pairing(lam, beta)
+        for name, beta in g2root.POSITIVE_ROOTS.items():
+            form = g2root.pairing(lam, beta)
             val = form(r, s) if r is not None and s is not None else ""
             rows.append([name, str(form), str(val)])
         _emit(args.format, ["root", "pairing", "value"], rows)
         return EXIT_OK
     if what == "gram":
-        names = sorted(POSITIVE_ROOTS)
-        rows = [[a] + [str(gram(POSITIVE_ROOTS[a], POSITIVE_ROOTS[b])) for b in names]
+        roots = g2root.POSITIVE_ROOTS
+        names = sorted(roots)
+        rows = [[a] + [str(g2root.gram(roots[a], roots[b])) for b in names]
                 for a in names]
         _emit(args.format, ["root"] + names, rows)
         return EXIT_OK
     if what == "coroots":
-        rows = [[name, *coroot_decomposition(beta)]
-                for name, beta in POSITIVE_ROOTS.items()]
+        rows = [[name, *g2root.coroot_decomposition(beta)]
+                for name, beta in g2root.POSITIVE_ROOTS.items()]
         _emit(args.format, ["root", "c1", "c6"], rows)
         return EXIT_OK
     rows = []  # weyl, the last of the parser's choices
-    for w in weyl_group():
-        inv = sorted(ROOT_NAMES[b] for b in inverted_roots(w))
+    root_name = g2root.ROOT_NAMES
+    for w in g2root.weyl_group():
+        inv = sorted(root_name[b] for b in g2root.inverted_roots(w))
         rows.append(["*".join(w.word) or "1", len(w.word),
                      "{" + ",".join(inv) + "}"])
-    rows.append(["rho_P", "", str(rho_parabolic())])
-    long_w = parabolic_weyl_element()
+    rows.append(["rho_P", "", str(g2root.rho_parabolic())])
+    long_w = g2root.parabolic_weyl_element()
     rows.append(["parabolic element", len(long_w.word),
-                 "{" + ",".join(sorted(ROOT_NAMES[b] for b in inverted_roots(long_w))) + "}"])
+                 "{" + ",".join(sorted(root_name[b] for b in g2root.inverted_roots(long_w))) + "}"])
     _emit(args.format, ["element", "length", "inverted/table"], rows)
     return EXIT_OK
 
 
 def cmd_region(args) -> int:
+    from . import intertwining
+
     n = args.grid
     step = max(n - 1, 1)  # a one-point grid is the origin
     r_strs = [str(Fraction(i, 2 * step)) for i in range(n)]
@@ -259,6 +271,9 @@ def cmd_region(args) -> int:
 
 
 def cmd_satake(args) -> int:
+    from . import ingest
+    from .satake import is_tempered
+
     form = _load_form(args.coeffs)
     table = ingest.satake_table(form)
     rows = []
@@ -271,6 +286,8 @@ def cmd_satake(args) -> int:
 
 
 def cmd_lfactor(args) -> int:
+    from . import ingest
+
     form = _load_form(args.coeffs)
     table = ingest.satake_table(form)
     if args.p not in table:
@@ -286,14 +303,9 @@ def cmd_lfactor(args) -> int:
     return EXIT_OK
 
 
-def _random_class(rng: random.Random, bound: float) -> SatakeClass:
-    def draw():
-        mod = math.exp(rng.uniform(-math.log(bound), math.log(bound)))
-        return mod * cmath.exp(2j * math.pi * rng.random())
-    return SatakeClass(draw(), draw(), rng.choice([2, 3, 5, 7]))
-
-
 def cmd_identity(args) -> int:
+    from .satake import SatakeClass
+
     suites = {
         "triple": localfactor.check_triple_identity,
         "twist": localfactor.check_twist_identity,
@@ -301,7 +313,13 @@ def cmd_identity(args) -> int:
     }
     chosen = list(suites) if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
-    classes = [_random_class(rng, args.bound) for _ in range(args.samples)]
+    log_bound = math.log(args.bound)
+
+    def draw():
+        mod = math.exp(rng.uniform(-log_bound, log_bound))
+        return mod * cmath.exp(2j * math.pi * rng.random())
+    classes = [SatakeClass(draw(), draw(), rng.choice([2, 3, 5, 7]))
+               for _ in range(args.samples)]
     failed = False
     rows = []
     for name in chosen:
@@ -315,6 +333,8 @@ def cmd_identity(args) -> int:
 
 
 def cmd_monomial_check(args) -> int:
+    from . import ingest, monomial
+
     data = ingest.parse_hecke(args.hecke)
     rows, failed = [], False
     for entry in data.entries:
@@ -332,6 +352,8 @@ def cmd_monomial_check(args) -> int:
 
 
 def cmd_intertwine(args) -> int:
+    from . import intertwining
+
     rng = random.Random(args.seed)
     rows, failed = [], False
     if args.q is not None and not args.grid:
@@ -386,9 +408,6 @@ def cmd_intertwine(args) -> int:
     return EXIT_FAIL if failed else EXIT_OK
 
 
-# the numeric commands import analytic (and with it numpy) when they run, so
-# that the exact commands start without it
-
 def cmd_euler(args) -> int:
     from . import analytic
 
@@ -417,7 +436,7 @@ def _build_sym3_table(form, cfg, points):
 
 
 def cmd_afe(args) -> int:
-    from . import analytic
+    from . import analytic, ingest
 
     form = _load_form(args.coeffs)
     cfg = ingest.parse_afe_config(args.config) if args.config \
@@ -447,7 +466,7 @@ def cmd_afe(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from . import analytic
+    from . import analytic, ingest
 
     form = _load_form(args.coeffs)
     cfg = ingest.parse_afe_config(args.config) if args.config \
@@ -575,8 +594,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ingest.FormParseError, ingest.HeckeParseError, OSError,
-            localfactor.LocalPoleError) as exc:
+    except (SymcubeInputError, OSError, localfactor.LocalPoleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

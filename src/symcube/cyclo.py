@@ -190,11 +190,6 @@ class Cyclo:
         return _make(1, {0: _rational(q)})
 
     @classmethod
-    def gaussian(cls, re, im=0) -> "Cyclo":
-        """The Gaussian rational re + im*i, as a combination of 1 and zeta_4."""
-        return _make(4, {0: _rational(re), 1: _rational(im)})
-
-    @classmethod
     def one(cls) -> "Cyclo":
         return _make(1, {0: 1})
 

@@ -17,16 +17,17 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .cyclo import Cyclo
+from . import SymcubeInputError
 from .localfactor import primes_upto
-from .monomial import INERT, SPLIT, HeckeLocalData
 from .satake import SatakeClass, satake_from_hecke
 
+# cyclo and monomial serve only parse_hecke, which imports them when it runs
 if TYPE_CHECKING:
     from .analytic import AFEConfig
+    from .monomial import HeckeLocalData
 
 
-class FormParseError(ValueError):
+class FormParseError(SymcubeInputError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
@@ -40,7 +41,7 @@ class MultiplicativityError(FormParseError):
                   f"a({m * n}) != a({m})*a({n})")
 
 
-class HeckeParseError(ValueError):
+class HeckeParseError(SymcubeInputError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
@@ -147,6 +148,7 @@ def _parse_char_value(token: str, line: int):
         except ValueError:
             raise HeckeParseError(line, f"bad re,im value {token!r}") from None
     if "/" in token:
+        from .cyclo import Cyclo
         try:
             k_s, n_s = token.split("/", 1)
             return Cyclo.root_of_unity(int(k_s), int(n_s))
@@ -161,6 +163,8 @@ def parse_hecke(path: str) -> ParsedHeckeData:
     Grammar: header ``field-disc D chi-order n`` (n may be ``unknown``), then
     lines ``p split v v`` or ``p inert v`` where v is ``k/n`` or ``re,im``.
     """
+    from .monomial import INERT, SPLIT, HeckeLocalData
+
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].strip():

@@ -107,12 +107,6 @@ class ReciprocalPoly:
             val = val * t + complex(c)
         return val
 
-    def lvalue(self, s: complex) -> complex:
-        """1 / P(q^{-s})."""
-        if self.q < 2:
-            raise ValueError("no residue cardinality attached")
-        return 1.0 / self.evaluate(self.q ** (-s))
-
     def __mul__(self, other: "ReciprocalPoly") -> "ReciprocalPoly":
         q = self.q or other.q
         return ReciprocalPoly(poly_mul(self.coeffs, other.coeffs), q)

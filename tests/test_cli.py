@@ -449,3 +449,75 @@ def test_exact_commands_do_not_load_numpy():
                          text=True, env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def _fresh_python(code):
+    """`python -c code` in a fresh interpreter that imports symcube from src/."""
+    out = subprocess.run([sys.executable, "-c", code], cwd=REPO, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    assert out.returncode == 0, out.stderr
+    return out
+
+
+_BASE = {"cli", "localfactor", "satake"}
+_RANK_TWO = _BASE | {"g2root", "intertwining"}
+_FORM = _BASE | {"ingest"}
+_COMMAND_MODULES = [
+    (["identity", "--samples", "10"], _BASE),
+    (["roots", "weyl"], _BASE | {"g2root"}),
+    (["region", "--grid", "20"], _RANK_TWO),
+    (["intertwine", "--samples", "10"], _RANK_TWO),
+    (["monomial-check", "--hecke", "data/hecke_q_sqrt_minus23.txt"],
+     _FORM | {"monomial", "cyclo"}),
+    (["satake", "--coeffs", "builtin:delta:200"], _FORM),
+    (["lfactor", "--coeffs", "builtin:delta:200", "--p", "7"], _FORM),
+    (["euler", "--coeffs", "builtin:delta:200", "--X", "100"], _FORM | {"analytic"}),
+    (["afe", "--coeffs", "builtin:delta:4000", "--config", "data/delta_sym3_afe.cfg"],
+     _FORM | {"analytic"}),
+    (["scan", "--coeffs", "builtin:delta:4000", "--grid", "3"], _FORM | {"analytic"}),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", _COMMAND_MODULES,
+                         ids=[argv[0] for argv, _ in _COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
+    """A fresh interpreter that runs one command in-process holds exactly
+    these symcube submodules afterwards."""
+    code = ("import contextlib, io, sys\n"
+            "from symcube.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('symcube.'))))\n")
+    out = _fresh_python(code)
+    assert out.stdout.split() == sorted(f"symcube.{m}" for m in loaded)
+
+
+def test_import_symcube_loads_no_submodule():
+    code = ("import sys, symcube\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('symcube.', 'numpy'))),"
+            " 'fractions' in sys.modules)\n")
+    assert _fresh_python(code).stdout == "[] False\n"
+
+
+@pytest.mark.parametrize("error, flag, text, err", [
+    ("FormParseError", "--coeffs", "weight 12 level 1 character trivial\n1 1\n2 x\n",
+     "input error: line 3: bad number in '2 x'\n"),
+    ("MultiplicativityError", "--coeffs",
+     "weight 12 level 1 character trivial\n1 1\n2 1\n3 1\n6 5\n",
+     "input error: multiplicativity fails at coprime pair (2, 3): a(6) != a(2)*a(3)\n"),
+    ("HeckeParseError", "--hecke", "field-disc -23 chi-order 3\n2 split 1/0 2/3\n",
+     "input error: line 2: bad root-of-unity shorthand '1/0'\n"),
+], ids=["FormParseError", "MultiplicativityError", "HeckeParseError"])
+def test_parse_errors_are_symcube_input_errors(tmp_path, error, flag, text, err):
+    import symcube
+    from symcube import ingest
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    parse = ingest.parse_form if flag == "--coeffs" else ingest.parse_hecke
+    with pytest.raises(symcube.SymcubeInputError) as exc:
+        parse(str(path))
+    assert type(exc.value) is getattr(ingest, error)
+    assert isinstance(exc.value, ValueError)
+    command = "satake" if flag == "--coeffs" else "monomial-check"
+    out = run_cold([command, flag, str(path)])
+    assert (out.returncode, out.stdout, out.stderr.decode()) == (2, b"", err)

@@ -44,7 +44,7 @@ def test_package_imports_only_stdlib_and_declared_dependencies():
 
 
 def test_every_export_resolves_to_its_modules_object():
-    """The names the package exports, numeric ones resolved on first use."""
+    """The names the package exports, every name resolved on first use."""
     import symcube
     modules = {
         "g2root": ["Affine", "RootVector", "WeightVector", "WeylElement",
