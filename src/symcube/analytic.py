@@ -141,11 +141,10 @@ def partial_L(s: complex, X: int,
                                outside_convergence=(complex(s).real <= 1.0))
 
 
-def dirichlet_sum(s: complex, coeffs: CoefficientTable, N: Optional[int] = None) -> complex:
+def dirichlet_sum(s: complex, coeffs: CoefficientTable) -> complex:
     """Plain truncated Dirichlet series, the cross-check partner of partial_L."""
-    N = coeffs.n_max if N is None else min(N, coeffs.n_max)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    return complex(np.sum(coeffs.values[1:N + 1] * n ** (-complex(s))))
+    n = np.arange(1, coeffs.n_max + 1, dtype=np.float64)
+    return complex(np.sum(coeffs.values[1:] * n ** (-complex(s))))
 
 
 # --- smoothed completed-value machinery -----------------------------------
@@ -169,9 +168,16 @@ class AFEConfig:
     x_scale: float = 16.0         # reflection-suppression scale
 
     def __post_init__(self):
-        if not self.gamma_shifts:
-            raise ValueError("gamma_shifts must be nonempty")
-        object.__setattr__(self, "gamma_shifts", tuple(float(k) for k in self.gamma_shifts))
+        shifts = tuple(float(k) for k in self.gamma_shifts)
+        if not shifts or not all(map(math.isfinite, shifts)):
+            raise ValueError(f"gamma_shifts must be nonempty and finite, got {shifts}")
+        if not (math.isfinite(self.x_scale) and self.x_scale > 0):
+            raise ValueError(f"x_scale must be a finite number > 0, got {self.x_scale}")
+        if not self.conductor >= 1:
+            raise ValueError(f"conductor must be >= 1, got {self.conductor}")
+        if not self.cutoff >= 0:
+            raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
+        object.__setattr__(self, "gamma_shifts", shifts)
 
 
 def delta_sym3_config(cutoff: int = 4000) -> AFEConfig:

@@ -205,7 +205,7 @@ def _sym3_factors(form, limit):
     """The sym3 factor map of the primes p <= limit; 1 at those dividing the level."""
     from . import ingest
 
-    factors = {p: localfactor.ReciprocalPoly([1], p)
+    factors = {p: localfactor.ReciprocalPoly([1])
                for p in localfactor.primes_upto(limit) if form.level % p == 0}
     factors.update((p, localfactor.local_factor(RepTag.SYM3, c))
                    for p, c in ingest.satake_table(form).items() if p <= limit)
@@ -533,8 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lfactor", help="one local factor as a polynomial")
     p.add_argument("--coeffs", required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--tag", default="sym3",
-                   choices=[t.value for t in RepTag if t is not RepTag.RANKIN_SELBERG])
+    p.add_argument("--tag", default="sym3", choices=[t.value for t in RepTag])
     common(p)
     p.set_defaults(fn=cmd_lfactor)
 

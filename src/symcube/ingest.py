@@ -47,6 +47,14 @@ class HeckeParseError(SymcubeInputError):
         super().__init__(f"line {line}: {message}")
 
 
+class ConfigParseError(SymcubeInputError):
+    """A fault in an AFE config file, at a line, or else in a key's value."""
+
+    def __init__(self, line: Optional[int], message: str):
+        self.line = line
+        super().__init__(f"config line {line}: {message}" if line else f"config: {message}")
+
+
 @dataclass
 class ParsedForm:
     weight: int
@@ -59,7 +67,7 @@ class ParsedForm:
         return max(self.coefficients) if self.coefficients else 0
 
 
-def _audit_multiplicativity(coeffs: Dict[int, object], seed: int = 20121) -> None:
+def _audit_multiplicativity(coeffs: Dict[int, object]) -> None:
     """a(mn) = a(m) a(n) on all small coprime pairs plus 50 seeded larger ones."""
     nmax = max(coeffs)
     pairs = set()
@@ -67,7 +75,7 @@ def _audit_multiplicativity(coeffs: Dict[int, object], seed: int = 20121) -> Non
         for n in range(m + 1, max(m + 2, 1000 // m + 1)):
             if m * n <= nmax and math.gcd(m, n) == 1:
                 pairs.add((m, n))
-    rng = random.Random(seed)
+    rng = random.Random(20121)
     extra, attempts = 0, 0
     while extra < 50 and attempts < 2000 and nmax > 6:
         attempts += 1
@@ -122,6 +130,8 @@ def parse_form(path: str) -> ParsedForm:
             a = int(bits[1]) if "." not in bits[1] else float(bits[1])
         except ValueError:
             raise FormParseError(i, f"bad number in {raw!r}") from None
+        if isinstance(a, float) and not math.isfinite(a):
+            raise FormParseError(i, f"non-finite coefficient in {raw!r}")
         if n <= prev:
             raise FormParseError(i, f"indices must ascend; saw {n} after {prev}")
         prev = n
@@ -176,7 +186,13 @@ def parse_hecke(path: str) -> ParsedHeckeData:
         disc = int(head[1])
     except ValueError:
         raise HeckeParseError(1, "field-disc must be an integer") from None
-    order = None if head[3] == "unknown" else int(head[3])
+    try:
+        order = None if head[3] == "unknown" else int(head[3])
+    except ValueError:
+        order = 0
+    if order is not None and order < 1:
+        raise HeckeParseError(1, f"chi-order must be an integer >= 1 or unknown, "
+                                 f"got {head[3]!r}")
     entries, seen = [], set()
     for i, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -214,36 +230,49 @@ def parse_hecke(path: str) -> ParsedHeckeData:
     return ParsedHeckeData(entries, chi_order=order, field_disc=disc)
 
 
+_SELF_DUAL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# the keys of a config file, each with the parser of its value
+_CONFIG_KEYS = {"gamma_shifts": lambda t: tuple(float(x) for x in t.split(",")),
+                "degree": int, "conductor": int, "cutoff": int, "x_scale": float,
+                "self_dual": lambda t: _SELF_DUAL[t.lower()]}
+
+
 def parse_afe_config(path: str) -> AFEConfig:
     """key = value lines: gamma_shifts, conductor, cutoff, self_dual, x_scale.
 
-    An optional degree key must equal twice the number of gamma shifts.
+    An optional degree key must equal twice the number of gamma shifts.  A
+    fault raises ConfigParseError, at its line where it has one: a line
+    without =, an unknown key, a value that does not parse, a missing
+    gamma_shifts, a wrong degree, a value AFEConfig rejects.
     """
     from .analytic import AFEConfig   # analytic loads numpy; parsing does not
 
-    values = {}
+    fields = {}
     with open(path) as fh:
         for i, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"config line {i}: expected key = value, got {raw!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    if "gamma_shifts" not in values:
-        raise ValueError("config must set gamma_shifts")
-    shifts = tuple(float(x) for x in values["gamma_shifts"].split(","))
-    if "degree" in values and int(values["degree"]) != 2 * len(shifts):
-        raise ValueError(f"config degree = {values['degree']} disagrees with "
-                         f"{len(shifts)} gamma shifts (degree {2 * len(shifts)})")
-    return AFEConfig(
-        gamma_shifts=shifts,
-        conductor=int(values.get("conductor", 1)),
-        self_dual=values.get("self_dual", "true").lower() in ("true", "1", "yes"),
-        cutoff=int(values.get("cutoff", 0)),
-        x_scale=float(values.get("x_scale", 16.0)),
-    )
+            key, eq, val = (t.strip() for t in line.partition("="))
+            if not eq:
+                raise ConfigParseError(i, f"expected key = value, got {raw!r}")
+            if key not in _CONFIG_KEYS:
+                raise ConfigParseError(i, f"unknown key {key!r}; the keys are "
+                                          f"{', '.join(_CONFIG_KEYS)}")
+            try:
+                fields[key] = _CONFIG_KEYS[key](val)
+            except (ValueError, KeyError):
+                raise ConfigParseError(i, f"bad {key} value {val!r}") from None
+    if "gamma_shifts" not in fields:
+        raise ConfigParseError(None, "gamma_shifts must be set")
+    n, degree = len(fields["gamma_shifts"]), fields.pop("degree", None)
+    if degree is not None and degree != 2 * n:
+        raise ConfigParseError(None, f"degree = {degree} disagrees with {n} gamma "
+                                     f"shifts (degree {2 * n})")
+    try:
+        return AFEConfig(**fields)
+    except ValueError as exc:
+        raise ConfigParseError(None, str(exc)) from None
 
 
 # --- built-in q-expansion oracle ------------------------------------------

@@ -173,13 +173,7 @@ def gk_pole_set(mu_order, r) -> Set:
 
 # --- unitarity of the degenerate-quotient family --------------------------
 
-@dataclass(frozen=True)
-class UnitarityCase:
-    rep: sk.LocalRepClass
-    s: float
-
-
-def langlands_quotient_unitary(case: UnitarityCase) -> bool:
+def langlands_quotient_unitary(rep: sk.LocalRepClass, s: float) -> bool:
     """Unitarity of the quotient at tempered data and real s, case by case.
 
     Supercuspidal self-dual with trivial central character: 0 < s <= 1/2.
@@ -188,7 +182,7 @@ def langlands_quotient_unitary(case: UnitarityCase) -> bool:
     pi(mu, mu^{-1}) with mu^3 != 1: 0 < s <= 1/2; with mu^3 = 1 also s = 1.
     pi(1, mu) with mu of order two: 0 < s <= 1.
     """
-    rep, s = case.rep, float(case.s)
+    s = float(s)
     if rep.kind == sk.COMPLEMENTARY:
         raise ValueError("complementary-series data: use region_membership")
     if rep.kind == sk.SUPERCUSPIDAL_SELFDUAL:

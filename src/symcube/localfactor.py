@@ -27,15 +27,7 @@ class RepTag(enum.Enum):
     ADJOINT_CUBE = "adjoint-cube"
     WEDGE2 = "wedge2"
     GJ_ADJOINT = "gj-adjoint"
-    RANKIN_SELBERG = "rankin-selberg"
     TRIPLE = "triple"
-
-
-TAG_DEGREE = {
-    RepTag.STANDARD: 2, RepTag.SYM2: 3, RepTag.SYM3: 4,
-    RepTag.ADJOINT_CUBE: 4, RepTag.WEDGE2: 1, RepTag.GJ_ADJOINT: 3,
-    RepTag.RANKIN_SELBERG: 6, RepTag.TRIPLE: 8,
-}
 
 
 def primes_upto(n: int) -> list:
@@ -82,9 +74,8 @@ class ReciprocalPoly:
     """Dense polynomial P(T) with P(0) = 1; the local factor is 1/P."""
 
     coeffs: tuple
-    q: int = 0
 
-    def __init__(self, coeffs, q: int = 0):
+    def __init__(self, coeffs):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("empty coefficient list")
@@ -92,14 +83,13 @@ class ReciprocalPoly:
         if not (lead == 1 or abs(complex(lead) - 1) < 1e-12):
             raise ValueError("constant coefficient must be 1")
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "q", q)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def to_complex(self) -> "ReciprocalPoly":
-        return ReciprocalPoly([complex(c) for c in self.coeffs], self.q)
+        return ReciprocalPoly([complex(c) for c in self.coeffs])
 
     def evaluate(self, t: complex) -> complex:
         val = 0j
@@ -108,8 +98,7 @@ class ReciprocalPoly:
         return val
 
     def __mul__(self, other: "ReciprocalPoly") -> "ReciprocalPoly":
-        q = self.q or other.q
-        return ReciprocalPoly(poly_mul(self.coeffs, other.coeffs), q)
+        return ReciprocalPoly(poly_mul(self.coeffs, other.coeffs))
 
     def max_coeff_diff(self, other: "ReciprocalPoly") -> float:
         """Largest coefficient discrepancy, scaled by the largest coefficient.
@@ -163,11 +152,11 @@ def eigenvalues(tag: RepTag, c: SatakeClass) -> list:
     if tag is RepTag.TRIPLE:
         # tensor cube: alpha^3 once, alpha^2 beta and alpha beta^2 three times
         return [aa * a, aab, aab, aab, abb, abb, abb, bb * b]
-    raise ValueError(f"{tag} has no direct eigenvalue list")
+    raise ValueError(f"unknown representation tag {tag!r}")
 
 
 def local_factor(tag: RepTag, c: SatakeClass) -> ReciprocalPoly:
-    return ReciprocalPoly(poly_from_eigenvalues(eigenvalues(tag, c)), c.q)
+    return ReciprocalPoly(poly_from_eigenvalues(eigenvalues(tag, c)))
 
 
 def rankin_selberg(a: SatakeClass, b_eigen: Sequence) -> ReciprocalPoly:
@@ -175,7 +164,7 @@ def rankin_selberg(a: SatakeClass, b_eigen: Sequence) -> ReciprocalPoly:
     if not b_eigen:
         raise ValueError("empty eigenvalue list")
     pairs = [x * y for x in (a.alpha, a.beta) for y in b_eigen]
-    return ReciprocalPoly(poly_from_eigenvalues(pairs), a.q)
+    return ReciprocalPoly(poly_from_eigenvalues(pairs))
 
 
 def triple_product(c: SatakeClass) -> ReciprocalPoly:

@@ -133,7 +133,7 @@ def hecke_factor(d: HeckeLocalData, exponents: Tuple[int, int]) -> ReciprocalPol
     else:
         v = d.chi_p ** (a + b)
         coeffs = [1, 0, -v]
-    return ReciprocalPoly(coeffs, d.p)
+    return ReciprocalPoly(coeffs)
 
 
 def check_monomial_r3(d: HeckeLocalData) -> float:
@@ -158,10 +158,9 @@ ENTIRE = "entire"
 class PoleVerdict:
     kind: str
     poles: Tuple[Fraction, ...] = ()
-    simple: bool = True
 
 
-def pole_criterion(order_of_chi: int, chi_is_trivial: bool = False) -> PoleVerdict:
+def pole_criterion(order_of_chi: int) -> PoleVerdict:
     """Pole locus of the completed sym-cube L-function in the dihedral case.
 
     Poles (simple, at s = 0 and 1) occur exactly when chi^3 = 1; a trivial
@@ -169,7 +168,7 @@ def pole_criterion(order_of_chi: int, chi_is_trivial: bool = False) -> PoleVerdi
     """
     if order_of_chi < 1:
         raise ValueError("character order must be >= 1")
-    if chi_is_trivial or order_of_chi == 1:
+    if order_of_chi == 1:
         raise ValueError("trivial chi gives a non-cuspidal induced representation")
     if order_of_chi == 3:
         return PoleVerdict(HAS_POLE, poles=(Fraction(0), Fraction(1)))

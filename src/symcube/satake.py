@@ -29,14 +29,14 @@ class SatakeClass:
         """omega(uniformizer) = alpha * beta."""
         return self.alpha * self.beta
 
-    def same_class(self, other: "SatakeClass", tol: float = 1e-12) -> bool:
-        """Equality as unordered pairs, up to tol."""
+    def same_class(self, other: "SatakeClass") -> bool:
+        """Equality as unordered pairs, up to 1e-12 in each parameter."""
         if self.q != other.q:
             return False
         a, b = complex(self.alpha), complex(self.beta)
         c, d = complex(other.alpha), complex(other.beta)
-        return (abs(a - c) <= tol and abs(b - d) <= tol) or \
-               (abs(a - d) <= tol and abs(b - c) <= tol)
+        return (abs(a - c) <= 1e-12 and abs(b - d) <= 1e-12) or \
+               (abs(a - d) <= 1e-12 and abs(b - c) <= 1e-12)
 
 
 def satake_from_hecke(a_p, p: int, k: int, omega_p=1.0) -> SatakeClass:
@@ -77,7 +77,7 @@ def is_tempered(c: SatakeClass, tol: float = DEFAULT_TOL) -> bool:
             and abs(abs(complex(c.beta)) - 1.0) <= tol)
 
 
-def complementary_params(c: SatakeClass, tol: float = DEFAULT_TOL):
+def complementary_params(c: SatakeClass):
     """Recover (mu, r) when {alpha, beta} = {mu q^{-r}, mu q^{r}}, 0 < r < 1/2.
 
     Returns None when the class is not a complementary-series parameter.
@@ -86,15 +86,15 @@ def complementary_params(c: SatakeClass, tol: float = DEFAULT_TOL):
     if abs(a) < abs(b):
         a, b = b, a
     # now |a| >= |b|; expect a = mu q^r, b = mu q^{-r}
-    if abs(a * b) < tol:
+    if abs(a * b) < DEFAULT_TOL:
         return None
-    if abs(abs(a) * abs(b) - 1.0) > tol:
+    if abs(abs(a) * abs(b) - 1.0) > DEFAULT_TOL:
         return None
     r = math.log(abs(a)) / math.log(c.q)
-    if r <= tol or r >= 0.5 - tol:
+    if r <= DEFAULT_TOL or r >= 0.5 - DEFAULT_TOL:
         return None
     mu_a, mu_b = a / abs(a), b / abs(b)
-    if abs(mu_a - mu_b) > tol:
+    if abs(mu_a - mu_b) > DEFAULT_TOL:
         return None
     return (mu_a, r)
 

@@ -70,7 +70,7 @@ def test_missing_prime_signaled():
 def test_ramified_primes_contribute_one():
     factors = {p: local_factor(RepTag.SYM3, SatakeClass(1.0, 1.0, p))
                for p in primes_upto(30)}
-    factors[2] = ReciprocalPoly([1], 2)
+    factors[2] = ReciprocalPoly([1])
     t = dirichlet_coeffs(factors, 30)
     assert complex(t.values[2]) == 0.0 and complex(t.values[4]) == 0.0
     assert complex(t.values[6]) == 0.0
@@ -100,14 +100,18 @@ def test_euler_dirichlet_agreement(delta_sym3_factors_8k, delta_sym3_coeffs_8k):
 
 def test_local_pole_error():
     # eigenvalue 2^{s0} at p=2 puts a zero of P at s = s0
-    poly = ReciprocalPoly([1.0, -2.0 ** 1.5], q=2)
+    poly = ReciprocalPoly([1.0, -2.0 ** 1.5])
     with pytest.raises(LocalPoleError):
-        partial_L(1.5, 3, {2: poly, 3: ReciprocalPoly([1.0, -1.0], q=3)})
+        partial_L(1.5, 3, {2: poly, 3: ReciprocalPoly([1.0, -1.0])})
 
 
 def test_afe_config_validation():
-    with pytest.raises(ValueError):
-        AFEConfig(gamma_shifts=())
+    for bad in ({"gamma_shifts": ()}, {"gamma_shifts": (math.nan, 16.5)},
+                {"gamma_shifts": (5.5, math.inf)}, {"x_scale": 0.0}, {"x_scale": -3.0},
+                {"x_scale": math.inf}, {"x_scale": math.nan}, {"conductor": 0},
+                {"conductor": math.nan}, {"cutoff": -5}):
+        with pytest.raises(ValueError):
+            AFEConfig(**{"gamma_shifts": (5.5, 16.5), **bad})
     cfg = delta_sym3_config()
     assert analytic_conductor(0.5, cfg) > 1
 

@@ -356,7 +356,7 @@ def test_euler_leaves_out_primes_dividing_the_level(tmp_path):
     assert out.returncode == 0, out.stderr
     factors = {p: local_factor(RepTag.SYM3, c)
                for p, c in satake_table(parse_form(str(path))).items() if p <= 50}
-    factors[2] = ReciprocalPoly([1], 2)
+    factors[2] = ReciprocalPoly([1])
     want = partial_L(3, 50, factors).value
     assert json.loads(out.stdout)["value"] == [want.real, want.imag]
 
@@ -369,7 +369,7 @@ def test_sym3_table_of_a_level_2_form_vanishes_at_powers_of_2(tmp_path):
     form = parse_form(str(_level_2_copy(tmp_path)))
     coeffs = _build_sym3_table(form, AFEConfig((5.5, 16.5), cutoff=100), [0.5])
     factors = _sym3_factors(form, 100)
-    assert factors[2] == ReciprocalPoly([1], 2)
+    assert factors[2] == ReciprocalPoly([1])
     want = dirichlet_coeffs(factors, 100)
     assert np.array_equal(coeffs.values, want.values)
     assert not coeffs.values[[2, 4, 8, 16, 32, 64]].any()
@@ -499,6 +499,34 @@ def test_import_symcube_loads_no_submodule():
     assert _fresh_python(code).stdout == "[] False\n"
 
 
+_CONFIG = "gamma_shifts = 5.5, 16.5\ncutoff = 4000\n"
+# each bad config row: (id, file text, the error's text after "config")
+_BAD_CONFIGS = [
+    ("no-equals", "nothing here\n", " line 1: expected key = value, got 'nothing here\\n'"),
+    ("no-gamma-shifts", "conductor = 1\n", ": gamma_shifts must be set"),
+    ("bad-shift", "gamma_shifts = 5.5, x\n", " line 1: bad gamma_shifts value '5.5, x'"),
+    ("bad-conductor", _CONFIG + "conductor = one\n", " line 3: bad conductor value 'one'"),
+    ("degree", _CONFIG + "degree = 6\n",
+     ": degree = 6 disagrees with 2 gamma shifts (degree 4)"),
+    ("self-dual", _CONFIG + "self_dual = maybe\n", " line 3: bad self_dual value 'maybe'"),
+    ("unknown-key", _CONFIG + "x-scale = 32\n", " line 3: unknown key 'x-scale'; the keys "
+     "are gamma_shifts, degree, conductor, cutoff, x_scale, self_dual"),
+    ("x-scale-negative", _CONFIG + "x_scale = -3\n",
+     ": x_scale must be a finite number > 0, got -3.0"),
+    ("x-scale-inf", _CONFIG + "x_scale = inf\n", ": x_scale must be a finite number > 0, got inf"),
+    ("x-scale-zero", _CONFIG + "x_scale = 0\n", ": x_scale must be a finite number > 0, got 0.0"),
+    ("nan-shift", "gamma_shifts = nan, 16.5\ncutoff = 4000\n",
+     ": gamma_shifts must be nonempty and finite, got (nan, 16.5)"),
+    ("conductor-zero", _CONFIG + "conductor = 0\n", ": conductor must be >= 1, got 0"),
+    ("cutoff-negative", "gamma_shifts = 5.5, 16.5\ncutoff = -5\n",
+     ": cutoff must be >= 0, got -5"),
+]
+# per file flag: the parser, and the command that reads the file
+_READERS = {"--coeffs": ("parse_form", ["satake"]),
+            "--hecke": ("parse_hecke", ["monomial-check"]),
+            "--config": ("parse_afe_config", ["scan", "--coeffs", "builtin:delta:4000"])}
+
+
 @pytest.mark.parametrize("error, flag, text, err", [
     ("FormParseError", "--coeffs", "weight 12 level 1 character trivial\n1 1\n2 x\n",
      "input error: line 3: bad number in '2 x'\n"),
@@ -507,17 +535,26 @@ def test_import_symcube_loads_no_submodule():
      "input error: multiplicativity fails at coprime pair (2, 3): a(6) != a(2)*a(3)\n"),
     ("HeckeParseError", "--hecke", "field-disc -23 chi-order 3\n2 split 1/0 2/3\n",
      "input error: line 2: bad root-of-unity shorthand '1/0'\n"),
-], ids=["FormParseError", "MultiplicativityError", "HeckeParseError"])
+    ("HeckeParseError", "--hecke", "field-disc -23 chi-order x\n2 split 1/3 2/3\n",
+     "input error: line 1: chi-order must be an integer >= 1 or unknown, got 'x'\n"),
+    ("FormParseError", "--coeffs", "weight 12 level 1 character trivial\n1 1\n2 1.e400\n",
+     "input error: line 3: non-finite coefficient in '2 1.e400'\n"),
+    *(("ConfigParseError", "--config", text, f"input error: config{err}\n")
+      for _, text, err in _BAD_CONFIGS),
+], ids=["FormParseError", "MultiplicativityError", "HeckeParseError",
+        "HeckeParseError-chi-order", "FormParseError-non-finite",
+        *(f"ConfigParseError-{name}" for name, _, _ in _BAD_CONFIGS)])
 def test_parse_errors_are_symcube_input_errors(tmp_path, error, flag, text, err):
+    """Each fault is a SymcubeInputError of its parser, and the command that
+    reads the file exits 2 on it with that one stderr line."""
     import symcube
     from symcube import ingest
     path = tmp_path / "input.txt"
     path.write_text(text)
-    parse = ingest.parse_form if flag == "--coeffs" else ingest.parse_hecke
+    parse, command = _READERS[flag]
     with pytest.raises(symcube.SymcubeInputError) as exc:
-        parse(str(path))
+        getattr(ingest, parse)(str(path))
     assert type(exc.value) is getattr(ingest, error)
     assert isinstance(exc.value, ValueError)
-    command = "satake" if flag == "--coeffs" else "monomial-check"
-    out = run_cold([command, flag, str(path)])
+    out = run_cold([*command, flag, str(path)])
     assert (out.returncode, out.stdout, out.stderr.decode()) == (2, b"", err)

@@ -85,7 +85,7 @@ def factor_maps(draw, n_min=1):
     for p in primes_upto(N):
         degree = draw(st.sampled_from([0, 0, 1, 2, 3, 4]))
         coeff = cyclo_coeff if draw(st.booleans()) else complex_coeff
-        factors[p] = ReciprocalPoly([1, *(draw(coeff) for _ in range(degree))], p)
+        factors[p] = ReciprocalPoly([1, *(draw(coeff) for _ in range(degree))])
     return N, factors
 
 
@@ -126,8 +126,8 @@ def test_degree_0_factors_leave_partial_L_bits_unchanged(delta_sym3_factors_8k, 
     # level 35: the factor 1 sits past the first primes, where the Kahan
     # compensation is already nonzero
     factors = dict(delta_sym3_factors_8k)
-    factors[5] = ReciprocalPoly([1], 5)
-    factors[7] = ReciprocalPoly([1], 7)
+    factors[5] = ReciprocalPoly([1])
+    factors[7] = ReciprocalPoly([1])
     trace = partial_L(s, 8192, factors)
     value, checkpoints = reference_partial_L(s, 8192, factors, {5, 7})
     assert trace.value == value and trace.checkpoints == checkpoints

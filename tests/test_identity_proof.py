@@ -124,5 +124,5 @@ def test_a_false_identity_is_reported_not_raised():
     c = SatakeClass(X, Y, 5)
     sym3, adj3 = local_factor(RepTag.SYM3, c), local_factor(RepTag.ADJOINT_CUBE, c)
     assert sym3.max_coeff_diff(adj3) > 0.1
-    dropped = ReciprocalPoly(poly_from_eigenvalues([X * X * X, X * X * Y, Y * Y * Y]), 5)
+    dropped = ReciprocalPoly(poly_from_eigenvalues([X * X * X, X * X * Y, Y * Y * Y]))
     assert sym3.max_coeff_diff(dropped) > 0.1

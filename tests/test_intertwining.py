@@ -14,7 +14,7 @@ from symcube.g2root import POSITIVE_ROOTS, RootVector, lambda_weight, pairing
 from symcube.intertwining import (
     BOUNDARY, FORBIDDEN_VERTICES, LOWER, LOWER_VERTICES, MU_ORDER2,
     MU_TRIVIAL, OUTSIDE, UPPER, UPPER_VERTICES, IntertwiningPole,
-    PrincipalParams, UnitarityCase, forbidden_triangle_contains,
+    PrincipalParams, forbidden_triangle_contains,
     gk_coefficient, gk_pole_set, l_ratio, langlands_quotient_unitary,
     _sign_values, principal_series_pole_set, region_grid, region_membership,
     torus_character_value, _GK_TABLE, _p_value)
@@ -178,31 +178,30 @@ def test_unitarity_cases():
     mu_cubic = LocalRepClass(PRINCIPAL_TEMPERED, mu=cmath.exp(2j * math.pi / 3))
     mu_two = LocalRepClass(PRINCIPAL_TEMPERED, mu=-1.0, pair_form=PAIR_ONE_MU)
 
-    assert langlands_quotient_unitary(UnitarityCase(sc, 0.4))
-    assert langlands_quotient_unitary(UnitarityCase(sc, 0.5))
-    assert not langlands_quotient_unitary(UnitarityCase(sc, 0.6))
-    assert langlands_quotient_unitary(UnitarityCase(s3, 1.0))
-    assert not langlands_quotient_unitary(UnitarityCase(s3, 1.1))
-    assert langlands_quotient_unitary(UnitarityCase(ds, 0.25))
-    assert not langlands_quotient_unitary(UnitarityCase(ds, 0.75))
+    assert langlands_quotient_unitary(sc, 0.4)
+    assert langlands_quotient_unitary(sc, 0.5)
+    assert not langlands_quotient_unitary(sc, 0.6)
+    assert langlands_quotient_unitary(s3, 1.0)
+    assert not langlands_quotient_unitary(s3, 1.1)
+    assert langlands_quotient_unitary(ds, 0.25)
+    assert not langlands_quotient_unitary(ds, 0.75)
 
-    assert not langlands_quotient_unitary(UnitarityCase(mu_generic, 0.7))
-    assert langlands_quotient_unitary(UnitarityCase(mu_generic, 0.5))
-    assert langlands_quotient_unitary(UnitarityCase(mu_cubic, 1.0))
-    assert not langlands_quotient_unitary(UnitarityCase(mu_cubic, 0.9))
-    assert langlands_quotient_unitary(UnitarityCase(mu_cubic, 0.3))
-    assert langlands_quotient_unitary(UnitarityCase(mu_two, 0.9))
-    assert langlands_quotient_unitary(UnitarityCase(mu_two, 1.0))
-    assert not langlands_quotient_unitary(UnitarityCase(mu_two, 1.5))
-    assert not langlands_quotient_unitary(UnitarityCase(sc, 0.0))
-    assert not langlands_quotient_unitary(UnitarityCase(sc, -0.3))
+    assert not langlands_quotient_unitary(mu_generic, 0.7)
+    assert langlands_quotient_unitary(mu_generic, 0.5)
+    assert langlands_quotient_unitary(mu_cubic, 1.0)
+    assert not langlands_quotient_unitary(mu_cubic, 0.9)
+    assert langlands_quotient_unitary(mu_cubic, 0.3)
+    assert langlands_quotient_unitary(mu_two, 0.9)
+    assert langlands_quotient_unitary(mu_two, 1.0)
+    assert not langlands_quotient_unitary(mu_two, 1.5)
+    assert not langlands_quotient_unitary(sc, 0.0)
+    assert not langlands_quotient_unitary(sc, -0.3)
 
     with pytest.raises(ValueError):
-        langlands_quotient_unitary(
-            UnitarityCase(LocalRepClass(COMPLEMENTARY, mu=1.0, r=0.2), 0.5))
+        langlands_quotient_unitary(LocalRepClass(COMPLEMENTARY, mu=1.0, r=0.2), 0.5)
     with pytest.raises(ValueError):   # pi(1, mu) needs mu of order two
-        langlands_quotient_unitary(UnitarityCase(
-            LocalRepClass(PRINCIPAL_TEMPERED, mu=1j, pair_form=PAIR_ONE_MU), 0.5))
+        langlands_quotient_unitary(
+            LocalRepClass(PRINCIPAL_TEMPERED, mu=1j, pair_form=PAIR_ONE_MU), 0.5)
 
 
 @pytest.mark.parametrize("mu, pair_form, s, unitary", [
@@ -217,7 +216,7 @@ def test_directly_built_principal_classes_read_their_order_from_mu(
         mu, pair_form, s, unitary):
     """A class built straight from its mu gets the verdict its mu implies."""
     rep = LocalRepClass(PRINCIPAL_TEMPERED, mu=mu, pair_form=pair_form)
-    assert langlands_quotient_unitary(UnitarityCase(rep, s)) is unitary
+    assert langlands_quotient_unitary(rep, s) is unitary
 
 
 def test_region_vertices_are_boundary():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from symcube.cyclo import Cyclo
 from symcube.localfactor import (
-    RepTag, ReciprocalPoly, TAG_DEGREE, check_gj_identity,
+    RepTag, ReciprocalPoly, check_gj_identity,
     check_triple_identity, check_twist_identity, eigenvalues, local_factor,
     poly_from_eigenvalues, rankin_selberg, triple_product)
 from symcube.satake import SatakeClass, contragredient
@@ -62,9 +62,10 @@ def test_poly_from_eigenvalues_equals_the_product_chain(eigen):
 def test_degree_contract():
     rng = random.Random(1)
     c = _random_class(rng)
-    for tag, deg in TAG_DEGREE.items():
-        if tag is RepTag.RANKIN_SELBERG:
-            continue
+    degrees = {RepTag.STANDARD: 2, RepTag.SYM2: 3, RepTag.SYM3: 4, RepTag.ADJOINT_CUBE: 4,
+               RepTag.WEDGE2: 1, RepTag.GJ_ADJOINT: 3, RepTag.TRIPLE: 8}
+    assert set(degrees) == set(RepTag)
+    for tag, deg in degrees.items():
         assert local_factor(tag, c).degree == deg
     lift = eigenvalues(RepTag.GJ_ADJOINT, c)
     assert rankin_selberg(c, lift).degree == 6
@@ -223,7 +224,7 @@ def test_reciprocal_poly_contracts():
         ReciprocalPoly([2.0, 1.0])
     with pytest.raises(ValueError):
         ReciprocalPoly([])
-    assert ReciprocalPoly([1.0, -0.5], q=2).coeffs == (1.0, -0.5)
+    assert ReciprocalPoly([1.0, -0.5]).coeffs == (1.0, -0.5)
 
 
 def test_degenerate_parameter_rejected():

@@ -261,13 +261,10 @@ def test_char_poly_4x4_equals_the_full_expansion(n):
 def test_pole_criterion():
     assert pole_criterion(3).kind == HAS_POLE
     assert pole_criterion(3).poles == (Q(0), Q(1))
-    assert pole_criterion(3).simple
     assert pole_criterion(4).kind == ENTIRE
     assert pole_criterion(2).kind == ENTIRE
     assert pole_criterion(6).kind == ENTIRE    # chi^3 has order 2, not 1
     with pytest.raises(ValueError):
         pole_criterion(1)
-    with pytest.raises(ValueError):
-        pole_criterion(5, chi_is_trivial=True)
     with pytest.raises(ValueError):
         pole_criterion(0)

@@ -43,42 +43,6 @@ def test_package_imports_only_stdlib_and_declared_dependencies():
     assert not undeclared
 
 
-def test_every_export_resolves_to_its_modules_object():
-    """The names the package exports, every name resolved on first use."""
-    import symcube
-    modules = {
-        "g2root": ["Affine", "RootVector", "WeightVector", "WeylElement",
-                   "POSITIVE_ROOTS", "coroot_decomposition", "gram", "inverted_roots",
-                   "lambda_weight", "pairing", "pairing_table", "reflect",
-                   "rho_parabolic", "weyl_group"],
-        "cyclo": ["Cyclo"],
-        "satake": ["LocalRepClass", "SatakeClass", "complementary_params",
-                   "contragredient", "is_tempered", "satake_from_hecke", "twist"],
-        "localfactor": ["RepTag", "ReciprocalPoly", "check_gj_identity",
-                        "check_triple_identity", "check_twist_identity",
-                        "local_factor", "rankin_selberg", "triple_product"],
-        "monomial": ["HeckeLocalData", "adjointcube_char_poly",
-                     "check_monomial_r3", "check_monomial_r30", "hecke_factor",
-                     "induced_local", "pole_criterion", "symcube_char_poly"],
-        "intertwining": ["PrincipalParams", "UnitarityCase",
-                         "forbidden_triangle_contains", "gk_coefficient",
-                         "gk_pole_set", "l_ratio", "langlands_quotient_unitary",
-                         "principal_series_pole_set", "region_grid",
-                         "region_membership", "torus_character_value"],
-        "analytic": ["AFEConfig", "CoefficientTable", "afe_value", "afe_values",
-                     "delta_sym3_config", "dirichlet_coeffs", "dirichlet_sum",
-                     "epsilon_probe", "inject_pole_factor", "partial_L", "pole_scan"],
-        "ingest": ["ParsedForm", "ParsedHeckeData", "delta_form", "eta24_qexpansion",
-                   "parse_afe_config", "parse_form", "parse_hecke", "satake_table"],
-    }
-    for module, names in modules.items():
-        mod = importlib.import_module(f"symcube.{module}")
-        for name in names:
-            assert getattr(symcube, name) is getattr(mod, name), name
-    with pytest.raises(AttributeError):
-        symcube.no_such_name
-
-
 @pytest.mark.parametrize("module", ["localfactor", "satake", "monomial", "intertwining"])
 def test_scalar_modules_import_nothing_from_cyclo(module):
     """These modules take the ring's 0 and 1 from the values, not from a scalar
