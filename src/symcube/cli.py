@@ -246,7 +246,8 @@ def cmd_roots(args) -> int:
         inv = sorted(root_name[b] for b in g2root.inverted_roots(w))
         rows.append(["*".join(w.word) or "1", len(w.word),
                      "{" + ",".join(inv) + "}"])
-    rows.append(["rho_P", "", str(g2root.rho_parabolic())])
+    rho_p = g2root.rho_parabolic()
+    rows.append(["rho_P", "", f"({rho_p.a3})*beta3 + ({rho_p.a4})*beta4"])
     long_w = g2root.parabolic_weyl_element()
     rows.append(["parabolic element", len(long_w.word),
                  "{" + ",".join(sorted(root_name[b] for b in g2root.inverted_roots(long_w))) + "}"])

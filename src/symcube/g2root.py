@@ -1,10 +1,12 @@
 """Exact model of the G2 root system and its rank-2 weight calculus.
 
-Coordinates are taken in the simple-root basis (beta1, beta6), beta1 long and
-beta6 short, with Gram matrix [[6, -3], [-3, 2]].  Everything here is exact:
-root coordinates are rationals and weight coordinates are affine forms
-a + b*r + c*s with rational a, b, c, so pairings like <Lambda, beta6^vee>
-come out as literal affine expressions (e.g. "s - 3r") rather than floats.
+One vector type, ``RootVector``, serves roots and weights.  Coordinates are
+taken in the simple-root basis (beta1, beta6), beta1 long and beta6 short,
+with Gram matrix [[6, -3], [-3, 2]]; the paper's (beta3, beta4) coordinates
+of a weight are its ``a3``/``a4``.  Everything here is exact: a coordinate is
+a rational (a root) or an affine form a + b*r + c*s with rational a, b, c
+(a weight), so pairings like <Lambda, beta6^vee> come out as literal affine
+expressions (e.g. "s - 3r") rather than floats.
 """
 
 from __future__ import annotations
@@ -110,19 +112,23 @@ class Affine:
         return out
 
 
-_GRAM = ((Fraction(6), Fraction(-3)), (Fraction(-3), Fraction(2)))
+def _coord(x):
+    """Canonical coordinate: a Fraction, or an Affine form that is not constant."""
+    if isinstance(x, Affine):
+        return x.const if x.is_constant() else x
+    return _frac(x)
 
 
 @dataclass(frozen=True)
 class RootVector:
-    """Rational vector c1*beta1 + c6*beta6."""
+    """Vector c1*beta1 + c6*beta6; rational for a root, affine in (r, s) for a weight."""
 
-    c1: Fraction
-    c6: Fraction
+    c1: Fraction | Affine
+    c6: Fraction | Affine
 
     def __init__(self, c1, c6):
-        object.__setattr__(self, "c1", _frac(c1))
-        object.__setattr__(self, "c6", _frac(c6))
+        object.__setattr__(self, "c1", _coord(c1))
+        object.__setattr__(self, "c6", _coord(c6))
 
     def __add__(self, other):
         return RootVector(self.c1 + other.c1, self.c6 + other.c6)
@@ -133,8 +139,19 @@ class RootVector:
     def __neg__(self):
         return RootVector(-self.c1, -self.c6)
 
-    def scaled(self, c):
-        return RootVector(self.c1 * _frac(c), self.c6 * _frac(c))
+    def __mul__(self, c):
+        """Product by a rational or an affine scalar."""
+        return RootVector(self.c1 * c, self.c6 * c)
+
+    @property
+    def a3(self):
+        """Coefficient of beta3 in the basis (beta3, beta4)."""
+        return 2 * self.c1 - self.c6
+
+    @property
+    def a4(self):
+        """Coefficient of beta4 in the basis (beta3, beta4)."""
+        return -3 * self.c1 + 2 * self.c6
 
     def is_zero(self) -> bool:
         return self.c1 == 0 and self.c6 == 0
@@ -167,51 +184,7 @@ def is_positive_root(v: RootVector) -> bool:
     return v in ROOT_NAMES
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Weight a3*beta3 + a4*beta4; coefficients may be affine forms in (r, s)."""
-
-    a3: Affine
-    a4: Affine
-
-    def __init__(self, a3, a4):
-        object.__setattr__(self, "a3", Affine.coerce(a3))
-        object.__setattr__(self, "a4", Affine.coerce(a4))
-
-    def simple_coords(self):
-        """Coordinates (c1, c6) in the (beta1, beta6) basis."""
-        return (2 * self.a3 + self.a4, 3 * self.a3 + 2 * self.a4)
-
-    @classmethod
-    def from_simple_coords(cls, c1, c6) -> "WeightVector":
-        c1, c6 = Affine.coerce(c1), Affine.coerce(c6)
-        # invert  c1 = 2 a3 + a4,  c6 = 3 a3 + 2 a4  (unimodular)
-        return cls(2 * c1 - c6, -3 * c1 + 2 * c6)
-
-    def __add__(self, other):
-        other = as_weight(other)
-        return WeightVector(self.a3 + other.a3, self.a4 + other.a4)
-
-    def __sub__(self, other):
-        other = as_weight(other)
-        return WeightVector(self.a3 - other.a3, self.a4 - other.a4)
-
-    def __neg__(self):
-        return WeightVector(-self.a3, -self.a4)
-
-    def __repr__(self):
-        return f"({self.a3})*beta3 + ({self.a4})*beta4"
-
-
-def as_weight(v) -> WeightVector:
-    if isinstance(v, WeightVector):
-        return v
-    if isinstance(v, RootVector):
-        return WeightVector.from_simple_coords(v.c1, v.c6)
-    raise TypeError(f"cannot interpret {v!r} as a weight")
-
-
-def lambda_weight(r=None, s=None) -> WeightVector:
+def lambda_weight(r=None, s=None) -> RootVector:
     """The principal-series parameter 2r*beta3 + (s - 3r)*beta4.
 
     With no arguments the coefficients stay symbolic in (r, s); passing
@@ -219,37 +192,24 @@ def lambda_weight(r=None, s=None) -> WeightVector:
     """
     rr = Affine(0, 1, 0) if r is None else Affine.coerce(r)
     ss = Affine(0, 0, 1) if s is None else Affine.coerce(s)
-    return WeightVector(2 * rr, ss - 3 * rr)
+    return BETA3 * (2 * rr) + BETA4 * (ss - 3 * rr)
 
 
 def gram(u, v):
     """Symmetric bilinear form with matrix [[6,-3],[-3,2]] on (beta1, beta6)."""
-    uc = u.simple_coords() if isinstance(u, WeightVector) else (u.c1, u.c6)
-    vc = v.simple_coords() if isinstance(v, WeightVector) else (v.c1, v.c6)
-    total = Affine(0)
-    for i in range(2):
-        for j in range(2):
-            total = total + uc[i] * _GRAM[i][j] * vc[j]
-    return total.const if total.is_constant() else total
+    return _coord(6 * u.c1 * v.c1 - 3 * (u.c1 * v.c6 + u.c6 * v.c1) + 2 * u.c6 * v.c6)
 
 
 def pairing(lam, alpha: RootVector):
     """Coroot pairing <lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha)."""
-    if not isinstance(alpha, RootVector) or alpha.is_zero():
-        raise ValueError("pairing requires a nonzero root")
-    if not is_root(alpha):
+    if not isinstance(alpha, RootVector) or not is_root(alpha):
         raise ValueError(f"{alpha!r} is not a root")
     return 2 * gram(lam, alpha) / gram(alpha, alpha)
 
 
 def reflect(alpha: RootVector, v):
     """Simple reflection v - <v, alpha^vee> alpha; an involution and isometry."""
-    p = pairing(v, alpha)
-    if isinstance(v, RootVector):
-        return v - alpha.scaled(p)
-    v = as_weight(v)
-    c1, c6 = v.simple_coords()
-    return WeightVector.from_simple_coords(c1 - p * alpha.c1, c6 - p * alpha.c6)
+    return v - alpha * pairing(v, alpha)
 
 
 def pairing_table(lam=None):
@@ -344,12 +304,10 @@ def parabolic_weyl_element() -> WeylElement:
     return weyl_word(LONG_PARABOLIC_WORD)
 
 
-def rho_parabolic() -> WeightVector:
+def rho_parabolic() -> RootVector:
     """Half the sum of {beta2,...,beta6}, the roots of the unipotent radical."""
-    total = RootVector(0, 0)
-    for name in ("beta2", "beta3", "beta4", "beta5", "beta6"):
-        total = total + POSITIVE_ROOTS[name]
-    return WeightVector.from_simple_coords(Fraction(total.c1, 2), Fraction(total.c6, 2))
+    radical = (POSITIVE_ROOTS[name] for name in ("beta2", "beta3", "beta4", "beta5", "beta6"))
+    return sum(radical, RootVector(0, 0)) * Fraction(1, 2)
 
 
 def coroot_decomposition(beta: RootVector):

@@ -223,9 +223,11 @@ def parse_hecke(path: str) -> ParsedHeckeData:
             for v in (entry.chi_p, entry.chi_pbar):
                 if v is None:
                     continue
-                if abs(abs(complex(v)) - 1.0) > 1e-9:
-                    raise HeckeParseError(i, f"value at p={p} is not a unit "
-                                             f"but chi-order is finite")
+                # v^order must be 1: exactly for a Cyclo value, to 1e-9 for re,im
+                w = v ** order
+                if (abs(w - 1) > 1e-9) if isinstance(w, complex) else w != 1:
+                    raise HeckeParseError(i, f"value at p={p} is not an order-"
+                                             f"{order} root of unity (chi-order {order})")
         entries.append(entry)
     return ParsedHeckeData(entries, chi_order=order, field_disc=disc)
 
@@ -242,12 +244,12 @@ def parse_afe_config(path: str) -> AFEConfig:
 
     An optional degree key must equal twice the number of gamma shifts.  A
     fault raises ConfigParseError, at its line where it has one: a line
-    without =, an unknown key, a value that does not parse, a missing
-    gamma_shifts, a wrong degree, a value AFEConfig rejects.
+    without =, an unknown key, a repeated key, a value that does not parse,
+    a missing gamma_shifts, a wrong degree, a value AFEConfig rejects.
     """
     from .analytic import AFEConfig   # analytic loads numpy; parsing does not
 
-    fields = {}
+    fields, set_at = {}, {}
     with open(path) as fh:
         for i, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -259,6 +261,9 @@ def parse_afe_config(path: str) -> AFEConfig:
             if key not in _CONFIG_KEYS:
                 raise ConfigParseError(i, f"unknown key {key!r}; the keys are "
                                           f"{', '.join(_CONFIG_KEYS)}")
+            if key in set_at:
+                raise ConfigParseError(i, f"repeated key {key!r}; first set at line {set_at[key]}")
+            set_at[key] = i
             try:
                 fields[key] = _CONFIG_KEYS[key](val)
             except (ValueError, KeyError):

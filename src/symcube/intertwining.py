@@ -78,12 +78,6 @@ class IntertwiningPole(ArithmeticError):
             f"pole from root {root_name}: 1 - chi q^(-t) vanishes at t = {pairing_value}")
 
 
-def torus_character_value(p: PrincipalParams, beta: RootVector) -> complex:
-    """Value of the torus character on beta^vee: mu^c6 with beta^vee = c1 b1^vee + c6 b6^vee."""
-    _, c6 = coroot_decomposition(beta)
-    return complex(p.mu) ** c6
-
-
 def gk_coefficient(p: PrincipalParams) -> complex:
     """Per-root product of (1 - chi_b q^{-t_b - 1}) / (1 - chi_b q^{-t_b}).
 
@@ -183,8 +177,6 @@ def langlands_quotient_unitary(rep: sk.LocalRepClass, s: float) -> bool:
     pi(1, mu) with mu of order two: 0 < s <= 1.
     """
     s = float(s)
-    if rep.kind == sk.COMPLEMENTARY:
-        raise ValueError("complementary-series data: use region_membership")
     if rep.kind == sk.SUPERCUSPIDAL_SELFDUAL:
         return 0 < s <= 0.5
     if rep.kind == sk.SUPERCUSPIDAL_S3:

@@ -130,10 +130,9 @@ SUPERCUSPIDAL_SELFDUAL = "supercuspidal-selfdual-trivial-central"
 SUPERCUSPIDAL_S3 = "supercuspidal-S3-image"
 DISCRETE_NONSUPERCUSPIDAL = "discrete-nonsupercuspidal"
 PRINCIPAL_TEMPERED = "principal-tempered"
-COMPLEMENTARY = "complementary"
 
 _KINDS = (SUPERCUSPIDAL_SELFDUAL, SUPERCUSPIDAL_S3, DISCRETE_NONSUPERCUSPIDAL,
-          PRINCIPAL_TEMPERED, COMPLEMENTARY)
+          PRINCIPAL_TEMPERED)
 
 PAIR_MU_MUINV = "mu-muinv"   # pi(mu, mu^{-1})
 PAIR_ONE_MU = "one-mu"       # pi(1, mu)
@@ -144,22 +143,19 @@ class LocalRepClass:
     """Tagged local representation, input data for the unitarity criterion.
 
     Supercuspidal / discrete kinds are pure tags (they are ramified, so not
-    recoverable from Satake data).  Principal kinds carry the unitary
+    recoverable from Satake data).  The principal kind carries the unitary
     character value mu; its finite order is read from mu where it matters.
+    Complementary-series data is no kind here: region_membership decides it.
     """
 
     kind: str
     mu: Optional[complex] = None
-    r: Optional[float] = None
     pair_form: str = PAIR_MU_MUINV
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == COMPLEMENTARY:
-            if self.r is None or not 0 < self.r < 0.5:
-                raise ValueError("complementary r must lie in (0, 1/2)")
-        if self.kind in (PRINCIPAL_TEMPERED, COMPLEMENTARY):
+        if self.kind == PRINCIPAL_TEMPERED:
             if self.mu is None:
                 raise ValueError(f"{self.kind} requires mu")
             if abs(abs(complex(self.mu)) - 1.0) > 1e-8:

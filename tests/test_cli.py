@@ -53,6 +53,32 @@ def test_roots_weyl():
     assert "beta2,beta3,beta4,beta5,beta6" in out
 
 
+# sha256 of `roots <what> --format <format>` stdout (pairing with --r 1/10
+# --s 2/3), recorded while weights had their own (beta3, beta4) vector class
+ROOTS_SHA256 = {
+    ("pairing", "table"): "2422d731a8e993a684f51f2ac8f80be146473f29aac91b804eeea7d3c47b5a9a",
+    ("pairing", "csv"): "1027ab119878462d61c1a9f704dedfa6d9c9686debe4cacc5c01be46161633e6",
+    ("pairing", "json"): "c9721aa754f16a4a51a8ca588b4bfc78f0dee4bd1850095990a212eb50193eec",
+    ("gram", "table"): "7003baf5894fd393e533b07afe26f09472aac3f6b852d441d294e28c69c9f088",
+    ("gram", "csv"): "2af1d835648058cf2216b9506ef2eab64aabc5464a03ab3d44c9d08bd450bd15",
+    ("gram", "json"): "c2e785e0c25bb43acd7ef07ae5307e73d50fe4862b0655459ce3f8bf47a5f260",
+    ("coroots", "table"): "4f80f9364652aacd5ff9661ccae7c38542bb7a24588bd2edb47b5afbaa83bbde",
+    ("coroots", "csv"): "f59e424fde2038f0215253f3c03951abdbda376d7625b2551f83ba15f462ee48",
+    ("coroots", "json"): "876e234382d8fb4968928e0df28af127589b72e9c5eff9f9c874e1f3f0b282a1",
+    ("weyl", "table"): "2f8906f2ba9b621f0fcc638800d9c37aebcd773248bf1082b750478aa6639c14",
+    ("weyl", "csv"): "9ee21fde3deab770a5c3efb8e5a8913d4104db6bf6e3e02e3b39a7e76809c00e",
+    ("weyl", "json"): "422d3b0775a5007bd5085619817dd3d6ab78c44adaaa3ab098919d405be7b18d",
+}
+
+
+@pytest.mark.parametrize("what, fmt", sorted(ROOTS_SHA256))
+def test_roots_bytes_are_pinned(what, fmt):
+    point = ["--r", "1/10", "--s", "2/3"] if what == "pairing" else []
+    code, out = run_cli(["roots", what, *point, "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ROOTS_SHA256[what, fmt]
+
+
 def test_identity_exit_codes():
     code, out = run_cli(["identity", "--suite", "all", "--samples", "30",
                          "--seed", "7"])
@@ -520,6 +546,8 @@ _BAD_CONFIGS = [
     ("conductor-zero", _CONFIG + "conductor = 0\n", ": conductor must be >= 1, got 0"),
     ("cutoff-negative", "gamma_shifts = 5.5, 16.5\ncutoff = -5\n",
      ": cutoff must be >= 0, got -5"),
+    ("repeated-key", _CONFIG + "gamma_shifts = 6.5, 16.5\n",
+     " line 3: repeated key 'gamma_shifts'; first set at line 1"),
 ]
 # per file flag: the parser, and the command that reads the file
 _READERS = {"--coeffs": ("parse_form", ["satake"]),
@@ -539,10 +567,13 @@ _READERS = {"--coeffs": ("parse_form", ["satake"]),
      "input error: line 1: chi-order must be an integer >= 1 or unknown, got 'x'\n"),
     ("FormParseError", "--coeffs", "weight 12 level 1 character trivial\n1 1\n2 1.e400\n",
      "input error: line 3: non-finite coefficient in '2 1.e400'\n"),
+    ("HeckeParseError", "--hecke", "field-disc -23 chi-order 3\n2 split 1/5 4/5\n3 inert 1/7\n",
+     "input error: line 2: value at p=2 is not an order-3 root of unity (chi-order 3)\n"),
     *(("ConfigParseError", "--config", text, f"input error: config{err}\n")
       for _, text, err in _BAD_CONFIGS),
 ], ids=["FormParseError", "MultiplicativityError", "HeckeParseError",
         "HeckeParseError-chi-order", "FormParseError-non-finite",
+        "HeckeParseError-chi-order-values",
         *(f"ConfigParseError-{name}" for name, _, _ in _BAD_CONFIGS)])
 def test_parse_errors_are_symcube_input_errors(tmp_path, error, flag, text, err):
     """Each fault is a SymcubeInputError of its parser, and the command that

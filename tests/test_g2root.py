@@ -2,10 +2,12 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcube.g2root import (
     Affine, BETA1, BETA2, BETA3, BETA4, BETA5, BETA6, POSITIVE_ROOTS,
-    RootVector, WeightVector, coroot_decomposition, gram, inverted_roots,
+    RootVector, coroot_decomposition, gram, inverted_roots,
     lambda_weight, pairing, pairing_table, parabolic_weyl_element, reflect,
     rho_parabolic, weyl_group, weyl_word, IDENTITY, RHO1, RHO6)
 
@@ -150,8 +152,7 @@ def test_inverted_roots_brute_force_counts_word_length():
 def test_rho_parabolic():
     rp = rho_parabolic()
     assert rp.a3 == Affine(0) and rp.a4 == Affine(Q(5, 2))
-    c1, c6 = rp.simple_coords()
-    assert (c1, c6) == (Affine(Q(5, 2)), Affine(Q(5)))
+    assert (rp.c1, rp.c6) == (Q(5, 2), Q(5))
     assert pairing(rp, BETA1) == 0
 
 
@@ -178,14 +179,38 @@ def test_coroot_decomposition_consistency():
             assert lhs == rhs
 
 
-def test_weight_basis_roundtrip():
-    rng = random.Random(17)
-    for _ in range(20):
-        a3 = Q(rng.randrange(-9, 10), rng.randrange(1, 4))
-        a4 = Q(rng.randrange(-9, 10), rng.randrange(1, 4))
-        w = WeightVector(a3, a4)
-        back = WeightVector.from_simple_coords(*w.simple_coords())
-        assert back.a3 == w.a3 and back.a4 == w.a4
+_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_affines = st.builds(Affine, _rationals, _rationals, _rationals)
+# a weight: rational coordinates, or affine ones with the symbolic Lambda among them
+_weights = st.one_of(
+    st.builds(RootVector, _rationals, _rationals),
+    st.builds(RootVector, _affines, _affines),
+    st.just(lambda_weight()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weights, _rationals, _rationals, st.sampled_from(sorted(POSITIVE_ROOTS)))
+def test_reflect_and_basis_on_weights(v, x, y, name):
+    """reflect is an involution and an isometry on weights, and a3/a4 are
+    the (beta3, beta4) coordinates: a3*beta3 + a4*beta4 == v."""
+    beta = POSITIVE_ROOTS[name]
+    u = RootVector(x, y)
+    assert reflect(beta, reflect(beta, v)) == v
+    assert gram(reflect(beta, v), reflect(beta, u)) == gram(v, u)
+    assert BETA3 * v.a3 + BETA4 * v.a4 == v
+
+
+def test_constant_coordinates_are_rationals():
+    # an affine coordinate that is constant is stored as its Fraction, so a
+    # root built from weights still finds its name
+    v = RootVector(Affine(2), Affine(0, 1, 1) - Affine(0, 1, 1) + 3)
+    assert (type(v.c1), type(v.c6)) == (Q, Q)
+    assert v == BETA3 and hash(v) == hash(BETA3)
+    assert lambda_weight(0, 1) == BETA4
+    with pytest.raises(TypeError):
+        RootVector(0.5, 1)
+    with pytest.raises(TypeError):
+        BETA1 * 0.5
 
 
 def test_affine_formatting():

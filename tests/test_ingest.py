@@ -171,7 +171,7 @@ def test_parse_hecke_shorthand(tmp_path):
     path.write_text("field-disc -23 chi-order 3\n"
                     "7 split 1/3 2/3\n"
                     "11 inert 0/1\n"
-                    "13 split 0.5,0.8660254037844386 0.5,-0.8660254037844386\n")
+                    "13 split -0.5,0.8660254037844386 -0.5,-0.8660254037844386\n")
     data = parse_hecke(str(path))
     assert data.chi_order == 3 and data.field_disc == -23
     assert len(data.entries) == 3
@@ -202,6 +202,30 @@ def test_parse_hecke_errors(tmp_path):
     path.write_text("field-disc -23 chi-order unknown\n5 ramified 1/2\n")
     with pytest.raises(HeckeParseError):
         parse_hecke(str(path))
+
+
+@pytest.mark.parametrize("order, entries, line", [
+    ("3", "2 split 1/3 2/3\n3 inert 1/7\n", 3),
+    ("3", "13 split 0.5,0.8660254037844386 0.5,-0.8660254037844386\n", 2),
+    ("3", "7 split 1/3 -0.5,0.8660254\n", 2),
+    ("1", "5 inert 1/2\n", 2),
+])
+def test_parse_hecke_refuses_values_outside_the_chi_order(tmp_path, order, entries, line):
+    """Under a finite chi-order each value raised to that order gives 1:
+    exactly for k/n values, to 1e-9 for re,im values."""
+    path = tmp_path / "h.txt"
+    path.write_text(f"field-disc -23 chi-order {order}\n{entries}")
+    with pytest.raises(HeckeParseError, match="root of unity") as err:
+        parse_hecke(str(path))
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("order", ["6", "unknown"])
+def test_parse_hecke_takes_values_whose_order_divides_the_chi_order(tmp_path, order):
+    path = tmp_path / "h.txt"
+    path.write_text(f"field-disc -23 chi-order {order}\n2 split 1/3 2/3\n3 inert 1/2\n"
+                    "13 split 0.5,0.8660254037844386 0.5,-0.8660254037844386\n")
+    assert len(parse_hecke(str(path)).entries) == 3
 
 
 def test_parse_hecke_mixed_entry_demotes_to_float(tmp_path):

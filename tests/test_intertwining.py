@@ -10,30 +10,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcube import satake
-from symcube.g2root import POSITIVE_ROOTS, RootVector, lambda_weight, pairing
+from symcube.g2root import POSITIVE_ROOTS, lambda_weight, pairing
 from symcube.intertwining import (
     BOUNDARY, FORBIDDEN_VERTICES, LOWER, LOWER_VERTICES, MU_ORDER2,
     MU_TRIVIAL, OUTSIDE, UPPER, UPPER_VERTICES, IntertwiningPole,
     PrincipalParams, forbidden_triangle_contains,
     gk_coefficient, gk_pole_set, l_ratio, langlands_quotient_unitary,
     _sign_values, principal_series_pole_set, region_grid, region_membership,
-    torus_character_value, _GK_TABLE, _p_value)
+    _GK_TABLE, _p_value)
 from symcube.localfactor import RepTag, eigenvalues
 from symcube.satake import (
-    COMPLEMENTARY, DISCRETE_NONSUPERCUSPIDAL, LocalRepClass, PAIR_MU_MUINV,
+    DISCRETE_NONSUPERCUSPIDAL, LocalRepClass, PAIR_MU_MUINV,
     PAIR_ONE_MU, PRINCIPAL_TEMPERED, SUPERCUSPIDAL_S3, SUPERCUSPIDAL_SELFDUAL)
-
-
-def test_torus_character_values():
-    mu = cmath.exp(2j * math.pi / 5)
-    p = PrincipalParams(mu, 3, 0.1, 1.0)
-    assert abs(torus_character_value(p, POSITIVE_ROOTS["beta3"]) - mu) < 1e-15
-    assert abs(torus_character_value(p, POSITIVE_ROOTS["beta5"]) - mu) < 1e-15
-    assert abs(torus_character_value(p, POSITIVE_ROOTS["beta1"]) - 1.0) < 1e-15
-    assert abs(torus_character_value(p, POSITIVE_ROOTS["beta6"]) - mu) < 1e-15
-    assert abs(torus_character_value(p, POSITIVE_ROOTS["beta4"]) - mu * mu) < 1e-15
-    with pytest.raises(ValueError):
-        torus_character_value(p, RootVector(4, 4))
 
 
 def test_gk_equals_l_ratio_at_spec_point():
@@ -197,8 +185,6 @@ def test_unitarity_cases():
     assert not langlands_quotient_unitary(sc, 0.0)
     assert not langlands_quotient_unitary(sc, -0.3)
 
-    with pytest.raises(ValueError):
-        langlands_quotient_unitary(LocalRepClass(COMPLEMENTARY, mu=1.0, r=0.2), 0.5)
     with pytest.raises(ValueError):   # pi(1, mu) needs mu of order two
         langlands_quotient_unitary(
             LocalRepClass(PRINCIPAL_TEMPERED, mu=1j, pair_form=PAIR_ONE_MU), 0.5)

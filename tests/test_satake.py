@@ -6,7 +6,7 @@ import pytest
 
 from symcube.satake import (
     SatakeClass, complementary_params, contragredient, is_tempered,
-    satake_from_hecke, twist, LocalRepClass, COMPLEMENTARY, PAIR_ONE_MU,
+    satake_from_hecke, twist, LocalRepClass, PAIR_ONE_MU,
     PRINCIPAL_TEMPERED)
 
 # frozen from the built-in q-expansion: a_2 = -24, weight 12
@@ -114,8 +114,8 @@ def test_contragredient():
 
 
 def test_local_rep_class_validation():
-    with pytest.raises(ValueError):
-        LocalRepClass(COMPLEMENTARY, mu=1.0, r=0.7)
+    with pytest.raises(ValueError, match="unknown kind"):
+        LocalRepClass("complementary", mu=1.0)   # region_membership decides these
     with pytest.raises(ValueError):
         LocalRepClass(PRINCIPAL_TEMPERED)          # missing mu
     with pytest.raises(ValueError):
@@ -124,8 +124,7 @@ def test_local_rep_class_validation():
         LocalRepClass(PRINCIPAL_TEMPERED, mu=2.0)  # not unitary
     # the class is its data: no order flags to set beside mu
     rep = LocalRepClass(PRINCIPAL_TEMPERED, mu=-1.0, pair_form=PAIR_ONE_MU)
-    assert (rep.kind, rep.mu, rep.r, rep.pair_form) == \
-        (PRINCIPAL_TEMPERED, -1.0, None, PAIR_ONE_MU)
+    assert (rep.kind, rep.mu, rep.pair_form) == (PRINCIPAL_TEMPERED, -1.0, PAIR_ONE_MU)
 
 
 def test_contragredient_keeps_a_rational_partner_of_a_cyclo_exact():
