@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import SymcubeInputError, localfactor
+from . import localfactor
 from .localfactor import RepTag
 
 # Beyond what building the parser needs, each command imports the modules it
@@ -34,27 +34,37 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"must be a rational number, got {text!r}") from None
-
-
-def _int_at_least(low: int):
-    """An argparse type for integers >= low."""
-    def parse(text: str) -> int:
+def _arg_type(convert, what: str, ok=lambda value: True):
+    """An argparse type: convert(text), refused unless it converts and ok(value)."""
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
-        return value
+            value = convert(text)
+            if ok(value):
+                return value
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return parse
 
 
+def _int_at_least(low: int):
+    return _arg_type(int, f"an integer >= {low}", lambda value: value >= low)
+
+
+def _p_sigma(text: str) -> tuple:
+    p, sigma0 = text.split(",")
+    return int(p), float(sigma0)
+
+
+_parse_fraction = _arg_type(Fraction, "a rational number")
 _positive_int = _int_at_least(1)
+_finite_float = _arg_type(float, "a finite number", math.isfinite)
+_positive_float = _arg_type(float, "a finite number > 0",
+                            lambda value: math.isfinite(value) and value > 0)
+_finite_complex = _arg_type(lambda text: complex(text.replace(" ", "")),
+                            "a finite complex number", cmath.isfinite)
+_pole_spec = _arg_type(_p_sigma, "p,sigma0 with an integer p >= 2 and a finite sigma0",
+                       lambda spec: spec[0] >= 2 and math.isfinite(spec[1]))
 
 
 # Miller-Rabin with the first 13 prime bases decides every n below this bound
@@ -110,52 +120,9 @@ def _prime_power(text: str) -> int:
     return q
 
 
-def _pole_spec(text: str) -> tuple:
-    """An argparse type for p,sigma0: an integer p >= 2 and a finite sigma0."""
-    try:
-        p_str, sig_str = text.split(",")
-        p, sigma0 = int(p_str), float(sig_str)
-    except ValueError:
-        p, sigma0 = 0, math.nan
-    if p < 2 or not math.isfinite(sigma0):
-        raise argparse.ArgumentTypeError(
-            f"must be p,sigma0 with an integer p >= 2 and a finite sigma0, got {text!r}")
-    return p, sigma0
-
-
-def _finite_float(positive: bool = False):
-    """An argparse type for finite floats (no nan or inf), > 0 if positive."""
-    what = "a finite number > 0" if positive else "a finite number"
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value) or (positive and value <= 0):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
-        return value
-    return parse
-
-
-def _finite_complex(text: str) -> complex:
-    """An argparse type for finite complex numbers; spaces are ignored."""
-    try:
-        value = complex(text.replace(" ", ""))
-    except ValueError:
-        value = complex(math.nan)
-    if not cmath.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite complex number, got {text!r}")
-    return value
-
-
 def _complex_list(text: str) -> list:
     """An argparse type for comma-separated finite complex numbers."""
     return [_finite_complex(t) for t in text.split(",")]
-
-
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, default=str) + "\n")
 
 
 def _emit_csv(header, rows) -> None:
@@ -178,9 +145,10 @@ def _emit_table(header, rows) -> None:
 
 
 def _emit(fmt, header, rows, json_obj=None):
+    """The one output path: rows as a table or csv; json_obj, else the rows, as json."""
     if fmt == "json":
-        _emit_json(json_obj if json_obj is not None else
-                   [dict(zip(header, row)) for row in rows])
+        obj = json_obj if json_obj is not None else [dict(zip(header, row)) for row in rows]
+        sys.stdout.write(json.dumps(obj, sort_keys=True, default=str) + "\n")
     elif fmt == "csv":
         _emit_csv(header, rows)
     else:
@@ -292,9 +260,7 @@ def cmd_lfactor(args) -> int:
     form = _load_form(args.coeffs)
     table = ingest.satake_table(form)
     if args.p not in table:
-        print(f"no Satake class at p={args.p} (ramified or out of range)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"no Satake class at p={args.p} (ramified or out of range)")
     tag = RepTag(args.tag)
     coeffs = localfactor.local_factor(tag, table[args.p]).to_complex().coeffs
     rows = [[k, f"{c.real:.15g}", f"{c.imag:.15g}"] for k, c in enumerate(coeffs)]
@@ -455,14 +421,11 @@ def cmd_afe(args) -> int:
         "verdict": "pass" if (report.max_pairwise_deviation < args.tol
                               and report.modulus_deviation < args.tol) else "FAIL",
     }
-    if args.format == "json":
-        _emit_json(obj)
-    else:
-        rows = [[str(p), f"{e.real:.10g}", f"{e.imag:.10g}", f"{abs(e):.10f}"]
-                for p, e in zip(report.points, report.estimates)]
-        rows.append(["pairwise-dev", f"{report.max_pairwise_deviation:.3e}", "", ""])
-        rows.append(["modulus-dev", f"{report.modulus_deviation:.3e}", "", ""])
-        _emit(args.format, ["point", "eps_re", "eps_im", "|eps|"], rows)
+    rows = [[str(p), f"{e.real:.10g}", f"{e.imag:.10g}", f"{abs(e):.10f}"]
+            for p, e in zip(report.points, report.estimates)]
+    rows.append(["pairwise-dev", f"{report.max_pairwise_deviation:.3e}", "", ""])
+    rows.append(["modulus-dev", f"{report.modulus_deviation:.3e}", "", ""])
+    _emit(args.format, ["point", "eps_re", "eps_im", "|eps|"], rows, json_obj=obj)
     return EXIT_OK if obj["verdict"] == "pass" else EXIT_FAIL
 
 
@@ -485,13 +448,10 @@ def cmd_scan(args) -> int:
         "verdict": report.verdict,
         "flagged_points": report.flagged_points,
     }
-    if args.format == "json":
-        _emit_json(obj)
-    else:
-        rows = [[f"{sg:.6f}", f"{v.real:.6e}", f"{nv:.6f}"]
-                for sg, v, nv in zip(report.grid, report.values, report.normalized)]
-        rows.append(["verdict", report.verdict, f"max={report.max_normalized:.3f}"])
-        _emit(args.format, ["sigma", "Lambda_re", "normalized"], rows)
+    rows = [[f"{sg:.6f}", f"{v.real:.6e}", f"{nv:.6f}"]
+            for sg, v, nv in zip(report.grid, report.values, report.normalized)]
+    rows.append(["verdict", report.verdict, f"max={report.max_normalized:.3f}"])
+    _emit(args.format, ["sigma", "Lambda_re", "normalized"], rows, json_obj=obj)
     return EXIT_OK if report.verdict == analytic.VERDICT_CONSISTENT else EXIT_FAIL
 
 
@@ -506,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         """--format everywhere; --tol and --seed only where a command reads them."""
         p.add_argument("--format", choices=["table", "json", "csv"], default="table")
         if tol is not None:
-            p.add_argument("--tol", type=_finite_float(positive=True), default=tol)
+            p.add_argument("--tol", type=_positive_float, default=tol)
         if seed:
             p.add_argument("--seed", type=int, default=7)
 
@@ -541,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identity", help="seeded random factorization-identity suites")
     p.add_argument("--suite", choices=["all", "triple", "twist", "gj"], default="all")
     p.add_argument("--samples", type=_positive_int, default=100)
-    p.add_argument("--bound", type=_finite_float(positive=True), default=4.0)
+    p.add_argument("--bound", type=_positive_float, default=4.0)
     common(p, tol=1e-12, seed=True)
     p.set_defaults(fn=cmd_identity)
 
@@ -578,10 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="boundedness scan on a real interval")
     p.add_argument("--coeffs", required=True, help="path or builtin:delta[:N]")
     p.add_argument("--config")
-    p.add_argument("--a", type=_finite_float(), default=0.55)
-    p.add_argument("--b", type=_finite_float(), default=0.95)
-    p.add_argument("--grid", type=int, default=9)
-    p.add_argument("--threshold", type=_finite_float(), default=3.0)
+    p.add_argument("--a", type=_finite_float, default=0.55)
+    p.add_argument("--b", type=_finite_float, default=0.95)
+    p.add_argument("--grid", type=_positive_int, default=9)
+    p.add_argument("--threshold", type=_finite_float, default=3.0)
     p.add_argument("--inject-pole", dest="inject_pole", type=_pole_spec,
                    help="p,sigma0 : multiply in an Euler factor with a pole")
     common(p)
@@ -594,11 +554,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (SymcubeInputError, OSError, localfactor.LocalPoleError) as exc:
+    except (ValueError, OSError, localfactor.LocalPoleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

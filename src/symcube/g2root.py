@@ -75,11 +75,16 @@ class Affine:
         return self * (Fraction(1) / _frac(other))
 
     def __eq__(self, other):
+        if not isinstance(other, (Affine, Rational)):
+            return NotImplemented
         o = Affine.coerce(other)
         return (self.const == o.const and self.r_coeff == o.r_coeff
                 and self.s_coeff == o.s_coeff)
 
     def __hash__(self):
+        # a constant form equals its Fraction, so it hashes as one
+        if self.is_constant():
+            return hash(self.const)
         return hash((self.const, self.r_coeff, self.s_coeff))
 
     def is_constant(self) -> bool:

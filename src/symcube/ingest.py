@@ -28,17 +28,18 @@ if TYPE_CHECKING:
 
 
 class FormParseError(SymcubeInputError):
-    def __init__(self, line: int, message: str):
+    """A fault in a coefficient file, at a line, or else in the table as a whole."""
+
+    def __init__(self, line: Optional[int], message: str):
         self.line = line
-        super().__init__(f"line {line}: {message}")
+        super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
 class MultiplicativityError(FormParseError):
     def __init__(self, m: int, n: int):
         self.pair = (m, n)
-        ValueError.__init__(
-            self, f"multiplicativity fails at coprime pair ({m}, {n}): "
-                  f"a({m * n}) != a({m})*a({n})")
+        super().__init__(None, f"multiplicativity fails at coprime pair ({m}, {n}): "
+                               f"a({m * n}) != a({m})*a({n})")
 
 
 class HeckeParseError(SymcubeInputError):

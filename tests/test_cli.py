@@ -147,10 +147,15 @@ def test_region_grid_200_csv_bytes_are_pinned(mu_case):
     assert hashlib.sha256(out.encode()).hexdigest() == REGION_200_CSV_SHA256[mu_case]
 
 
-@pytest.mark.parametrize("grid", ["0", "-3"])
-def test_region_nonpositive_grid_is_usage_error(grid, capsys):
+@pytest.mark.parametrize("argv", [
+    ["region", "--grid", "0"], ["region", "--grid", "-3"],
+    # refused before the table is built
+    ["scan", "--coeffs", "builtin:delta:4000", "--grid", "0"],
+    ["scan", "--coeffs", "builtin:delta:4000", "--grid", "-3"],
+], ids=["0", "-3", "scan-0", "scan--3"])
+def test_region_nonpositive_grid_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as err:
-        main(["region", "--grid", grid])
+        main(argv)
     assert err.value.code == 2
     err_text = capsys.readouterr().err
     assert err_text.startswith("usage:") and "Traceback" not in err_text
@@ -236,6 +241,43 @@ def test_bad_input_is_one_line_usage_error(argv):
     # argparse prints its usage block first; the message itself is one line
     message = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
     assert len(message) == 1, err
+
+
+# one bad value for each argparse type, and argparse's last stderr line
+_FLAG_MESSAGES = {
+    "roots pairing --r 1/0":
+        "symcube roots: error: argument --r: must be a rational number, got '1/0'",
+    "satake --coeffs builtin:delta:100 --limit -5":
+        "symcube satake: error: argument --limit: must be an integer >= 1, got '-5'",
+    "intertwine --grid -3":
+        "symcube intertwine: error: argument --grid: must be an integer >= 0, got '-3'",
+    "euler --coeffs builtin:delta:100 --X 0":
+        "symcube euler: error: argument --X: must be an integer >= 2, got '0'",
+    "scan --coeffs builtin:delta:100 --a nan":
+        "symcube scan: error: argument --a: must be a finite number, got 'nan'",
+    "identity --bound 0":
+        "symcube identity: error: argument --bound: must be a finite number > 0, got '0'",
+    "euler --coeffs builtin:delta:100 --s 1+nanj":
+        "symcube euler: error: argument --s: must be a finite complex number, got '1+nanj'",
+    "afe --coeffs builtin:delta:100 --points 0.5+1j,inf":
+        "symcube afe: error: argument --points: must be a finite complex number, got 'inf'",
+    "scan --coeffs builtin:delta:100 --inject-pole=2,0.75,1":
+        "symcube scan: error: argument --inject-pole: must be p,sigma0 with an integer "
+        "p >= 2 and a finite sigma0, got '2,0.75,1'",
+    "intertwine --grid 12 --q 6":
+        "symcube intertwine: error: argument --q: must be a prime power, got '6'",
+    "intertwine --grid 2 --q 3317044064679887385961981":
+        "symcube intertwine: error: argument --q: must be a prime power p^k with p below "
+        "3317044064679887385961981, got '3317044064679887385961981'",
+}
+
+
+@pytest.mark.parametrize("command", list(_FLAG_MESSAGES))
+def test_bad_flag_value_messages_are_pinned(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(command.split())
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == _FLAG_MESSAGES[command]
 
 
 @pytest.mark.parametrize("coeffs", ["builtin:deltafoo", "builtin:delta:10:20",
@@ -449,7 +491,7 @@ def test_afe_point_past_the_supported_height_is_usage_error():
     out = run_cold(["afe", *AFE_ARGS, "--points", "0.5+7j"])
     assert out.returncode == 2
     assert out.stdout == b""
-    assert out.stderr == b"error: Im(s) = 7.0 outside the supported |Im(s)| <= 6\n"
+    assert out.stderr == b"input error: Im(s) = 7.0 outside the supported |Im(s)| <= 6\n"
 
 
 def test_exact_commands_do_not_load_numpy():

@@ -218,3 +218,13 @@ def test_affine_formatting():
     assert str(table["beta6"]) == "s - 3r"
     assert str(table["beta1"]) == "2r"
     assert str(table["beta6"](Q(1, 10), Q(2, 3))) == "11/30"
+
+
+def test_affine_equality_and_hash_agree_with_rationals():
+    form = pairing_table()["beta1"]                   # 2r
+    assert (form == 0.5) is False and form != 0.5
+    assert form not in [None] and form != "2r"
+    assert Affine(2) == Q(2) and Affine(2) == 2
+    assert hash(Affine(2)) == hash(Q(2)) == hash(2)
+    assert {Q(2): 1}[Affine(2)] == 1 and {Affine(Q(1, 2)): 1}[Q(1, 2)] == 1
+    assert Affine(0, 2, 0) != Affine(2) and Affine(0, 2, 0) != 2

@@ -129,6 +129,7 @@ def test_parse_form_rejects_multiplicativity_violation(tmp_path):
     with pytest.raises(MultiplicativityError) as err:
         parse_form(str(path))
     assert err.value.pair == (2, 3)
+    assert err.value.line is None
 
 
 def test_parse_form_error_positions(tmp_path):
