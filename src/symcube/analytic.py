@@ -277,6 +277,7 @@ def analytic_conductor(s: complex, cfg: AFEConfig) -> float:
 
 
 def default_cutoff(s: complex, cfg: AFEConfig) -> int:
+    _check_point(complex(s))
     base = math.ceil(10.0 * math.sqrt(analytic_conductor(s, cfg)))
     return max(64, int(base * cfg.x_scale))
 
@@ -294,6 +295,13 @@ _VMAX = 40.0
 # Re s = 3 the relative error against the Euler product is 9e-10 at
 # |Im s| = 6, 2e-9 at 7 and 6e2 at 20)
 _MAX_IM = 6.0
+# largest supported Re s: accuracy also falls as Re s grows.  Largest
+# relative error of Lambda(s)/gamma(s) against the plain Dirichlet series
+# (sym3 of Delta, 8192 terms, cutoff 4000, Im s = 0, Re s in steps of 0.02)
+# on [3, 4]: 7.5e-11, [9, 10]: 5.6e-10, [11, 12]: 1.0e-9, [12, 13]: 1.2e-9,
+# [14, 15]: 1.9e-9, [19, 20]: 5.5e-9; 4.5e-8 at 40, 2.4e-6 at 50, 1.3e-4 at
+# 60 and 1.07 at 100; from about Re s = 146 the sum overflows
+_MAX_RE = 12.0
 
 
 # _kernel_sums relies on the nodes being an exact arithmetic progression: the
@@ -407,14 +415,25 @@ def smoothing_weights(s: complex, y: np.ndarray, cfg: AFEConfig) -> np.ndarray:
     return _kernel_sums(logy, [_kernel_weights(s, cfg)], [len(logy)])[0]
 
 
+def _check_point(s: complex) -> None:
+    """ValueError unless afe_values supports s (see its docstring)."""
+    if s.real + _CONTOUR <= 1.05:
+        raise ValueError(f"Re(s) = {s.real} below the supported strip")
+    if s.real > _MAX_RE:
+        raise ValueError(f"Re(s) = {s.real} above the supported Re(s) <= {_MAX_RE:g}")
+    if abs(s.imag) > _MAX_IM:
+        raise ValueError(f"Im(s) = {s.imag} outside the supported "
+                         f"|Im(s)| <= {_MAX_IM:g}")
+
+
 def afe_values(points: Sequence[complex], cfg: AFEConfig,
                coeffs: CoefficientTable) -> List[complex]:
     """Completed values Lambda(s) at every point, each up to the dropped
     reflected term (about 1e-7 of Lambda at x_scale = 16; module docstring).
 
-    Supported for Re(s) > 1 - _CONTOUR + 0.05 (the contour must stay inside
-    the region of absolute convergence of the shifted series) and
-    |Im(s)| <= _MAX_IM (ValueError otherwise).  Every point
+    Supported for 1 - _CONTOUR + 0.05 < Re(s) <= _MAX_RE (the contour must
+    stay inside the region of absolute convergence of the shifted series)
+    and |Im(s)| <= _MAX_IM (ValueError otherwise).  Every point
     is validated before any sum is formed.  The powers y^{-u} at
     y = n / x_scale do not depend on s: their giant-step and baby-step
     factors (see _kernel_sums) are built once per block of n for the whole
@@ -425,11 +444,7 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
     points = [complex(s) for s in points]
     cutoffs = []
     for s in points:
-        if s.real + _CONTOUR <= 1.05:
-            raise ValueError(f"Re(s) = {s.real} below the supported strip")
-        if abs(s.imag) > _MAX_IM:
-            raise ValueError(f"Im(s) = {s.imag} outside the supported "
-                             f"|Im(s)| <= {_MAX_IM:g}")
+        _check_point(s)
         cutoff = cfg.cutoff or default_cutoff(s, cfg)
         if coeffs.n_max < cutoff:
             raise CutoffTooSmall(cutoff, coeffs.n_max)
@@ -471,11 +486,16 @@ def epsilon_probe(points: Sequence[complex], cfg: AFEConfig,
     """Estimate the root number as Lambda(s)/Lambda(1-s) at each point.
 
     Constancy across points and |eps| = 1 validate the gamma configuration;
-    points where Lambda(1-s) sits below the noise floor are skipped.
+    points where Lambda(1-s) sits below the noise floor are skipped.  The
+    point s = 1/2, where 1 - s = s and the ratio is 1 for any data, is
+    refused with ValueError.
     """
     if not cfg.self_dual:
         raise ValueError("root-number probe requires self-dual data")
     points = [complex(s) for s in points]
+    if 0.5 in points:
+        raise ValueError("s = 0.5 is its own reflection 1 - s, where "
+                         "Lambda(s)/Lambda(1-s) is 1 for any data")
     values = afe_values([z for s in points for z in (s, 1 - s)], cfg, coeffs)
     gammas = np.abs(gamma_completed(points, cfg)).tolist()
     used, estimates, skipped = [], [], []

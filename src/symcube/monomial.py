@@ -1,21 +1,22 @@
 """The dihedral case: local parameters induced from quadratic-field Hecke data.
 
 Splitting types and character values are input data (class field theory is
-not performed here).  Inert primes are handled on the 4x4 matrix level so no
-square roots of character values are ever materialized; all inert factors
-come out as polynomials in T^2, matching the norm of an inert prime being
-p^2.  With root-of-unity character values the whole pipeline runs in exact
-cyclotomic arithmetic and the factorization checks return error 0 exactly.
+not performed here).  The sym^3 and adjoint-cube factors come from the trace
+and determinant of the induced Frobenius matrix, so no square roots of
+character values are ever materialized; the trace is 0 at an inert prime, so
+all inert factors come out as polynomials in T^2, matching the norm of an
+inert prime being p^2.  With root-of-unity character values the whole
+pipeline runs in exact cyclotomic arithmetic and the factorization checks
+return error 0 exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .localfactor import ReciprocalPoly, poly_from_eigenvalues, times_linear
+from .localfactor import ReciprocalPoly, poly_from_eigenvalues
 
 SPLIT = "split"
 INERT = "inert"
@@ -55,68 +56,35 @@ def induced_local(d: HeckeLocalData):
     return ((0, d.chi_p), (1, 0))
 
 
-def sym_cube_matrix(m):
-    """Explicit 4x4 matrix of sym^3 on the basis x^3, x^2 y, x y^2, y^3."""
-    (a, b), (c, d) = m
-    # x -> a x + c y,  y -> b x + d y; expand images of the four monomials
-    cols = [
-        [a * a * a, 3 * (a * a * c), 3 * (a * c * c), c * c * c],
-        [a * a * b, a * a * d + 2 * (a * b * c), b * c * c + 2 * (a * c * d), c * c * d],
-        [a * b * b, b * b * c + 2 * (a * b * d), a * d * d + 2 * (b * c * d), c * d * d],
-        [b * b * b, 3 * (b * b * d), 3 * (b * d * d), d * d * d],
-    ]
-    return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
+def _sym3_invariants(m):
+    """(d, e1, q) of a 2x2 matrix M with t = tr M and d = det M.
 
-
-# (permutation, sign) pairs of S4; the sign is (-1)^(number of inversions)
-_PERMS4 = [(perm, (-1) ** sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4)))
-           for perm in itertools.permutations(range(4))]
-
-
-def _char_poly_4x4(n):
-    """det(I - N T) by permutation expansion; division-free, in the scalar
-    ring of the entries.
-
-    A permutation through an exact-zero off-diagonal entry contributes zero
-    and is skipped: of the 24 terms, a diagonal (split) induced matrix keeps
-    one and an anti-diagonal (inert) one keeps four.  A term is built one
-    factor at a time, a diagonal (1 - n_ii T) by times_linear and an
-    off-diagonal (-n_ij T) by a shift: no product by the factor's 0 or 1.
+    e1 = t^3 - 2td is the trace of sym^3(M) and q = t^4 - 3t^2 d + 2d^2; with
+    them det(I - sym^3(M) T) = 1 - e1 T + d q T^2 - d^3 e1 T^3 + d^6 T^4.  The
+    coefficients are integer polynomials in t and d: no division and no square
+    root, in the scalar ring of the entries.
     """
-    zero_at = [[i != j and not n[i][j] for j in range(4)] for i in range(4)]
-    out = [0] * 5
-    for perm, sign in _PERMS4:
-        if any(zero_at[i][perm[i]] for i in range(4)):
-            continue
-        term = [1]  # polynomial in T
-        for i in range(4):
-            m = -n[i][perm[i]]
-            if i == perm[i]:
-                term = times_linear(term, m)               # (1 - n_ii T)
-            else:
-                term = [0, *(t * m for t in term)]         # (0 - n_ij T)
-        if sign < 0:
-            term = [-t for t in term]
-        for k, t in enumerate(term):
-            out[k] = out[k] + t
-    return out
+    (a, b), (c, d) = m
+    t, det = a + d, a * d - b * c
+    t2 = t * t
+    return det, t * (t2 - 2 * det), t2 * t2 - 3 * (t2 * det) + 2 * (det * det)
 
 
 def symcube_char_poly(m) -> ReciprocalPoly:
     """det(I - sym^3(M) T) as a degree-4 polynomial in T."""
-    return ReciprocalPoly(_char_poly_4x4(sym_cube_matrix(m)))
+    d, e1, q = _sym3_invariants(m)
+    d3 = d * d * d
+    return ReciprocalPoly([1, -e1, d * q, -(d3 * e1), d3 * d3])
 
 
 def adjointcube_char_poly(m) -> ReciprocalPoly:
-    """det(I - sym^3(M) det(M)^{-1} T), the determinant-twisted cube."""
-    (a, b), (c, d) = m
-    det = a * d - b * c
-    if not det:
+    """det(I - sym^3(M) det(M)^{-1} T), the determinant-twisted cube: the
+    sym^3 coefficient k divided by d^k."""
+    d, e1, q = _sym3_invariants(m)
+    if not d:
         raise ValueError("singular matrix has no adjoint-cube factor")
-    dinv = 1 / det
-    n = sym_cube_matrix(m)
-    n = tuple(tuple(x * dinv for x in row) for row in n)
-    return ReciprocalPoly(_char_poly_4x4(n))
+    dinv = 1 / d
+    return ReciprocalPoly([1, -(e1 * dinv), q * dinv, -e1, d * d])
 
 
 def hecke_factor(d: HeckeLocalData, exponents: Tuple[int, int]) -> ReciprocalPoly:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,26 @@ def test_afe_values_support_im_s_up_to_6(delta_sym3_factors_8k, delta_sym3_coeff
         afe_value(3 + 7j, cfg, delta_sym3_coeffs_8k)
 
 
+def test_afe_values_support_re_s_up_to_12(delta_sym3_coeffs_8k):
+    # oracle: gamma(s) times the plain Dirichlet series, which converges
+    # absolutely here; the error grows with Re(s), to 1.9e-9 on [14, 15]
+    cfg = delta_sym3_config()
+    for s in (3.0, 6.0, 9.0, 12.0):
+        want = gamma_completed(s, cfg) * dirichlet_sum(s, delta_sym3_coeffs_8k)
+        assert abs(afe_value(s, cfg, delta_sym3_coeffs_8k) - want) < 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("s", [12.5, 100.0, 1e300, 1e300 + 1j])
+def test_afe_values_refuse_a_point_above_re_s_12_before_any_sum(delta_sym3_coeffs_8k, s):
+    cfg = delta_sym3_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no overflow in the kernel weights
+        with pytest.raises(ValueError, match=r"above the supported Re\(s\) <= 12"):
+            afe_values([3.0, s], cfg, delta_sym3_coeffs_8k)
+        with pytest.raises(ValueError, match=r"above the supported Re\(s\) <= 12"):
+            default_cutoff(s, AFEConfig(gamma_shifts=(5.5, 16.5)))
+
+
 def test_mixed_points_derive_cutoffs_across_a_block():
     cutoffs = {default_cutoff(s, MIXED_CONFIG) for s in MIXED_POINTS}
     assert len(cutoffs) == len(MIXED_POINTS)
@@ -491,6 +512,13 @@ def test_epsilon_probe_stable_under_cutoff_doubling(delta_sym3_coeffs_8k):
                         delta_sym3_coeffs_8k)
     for a, b in zip(small.estimates, big.estimates):
         assert abs(a - b) < 1e-3
+
+
+def test_epsilon_probe_refuses_the_point_that_is_its_own_reflection(delta_sym3_coeffs_8k):
+    # at s = 1/2 the probe would divide Lambda(1/2) by itself and read eps = 1
+    with pytest.raises(ValueError, match="own reflection"):
+        epsilon_probe([0.5 + 1j, 0.5], delta_sym3_config(), delta_sym3_coeffs_8k)
+    afe_value(0.5, delta_sym3_config(), delta_sym3_coeffs_8k)   # the value itself is fine
 
 
 def test_epsilon_probe_requires_self_dual(delta_sym3_coeffs_8k):

@@ -79,6 +79,24 @@ def test_roots_bytes_are_pinned(what, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == ROOTS_SHA256[what, fmt]
 
 
+# sha256 of `monomial-check --hecke data/hecke_q_sqrt_minus23.txt --format
+# <format>` stdout, recorded while sym^3 was expanded from its explicit 4x4
+# matrix over the 24 permutations
+MONOMIAL_SHA256 = {
+    "table": "4738bba0222d450885e8bac6d28ce204c37002bac6db94131db89381d4b89bc3",
+    "csv": "6fa8348cae84b6bef327b2d322d7afa4b61c2cbb06145c83ca7f5f3d06466610",
+    "json": "3842a3291798fcea3680f5b7b603547c1e132028d94a341be80c14379ed3f96a",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(MONOMIAL_SHA256))
+def test_monomial_check_bytes_are_pinned(fmt):
+    code, out = run_cli(["monomial-check", "--hecke", "data/hecke_q_sqrt_minus23.txt",
+                         "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MONOMIAL_SHA256[fmt]
+
+
 def test_identity_exit_codes():
     code, out = run_cli(["identity", "--suite", "all", "--samples", "30",
                          "--seed", "7"])
@@ -219,6 +237,10 @@ def test_missing_file_is_usage_error():
     ["scan", "--coeffs", "builtin:delta:4000", "--b", "inf"],
     ["scan", "--coeffs", "builtin:delta:4000", "--threshold", "nan"],
     ["scan", "--coeffs", "builtin:delta:4000", "--threshold", "-inf"],
+    # above the supported Re(s) <= 12, and a point that is its own reflection
+    ["scan", "--coeffs", "builtin:delta:4000", "--a", "1e300", "--b", "2e300", "--grid", "2"],
+    ["scan", "--coeffs", "builtin:delta:4000", "--a", "100", "--b", "100", "--grid", "1"],
+    ["afe", "--coeffs", "builtin:delta:4000", "--points", "0.5"],
     ["euler", "--coeffs", "builtin:delta:200", "--X", "100", "--s", "nan"],
     ["euler", "--coeffs", "builtin:delta:200", "--X", "100", "--s", "inf"],
     ["euler", "--coeffs", "builtin:delta:200", "--X", "100", "--s", "1+nanj"],

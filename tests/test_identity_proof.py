@@ -3,6 +3,13 @@
 Each identity is a polynomial identity in the Satake parameters, so running
 the unchanged checks on the generators of Z[x^±1, y^±1] (alpha, beta, or the
 two character values chi_P, chi_Pbar) proves it for all classes at once.
+
+The same ring proves the trace-and-determinant closed form of `monomial`
+against the eigenvalue expansions of `localfactor` on M = diag(x, y).  Both
+sides are polynomials in the entries of M (the adjoint cube also in
+1/det M), and both are invariant under conjugation, so agreement on every
+diagonal matrix extends to every diagonalizable one and, these being dense,
+to every invertible 2x2 matrix (and, for sym^3, to every 2x2 matrix).
 """
 
 import pytest
@@ -10,8 +17,9 @@ import pytest
 from symcube.localfactor import (ReciprocalPoly, RepTag, check_gj_identity,
                                  check_triple_identity, check_twist_identity,
                                  local_factor, poly_from_eigenvalues)
-from symcube.monomial import (INERT, SPLIT, HeckeLocalData, check_monomial_r3,
-                              check_monomial_r30)
+from symcube import monomial
+from symcube.monomial import (INERT, SPLIT, HeckeLocalData, adjointcube_char_poly,
+                              check_monomial_r3, check_monomial_r30, symcube_char_poly)
 from symcube.satake import SatakeClass
 
 # where __complex__ evaluates: off the unit circle, no small relation between x, y
@@ -126,3 +134,27 @@ def test_a_false_identity_is_reported_not_raised():
     assert sym3.max_coeff_diff(adj3) > 0.1
     dropped = ReciprocalPoly(poly_from_eigenvalues([X * X * X, X * X * Y, Y * Y * Y]))
     assert sym3.max_coeff_diff(dropped) > 0.1
+
+
+@pytest.mark.parametrize("closed_form, tag", [(symcube_char_poly, RepTag.SYM3),
+                                              (adjointcube_char_poly, RepTag.ADJOINT_CUBE)],
+                         ids=["sym3", "adjoint-cube"])
+def test_the_trace_determinant_form_holds_for_every_matrix(closed_form, tag):
+    got = closed_form(((X, 0), (0, Y))).coeffs
+    assert got == local_factor(tag, SatakeClass(X, Y, 5)).coeffs
+
+
+def test_a_false_closed_form_is_reported_not_raised(monkeypatch):
+    # t^4 - 2t^2 d in place of t^4 - 3t^2 d; at an inert prime t = 0 hides
+    # the change, so only the split entry can show it
+    exact = monomial._sym3_invariants
+
+    def mutated(m):
+        (a, _), (_, d) = m
+        det, e1, q = exact(m)
+        return det, e1, q + (a + d) * (a + d) * det
+
+    monkeypatch.setattr(monomial, "_sym3_invariants", mutated)
+    assert check_monomial_r3(HeckeLocalData(7, SPLIT, X, Y)) > 0.1
+    assert check_monomial_r30(HeckeLocalData(7, SPLIT, X, Y)) > 0.1
+    assert check_monomial_r3(HeckeLocalData(7, INERT, X)) == 0.0

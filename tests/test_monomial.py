@@ -9,9 +9,9 @@ import pytest
 from symcube.cyclo import Cyclo
 from symcube.localfactor import RepTag, local_factor, poly_from_eigenvalues, poly_mul
 from symcube.monomial import (
-    ENTIRE, HAS_POLE, INERT, SPLIT, HeckeLocalData, _char_poly_4x4, adjointcube_char_poly,
+    ENTIRE, HAS_POLE, INERT, SPLIT, HeckeLocalData, adjointcube_char_poly,
     check_monomial_r3, check_monomial_r30, hecke_factor, induced_local,
-    pole_criterion, sym_cube_matrix, symcube_char_poly)
+    pole_criterion, symcube_char_poly)
 from symcube.satake import SatakeClass
 
 
@@ -53,10 +53,24 @@ def test_induced_validation():
         HeckeLocalData(7, INERT, 0.0)
 
 
+def _sym_cube_matrix(m):
+    """Explicit 4x4 matrix of sym^3 on the basis x^3, x^2 y, x y^2, y^3: the
+    reference the trace-and-determinant closed form is checked against."""
+    (a, b), (c, d) = m
+    # x -> a x + c y,  y -> b x + d y; expand images of the four monomials
+    cols = [
+        [a * a * a, 3 * (a * a * c), 3 * (a * c * c), c * c * c],
+        [a * a * b, a * a * d + 2 * (a * b * c), b * c * c + 2 * (a * c * d), c * c * d],
+        [a * b * b, b * b * c + 2 * (a * b * d), a * d * d + 2 * (b * c * d), c * d * d],
+        [b * b * b, 3 * (b * b * d), 3 * (b * d * d), d * d * d],
+    ]
+    return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
+
+
 def test_sym_cube_matrix_diagonal_case():
     a, b = 2.0 + 0j, -0.5 + 0j
     m = ((a, 0j), (0j, b))
-    n = sym_cube_matrix(m)
+    n = _sym_cube_matrix(m)
     diag = [n[i][i] for i in range(4)]
     assert diag == [a ** 3, a * a * b, a * b * b, b ** 3]
     off = [n[i][j] for i in range(4) for j in range(4) if i != j]
@@ -80,7 +94,7 @@ def test_symcube_char_poly_identity_matrix():
 
 
 def test_symcube_inert_is_poly_in_t_squared():
-    # 4x4 determinant oracle: [[0,c],[1,0]] must give (1 - c^3 T^2)^2
+    # [[0,c],[1,0]] must give (1 - c^3 T^2)^2
     c = Cyclo.root_of_unity(3, 7)
     poly = symcube_char_poly(induced_local(HeckeLocalData(5, INERT, c)))
     c3 = c ** 3
@@ -231,31 +245,45 @@ def _full_char_poly_4x4(n, one, zero):
 
 
 def _char_poly_cases():
+    """Split, inert and dense 2x2 matrices whose sym^3 and adjoint-cube
+    polynomials are computed without rounding: Cyclo or Fraction entries,
+    and complex entries with small Gaussian-integer parts.  Every case has a
+    determinant whose inverse is exact (a root of unity, a nonzero rational,
+    or a Gaussian unit), so each serves both factors."""
     rng = random.Random(71)
-    z, zero, one = Cyclo.root_of_unity, Cyclo.zero(), Cyclo.one()
+    z = Cyclo.root_of_unity
     cases = []
     for k in range(1, 7):
-        cases.append(sym_cube_matrix(((z(k, 7), zero), (zero, z(2 * k, 9)))))  # split
-        cases.append(sym_cube_matrix(((zero, z(k, 12)), (one, zero))))        # inert
-        dense = [[(rng.randrange(-2, 3) * z(rng.randrange(12), 12)
-                   + rng.randrange(-1, 2) * z(rng.randrange(5), 5)) for _ in range(4)]
-                 for _ in range(4)]
-        cases.append(tuple(tuple(row) for row in dense))   # dense, zeros scattered
-    for _ in range(6):
-        a, b = (cmath.exp(2j * math.pi * rng.random()) for _ in range(2))
-        cases.append(sym_cube_matrix(((a, 0j), (0j, b))))
-        cases.append(sym_cube_matrix(((0j, a), (1 + 0j, 0j))))
-        dense = [[complex(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(4)]
-                 for _ in range(4)]
-        cases.append(tuple(tuple(row) for row in dense))
+        cases.append(((z(k, 7), 0), (0, z(2 * k, 9))))                 # split
+        cases.append(((0, z(k, 12)), (1, 0)))                          # inert
+        off = rng.randrange(-2, 3) * z(rng.randrange(12), 12) + z(rng.randrange(5), 5)
+        cases.append(((z(k, 8), off), (0, z(k + 1, 5))))               # triangular
+        cases.append(tuple(tuple(Q(rng.randrange(-9, 10), rng.randrange(1, 5))
+                                 for _ in range(2)) for _ in range(2)))  # dense
+    units = (1 + 0j, -1 + 0j, 1j, -1j)
+    while len(cases) < 42:
+        a, b, c, d = (complex(rng.randrange(-3, 4), rng.randrange(-3, 4))
+                      for _ in range(4))
+        if a * d - b * c in units:
+            cases.append(((a, b), (c, d)))                             # dense
+        if a in units and b in units:
+            cases.append(((a, 0j), (0j, b)))                           # split
+            cases.append(((0j, a), (1 + 0j, 0j)))                      # inert
     return cases
 
 
-@pytest.mark.parametrize("n", _char_poly_cases())
-def test_char_poly_4x4_equals_the_full_expansion(n):
-    exact = any(isinstance(x, Cyclo) for row in n for x in row)
-    one, zero = (Cyclo.one(), Cyclo.zero()) if exact else (1.0 + 0j, 0j)
-    assert _char_poly_4x4(n) == _full_char_poly_4x4(n, one, zero)
+@pytest.mark.parametrize("m", _char_poly_cases())
+def test_sym3_char_poly_equals_the_4x4_expansion(m):
+    want = _full_char_poly_4x4(_sym_cube_matrix(m), 1, 0)
+    assert list(symcube_char_poly(m).coeffs) == want
+
+
+@pytest.mark.parametrize("m", _char_poly_cases())
+def test_adjointcube_char_poly_equals_the_4x4_expansion(m):
+    (a, b), (c, d) = m
+    dinv = 1 / (a * d - b * c)
+    n = tuple(tuple(x * dinv for x in row) for row in _sym_cube_matrix(m))
+    assert list(adjointcube_char_poly(m).coeffs) == _full_char_poly_4x4(n, 1, 0)
 
 
 def test_pole_criterion():
