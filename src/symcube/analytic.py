@@ -293,14 +293,17 @@ _VMAX = 40.0
 # largest supported |Im s|: the kernel sum cancels by about e^{pi |Im s|} and
 # the weights peak near v = -Im s, so accuracy falls as |Im s| grows (at
 # Re s = 3 the relative error against the Euler product is 9e-10 at
-# |Im s| = 6, 2e-9 at 7 and 6e2 at 20)
+# |Im s| = 6, 2e-9 at 7 and 6e2 at 20).  The corner with _MAX_RE is less
+# accurate than either axis: along |Im s| = 6 the error against the plain
+# Dirichlet series peaks near Re s = 11, at 1.9e-9 (5.8e-10 at 12 +- 6i)
 _MAX_IM = 6.0
 # largest supported Re s: accuracy also falls as Re s grows.  Largest
 # relative error of Lambda(s)/gamma(s) against the plain Dirichlet series
 # (sym3 of Delta, 8192 terms, cutoff 4000, Im s = 0, Re s in steps of 0.02)
 # on [3, 4]: 7.5e-11, [9, 10]: 5.6e-10, [11, 12]: 1.0e-9, [12, 13]: 1.2e-9,
 # [14, 15]: 1.9e-9, [19, 20]: 5.5e-9; 4.5e-8 at 40, 2.4e-6 at 50, 1.3e-4 at
-# 60 and 1.07 at 100; from about Re s = 146 the sum overflows
+# 60 and 1.07 at 100; from about Re s = 146 the sum overflows.  At
+# |Im s| = 6 the error is larger: 1.9e-9 at 11 +- 6i (see _MAX_IM)
 _MAX_RE = 12.0
 
 
@@ -433,7 +436,9 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
 
     Supported for 1 - _CONTOUR + 0.05 < Re(s) <= _MAX_RE (the contour must
     stay inside the region of absolute convergence of the shifted series)
-    and |Im(s)| <= _MAX_IM (ValueError otherwise).  Every point
+    and |Im(s)| <= _MAX_IM (ValueError otherwise); the relative error is
+    about 1e-9 on either axis bound and up to 1.9e-9 at their corner
+    (11 +- 6i; comments at _MAX_IM and _MAX_RE).  Every point
     is validated before any sum is formed.  The powers y^{-u} at
     y = n / x_scale do not depend on s: their giant-step and baby-step
     factors (see _kernel_sums) are built once per block of n for the whole

@@ -167,32 +167,29 @@ def gk_pole_set(mu_order, r) -> Set:
 
 # --- unitarity of the degenerate-quotient family --------------------------
 
-def langlands_quotient_unitary(rep: sk.LocalRepClass, s: float) -> bool:
-    """Unitarity of the quotient at tempered data and real s, case by case.
+# (i, r_i): s = 1/i is a reducibility point of I(s, pi) when r_i has the
+# eigenvalue 1 at the class of pi (r_1 the adjoint cube, r_2 = omega)
+_REDUCIBILITY = ((1, RepTag.ADJOINT_CUBE), (2, RepTag.WEDGE2))
 
-    Supercuspidal self-dual with trivial central character: 0 < s <= 1/2.
-    Supercuspidal with S3 parameter image: 0 < s <= 1.
-    Non-supercuspidal discrete series: 0 < s <= 1/2.
-    pi(mu, mu^{-1}) with mu^3 != 1: 0 < s <= 1/2; with mu^3 = 1 also s = 1.
-    pi(1, mu) with mu of order two: 0 < s <= 1.
+
+def langlands_quotient_unitary(c: sk.SatakeClass, s) -> bool:
+    """Unitarity of the Langlands quotient of I(s, pi) at real s.
+
+    By Shahidi's rule (Ann. of Math. 132, 1990) s = 1/i > 0 is a reducibility
+    point exactly when L(1 - is, pi, r_i) has a pole, that is when r_i has the
+    eigenvalue 1 at the class c, and the complementary series runs up to the
+    first such point.  The quotient is unitary on (0, first point] and, by the
+    paper's theorem, at each further point: for pi(mu, mu^{-1}) this is
+    (0, 1/2], and also s = 1 when mu^3 = 1; for pi(1, mu) with mu of order two
+    it is (0, 1].  A class that is not tempered, or not self-dual (it has no
+    complementary series), raises ValueError.
     """
-    s = float(s)
-    if rep.kind == sk.SUPERCUSPIDAL_SELFDUAL:
-        return 0 < s <= 0.5
-    if rep.kind == sk.SUPERCUSPIDAL_S3:
-        return 0 < s <= 1
-    if rep.kind == sk.DISCRETE_NONSUPERCUSPIDAL:
-        return 0 < s <= 0.5
-    if rep.kind == sk.PRINCIPAL_TEMPERED:
-        mu = complex(rep.mu)
-        if rep.pair_form == sk.PAIR_ONE_MU:
-            if abs(mu + 1) > sk.DEFAULT_TOL:
-                raise ValueError("pi(1, mu) case requires mu of order two")
-            return 0 < s <= 1
-        if abs(mu ** 3 - 1) <= sk.DEFAULT_TOL:
-            return 0 < s <= 0.5 or s == 1
-        return 0 < s <= 0.5
-    raise ValueError(f"unsupported kind {rep.kind!r}")
+    if not sk.is_tempered(c) or not c.same_class(sk.contragredient(c)):
+        raise ValueError("the reducibility rule needs a tempered self-dual class")
+    points = [Fraction(1, i) for i, tag in _REDUCIBILITY
+              if any(abs(complex(lam) - 1) <= sk.DEFAULT_TOL
+                     for lam in eigenvalues(tag, c))]
+    return 0 < s <= min(points, default=0) or s in points
 
 
 # --- rs-plane regions ------------------------------------------------------

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .satake import SatakeClass, twist
+from .satake import SatakeClass, inverse, twist
 
 
 class RepTag(enum.Enum):
@@ -133,15 +133,17 @@ class LocalPoleError(ArithmeticError):
 def eigenvalues(tag: RepTag, c: SatakeClass) -> list:
     """Eigenvalue list of the representation at the class (alpha, beta)."""
     a, b = c.alpha, c.beta
-    # x * (1 / y), not x / y: complex division rounds differently
     if tag is RepTag.STANDARD:
         return [a, b]
-    if tag is RepTag.ADJOINT_CUBE:
-        return [a * a * (1 / b), a, b, (1 / a) * b * b]
     if tag is RepTag.WEDGE2:
         return [a * b]
-    if tag is RepTag.GJ_ADJOINT:
-        return [a * (1 / b), 1, (1 / a) * b]
+    if tag in (RepTag.ADJOINT_CUBE, RepTag.GJ_ADJOINT):
+        # x * (1 / y), not x / y: complex division rounds differently; an int
+        # or Fraction beside a Cyclo is inverted in the Cyclo ring
+        ia, ib = inverse(a, b), inverse(b, a)
+        if tag is RepTag.ADJOINT_CUBE:
+            return [a * a * ib, a, b, ia * b * b]
+        return [a * ib, 1, ia * b]
     # each product once, grouped left to right as a * a * b is
     aa, ab, bb = a * a, a * b, b * b
     if tag is RepTag.SYM2:

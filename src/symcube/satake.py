@@ -12,7 +12,6 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 DEFAULT_TOL = 1e-8
 
@@ -77,28 +76,6 @@ def is_tempered(c: SatakeClass, tol: float = DEFAULT_TOL) -> bool:
             and abs(abs(complex(c.beta)) - 1.0) <= tol)
 
 
-def complementary_params(c: SatakeClass):
-    """Recover (mu, r) when {alpha, beta} = {mu q^{-r}, mu q^{r}}, 0 < r < 1/2.
-
-    Returns None when the class is not a complementary-series parameter.
-    """
-    a, b = complex(c.alpha), complex(c.beta)
-    if abs(a) < abs(b):
-        a, b = b, a
-    # now |a| >= |b|; expect a = mu q^r, b = mu q^{-r}
-    if abs(a * b) < DEFAULT_TOL:
-        return None
-    if abs(abs(a) * abs(b) - 1.0) > DEFAULT_TOL:
-        return None
-    r = math.log(abs(a)) / math.log(c.q)
-    if r <= DEFAULT_TOL or r >= 0.5 - DEFAULT_TOL:
-        return None
-    mu_a, mu_b = a / abs(a), b / abs(b)
-    if abs(mu_a - mu_b) > DEFAULT_TOL:
-        return None
-    return (mu_a, r)
-
-
 def twist(c: SatakeClass, chi_p) -> SatakeClass:
     """Class of the twist by an unramified character with value chi_p."""
     if not chi_p:
@@ -106,57 +83,22 @@ def twist(c: SatakeClass, chi_p) -> SatakeClass:
     return SatakeClass(c.alpha * chi_p, c.beta * chi_p, c.q)
 
 
-def contragredient(c: SatakeClass) -> SatakeClass:
-    """Class with inverted parameters; inverts the central character.
+def inverse(x, partner):
+    """1 / x, with x a Satake parameter and partner the other one.
 
-    Beside a Cyclo, a rational parameter is inverted exactly, as a Cyclo;
-    float and complex parameters are inverted as 1 / x.
+    Beside a Cyclo, a rational x is inverted exactly, as a Cyclo; float and
+    complex parameters, and two of one type, are inverted as 1 / x.
     """
+    if type(x) is not type(partner) and isinstance(x, numbers.Rational) \
+            and not isinstance(partner, numbers.Number):
+        return partner / (x * partner)   # exact, in the partner's ring
+    return 1 / x
+
+
+def contragredient(c: SatakeClass) -> SatakeClass:
+    """Class with inverted parameters (see inverse); inverts the central character."""
     a, b = c.alpha, c.beta
     if not a or not b:
         raise ValueError("zero Satake parameter has no contragredient")
-
-    def inverse(x, partner):
-        if isinstance(x, numbers.Rational) and not isinstance(partner, numbers.Number):
-            return partner / (x * partner)   # exact, in the partner's ring
-        return 1 / x
-
     return SatakeClass(inverse(a, b), inverse(b, a), c.q)
 
-
-# --- local representation classes for the unitarity criterion ------------
-
-SUPERCUSPIDAL_SELFDUAL = "supercuspidal-selfdual-trivial-central"
-SUPERCUSPIDAL_S3 = "supercuspidal-S3-image"
-DISCRETE_NONSUPERCUSPIDAL = "discrete-nonsupercuspidal"
-PRINCIPAL_TEMPERED = "principal-tempered"
-
-_KINDS = (SUPERCUSPIDAL_SELFDUAL, SUPERCUSPIDAL_S3, DISCRETE_NONSUPERCUSPIDAL,
-          PRINCIPAL_TEMPERED)
-
-PAIR_MU_MUINV = "mu-muinv"   # pi(mu, mu^{-1})
-PAIR_ONE_MU = "one-mu"       # pi(1, mu)
-
-
-@dataclass(frozen=True)
-class LocalRepClass:
-    """Tagged local representation, input data for the unitarity criterion.
-
-    Supercuspidal / discrete kinds are pure tags (they are ramified, so not
-    recoverable from Satake data).  The principal kind carries the unitary
-    character value mu; its finite order is read from mu where it matters.
-    Complementary-series data is no kind here: region_membership decides it.
-    """
-
-    kind: str
-    mu: Optional[complex] = None
-    pair_form: str = PAIR_MU_MUINV
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == PRINCIPAL_TEMPERED:
-            if self.mu is None:
-                raise ValueError(f"{self.kind} requires mu")
-            if abs(abs(complex(self.mu)) - 1.0) > 1e-8:
-                raise ValueError("|mu| must be 1")

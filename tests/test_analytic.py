@@ -294,11 +294,14 @@ def test_afe_values_support_im_s_up_to_6(delta_sym3_factors_8k, delta_sym3_coeff
 
 def test_afe_values_support_re_s_up_to_12(delta_sym3_coeffs_8k):
     # oracle: gamma(s) times the plain Dirichlet series, which converges
-    # absolutely here; the error grows with Re(s), to 1.9e-9 on [14, 15]
+    # absolutely here; the error grows with Re(s), to 1.9e-9 on [14, 15].
+    # The corner with |Im s| = 6 is less accurate than either axis: 1.9e-9
+    # at 11 +- 6i and 5.8e-10 at 12 +- 6i, so those points get their own bound
     cfg = delta_sym3_config()
-    for s in (3.0, 6.0, 9.0, 12.0):
+    for s, bound in ((3.0, 1e-9), (6.0, 1e-9), (9.0, 1e-9), (12.0, 1e-9),
+                     (11 + 6j, 3e-9), (11 - 6j, 3e-9), (12 + 6j, 3e-9), (12 - 6j, 3e-9)):
         want = gamma_completed(s, cfg) * dirichlet_sum(s, delta_sym3_coeffs_8k)
-        assert abs(afe_value(s, cfg, delta_sym3_coeffs_8k) - want) < 1e-9 * abs(want)
+        assert abs(afe_value(s, cfg, delta_sym3_coeffs_8k) - want) < bound * abs(want)
 
 
 @pytest.mark.parametrize("s", [12.5, 100.0, 1e300, 1e300 + 1j])

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symcube import satake
+from symcube import intertwining, satake
+from symcube.cyclo import Cyclo
 from symcube.g2root import POSITIVE_ROOTS, lambda_weight, pairing
 from symcube.intertwining import (
     BOUNDARY, FORBIDDEN_VERTICES, LOWER, LOWER_VERTICES, MU_ORDER2,
@@ -19,9 +20,7 @@ from symcube.intertwining import (
     _sign_values, principal_series_pole_set, region_grid, region_membership,
     _GK_TABLE, _p_value)
 from symcube.localfactor import RepTag, eigenvalues
-from symcube.satake import (
-    DISCRETE_NONSUPERCUSPIDAL, LocalRepClass, PAIR_MU_MUINV,
-    PAIR_ONE_MU, PRINCIPAL_TEMPERED, SUPERCUSPIDAL_S3, SUPERCUSPIDAL_SELFDUAL)
+from symcube.satake import SatakeClass
 
 
 def test_gk_equals_l_ratio_at_spec_point():
@@ -159,50 +158,113 @@ def test_gk_numerics_blow_up_near_pole():
 
 
 def test_unitarity_cases():
-    sc = LocalRepClass(SUPERCUSPIDAL_SELFDUAL)
-    s3 = LocalRepClass(SUPERCUSPIDAL_S3)
-    ds = LocalRepClass(DISCRETE_NONSUPERCUSPIDAL)
-    mu_generic = LocalRepClass(PRINCIPAL_TEMPERED, mu=cmath.exp(0.7j))
-    mu_cubic = LocalRepClass(PRINCIPAL_TEMPERED, mu=cmath.exp(2j * math.pi / 3))
-    mu_two = LocalRepClass(PRINCIPAL_TEMPERED, mu=-1.0, pair_form=PAIR_ONE_MU)
+    mu_generic = cmath.exp(0.7j)
+    mu_cubic = cmath.exp(2j * math.pi / 3)
+    generic = SatakeClass(mu_generic, 1 / mu_generic, 3)
+    cubic = SatakeClass(mu_cubic, 1 / mu_cubic, 3)
+    one_minus_one = SatakeClass(1, -1.0, 3)
 
-    assert langlands_quotient_unitary(sc, 0.4)
-    assert langlands_quotient_unitary(sc, 0.5)
-    assert not langlands_quotient_unitary(sc, 0.6)
-    assert langlands_quotient_unitary(s3, 1.0)
-    assert not langlands_quotient_unitary(s3, 1.1)
-    assert langlands_quotient_unitary(ds, 0.25)
-    assert not langlands_quotient_unitary(ds, 0.75)
+    assert not langlands_quotient_unitary(generic, 0.7)
+    assert langlands_quotient_unitary(generic, 0.5)
+    assert langlands_quotient_unitary(cubic, 1.0)
+    assert not langlands_quotient_unitary(cubic, 0.9)
+    assert langlands_quotient_unitary(cubic, 0.3)
+    assert langlands_quotient_unitary(one_minus_one, 0.9)
+    assert langlands_quotient_unitary(one_minus_one, 1.0)
+    assert not langlands_quotient_unitary(one_minus_one, 1.5)
+    assert not langlands_quotient_unitary(generic, 0.0)
+    assert not langlands_quotient_unitary(generic, -0.3)
 
-    assert not langlands_quotient_unitary(mu_generic, 0.7)
-    assert langlands_quotient_unitary(mu_generic, 0.5)
-    assert langlands_quotient_unitary(mu_cubic, 1.0)
-    assert not langlands_quotient_unitary(mu_cubic, 0.9)
-    assert langlands_quotient_unitary(mu_cubic, 0.3)
-    assert langlands_quotient_unitary(mu_two, 0.9)
-    assert langlands_quotient_unitary(mu_two, 1.0)
-    assert not langlands_quotient_unitary(mu_two, 1.5)
-    assert not langlands_quotient_unitary(sc, 0.0)
-    assert not langlands_quotient_unitary(sc, -0.3)
+    with pytest.raises(ValueError):   # pi(1, i) is not self-dual
+        langlands_quotient_unitary(SatakeClass(1, 1j, 3), 0.5)
+    with pytest.raises(ValueError):   # self-dual but not tempered
+        langlands_quotient_unitary(SatakeClass(3 ** 0.25, 3 ** -0.25, 3), 0.5)
 
-    with pytest.raises(ValueError):   # pi(1, mu) needs mu of order two
-        langlands_quotient_unitary(
-            LocalRepClass(PRINCIPAL_TEMPERED, mu=1j, pair_form=PAIR_ONE_MU), 0.5)
+
+MU_MUINV, ONE_MU = "mu-muinv", "one-mu"   # pi(mu, mu^-1), pi(1, mu)
+
+
+def _table_unitary(mu, pair_form, s):
+    """The principal-series rows of the case table that the reducibility rule
+    replaced, kept as its reference."""
+    s, mu = float(s), complex(mu)
+    if pair_form == ONE_MU:
+        if abs(mu + 1) > satake.DEFAULT_TOL:
+            raise ValueError("pi(1, mu) case requires mu of order two")
+        return 0 < s <= 1
+    if abs(mu ** 3 - 1) <= satake.DEFAULT_TOL:
+        return 0 < s <= 0.5 or s == 1
+    return 0 < s <= 0.5
+
+
+def _verdict(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return "refused"
+
+
+# mu = e^{2 pi i k/n} for n <= 12, s over -1/4 ... 2 in steps of 1/12 and a
+# few floats between the reducibility points
+GRID_MU = [(k, n) for n in range(1, 13) for k in range(n)]
+GRID_S = [Q(j, 12) for j in range(-3, 25)] + [0.3, 0.5, 0.7, 0.9, 1.0, 1.1, 1.5]
+
+
+def _mu(k, n, exact):
+    return Cyclo.root_of_unity(k, n) if exact else cmath.exp(2j * math.pi * k / n)
+
+
+def _pair(mu, pair_form):
+    return (mu, 1 / mu) if pair_form == MU_MUINV else (1, mu)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_unitarity_rule_reproduces_the_principal_series_table(exact):
+    for k, n in GRID_MU:
+        mu = _mu(k, n, exact)
+        for pair_form in (MU_MUINV, ONE_MU):
+            alpha, beta = _pair(mu, pair_form)
+            # pi(1, 1) is the class pi(mu, mu^-1) at mu = 1, which the table
+            # refused in its pi(1, mu) form only
+            table_form = MU_MUINV if (k, pair_form) == (0, ONE_MU) else pair_form
+            for s in GRID_S:
+                want = _verdict(_table_unitary, mu, table_form, s)
+                for c in (SatakeClass(alpha, beta, 5), SatakeClass(beta, alpha, 5)):
+                    assert _verdict(langlands_quotient_unitary, c, s) == want, (k, n, pair_form, s)
 
 
 @pytest.mark.parametrize("mu, pair_form, s, unitary", [
-    (cmath.exp(2j * math.pi / 3), PAIR_MU_MUINV, 1.0, True),
-    (cmath.exp(-2j * math.pi / 3), PAIR_MU_MUINV, 1.0, True),
-    (1.0, PAIR_MU_MUINV, 1.0, True),
-    (cmath.exp(0.7j), PAIR_MU_MUINV, 1.0, False),
-    (-1.0, PAIR_ONE_MU, 1.0, True),
-    (-1.0, PAIR_ONE_MU, 1.5, False),
+    (cmath.exp(2j * math.pi / 3), MU_MUINV, 1.0, True),
+    (cmath.exp(-2j * math.pi / 3), MU_MUINV, 1.0, True),
+    (1.0, MU_MUINV, 1.0, True),
+    (cmath.exp(0.7j), MU_MUINV, 1.0, False),
+    (-1.0, ONE_MU, 1.0, True),
+    (-1.0, ONE_MU, 1.5, False),
 ])
 def test_directly_built_principal_classes_read_their_order_from_mu(
         mu, pair_form, s, unitary):
     """A class built straight from its mu gets the verdict its mu implies."""
-    rep = LocalRepClass(PRINCIPAL_TEMPERED, mu=mu, pair_form=pair_form)
-    assert langlands_quotient_unitary(rep, s) is unitary
+    c = SatakeClass(*_pair(mu, pair_form), 3)
+    assert langlands_quotient_unitary(c, s) is unitary
+
+
+def _float_grid_verdicts():
+    return [_verdict(langlands_quotient_unitary, SatakeClass(*_pair(_mu(k, n, False), form), 5), s)
+            for k, n in GRID_MU for form in (MU_MUINV, ONE_MU) for s in GRID_S]
+
+
+@pytest.mark.parametrize("table, changes", [
+    (((1, RepTag.ADJOINT_CUBE),), True),                            # drop r_2
+    (((1, RepTag.WEDGE2), (2, RepTag.ADJOINT_CUBE)), True),         # swap r_1, r_2
+    (((1, RepTag.SYM2), (2, RepTag.WEDGE2)), True),                 # sym^2 for r_1
+    # sym^3 = adjoint cube (x) omega, and omega = +-1 on a self-dual class:
+    # the eigenvalue 1 is in both lists or in neither, so this is no mutation
+    (((1, RepTag.SYM3), (2, RepTag.WEDGE2)), False),
+])
+def test_each_mutation_of_the_reducibility_table_changes_a_verdict(monkeypatch, table, changes):
+    shipped = _float_grid_verdicts()
+    monkeypatch.setattr(intertwining, "_REDUCIBILITY", table)
+    assert (_float_grid_verdicts() != shipped) is changes
 
 
 def test_region_vertices_are_boundary():

@@ -230,3 +230,36 @@ def test_reciprocal_poly_contracts():
 def test_degenerate_parameter_rejected():
     with pytest.raises(ZeroDivisionError):
         local_factor(RepTag.ADJOINT_CUBE, SatakeClass(0.0, 1.0, 2))
+
+
+def _identity_classes(seed=7, samples=100, bound=4.0):
+    """The classes `symcube identity --seed 7` draws, in its order."""
+    rng = random.Random(seed)
+
+    def draw():
+        mod = math.exp(rng.uniform(-math.log(bound), math.log(bound)))
+        return mod * cmath.exp(2j * math.pi * rng.random())
+    return [SatakeClass(draw(), draw(), rng.choice([2, 3, 5, 7])) for _ in range(samples)]
+
+
+def test_float_inverse_eigenvalues_keep_their_bits():
+    # the identity command prints errors at the rounding level, so the float
+    # lists must equal the x * (1 / y) expressions bit for bit
+    for c in _identity_classes():
+        a, b = c.alpha, c.beta
+        assert repr(eigenvalues(RepTag.ADJOINT_CUBE, c)) == \
+            repr([a * a * (1 / b), a, b, (1 / a) * b * b])
+        assert repr(eigenvalues(RepTag.GJ_ADJOINT, c)) == repr([a * (1 / b), 1, (1 / a) * b])
+
+
+def test_an_int_parameter_beside_a_cyclo_is_inverted_exactly():
+    z = Cyclo.root_of_unity(1, 3)
+    zz = Cyclo.root_of_unity(2, 3)
+    for c, adjoint_cube, gj in (
+            (SatakeClass(1, z, 2), [zz, 1, z, zz], [zz, 1, z]),
+            (SatakeClass(z, 1, 2), [zz, z, 1, zz], [z, 1, zz]),
+            (SatakeClass(Fraction(1), z, 2), [zz, 1, z, zz], [zz, 1, z])):
+        for tag, want in ((RepTag.ADJOINT_CUBE, adjoint_cube), (RepTag.GJ_ADJOINT, gj)):
+            got = eigenvalues(tag, c)
+            assert got == want
+            assert not any(isinstance(x, (float, complex)) for x in got)

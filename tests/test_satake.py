@@ -5,9 +5,7 @@ import random
 import pytest
 
 from symcube.satake import (
-    SatakeClass, complementary_params, contragredient, is_tempered,
-    satake_from_hecke, twist, LocalRepClass, PAIR_ONE_MU,
-    PRINCIPAL_TEMPERED)
+    SatakeClass, contragredient, is_tempered, satake_from_hecke, twist)
 
 # frozen from the built-in q-expansion: a_2 = -24, weight 12
 A2_OVER_SCALE = -0.530330085889911
@@ -66,29 +64,6 @@ def test_is_tempered_examples():
         is_tempered(SatakeClass(1, 1, 2), tol=0.0)
 
 
-def test_complementary_roundtrip():
-    rng = random.Random(41)
-    for _ in range(100):
-        q = rng.choice([2, 3, 5, 7])
-        r = rng.uniform(0.01, 0.49)
-        mu = cmath.exp(2j * math.pi * rng.random())
-        c = SatakeClass(mu * q ** (-r), mu * q ** r, q)
-        got = complementary_params(c)
-        assert got is not None
-        assert abs(got[0] - mu) < 1e-9
-        assert abs(got[1] - r) < 1e-9
-
-
-def test_complementary_examples():
-    c = SatakeClass(3 ** -0.25, 3 ** 0.25, 3)
-    mu, r = complementary_params(c)
-    assert abs(mu - 1) < 1e-12 and abs(r - 0.25) < 1e-12
-    c = SatakeClass(-5 ** -0.1, -5 ** 0.1, 5)
-    mu, r = complementary_params(c)
-    assert abs(mu + 1) < 1e-12 and abs(r - 0.1) < 1e-12
-    assert complementary_params(SatakeClass(1j, -1j, 2)) is None
-
-
 def test_twist_algebra():
     c = SatakeClass(0.5 + 0.1j, 2.0 - 0.3j, 3)
     assert twist(c, 1.0).same_class(c)
@@ -111,20 +86,6 @@ def test_contragredient():
                - 1 / c.central_character()) < 1e-12
     with pytest.raises(ValueError):
         contragredient(SatakeClass(0.0, 1.0, 2))
-
-
-def test_local_rep_class_validation():
-    with pytest.raises(ValueError, match="unknown kind"):
-        LocalRepClass("complementary", mu=1.0)   # region_membership decides these
-    with pytest.raises(ValueError):
-        LocalRepClass(PRINCIPAL_TEMPERED)          # missing mu
-    with pytest.raises(ValueError):
-        LocalRepClass("nonsense")
-    with pytest.raises(ValueError):
-        LocalRepClass(PRINCIPAL_TEMPERED, mu=2.0)  # not unitary
-    # the class is its data: no order flags to set beside mu
-    rep = LocalRepClass(PRINCIPAL_TEMPERED, mu=-1.0, pair_form=PAIR_ONE_MU)
-    assert (rep.kind, rep.mu, rep.pair_form) == (PRINCIPAL_TEMPERED, -1.0, PAIR_ONE_MU)
 
 
 def test_contragredient_keeps_a_rational_partner_of_a_cyclo_exact():
