@@ -24,8 +24,8 @@ V_s is a trapezoid sum over nodes u_k in arithmetic progression on the line
 Re(u) = 2.5.  So y^{-u_k} factors into a giant step times a baby step, and
 the sum over k is evaluated baby-step/giant-step, as a polynomial in
 y^{-i/4} (Paterson-Stockmeyer); the powers of y are shared by every s,
-and afe_values keeps them (592 bytes a row, up to 8192 rows) for the next
-call with the same cutoff and x_scale.
+and afe_values keeps its last four blocks of 2048 rows (592 bytes a row,
+4.9 MB) for later calls, whatever the sequence of calls.
 The step 1/4 aliases the pole of 1/u at u = 0 into the sum with relative
 size about 2 pi e^{-2 pi * 2.5 / (1/4)} = 5e-28 (Trefethen and Weideman,
 SIAM Rev. 2014), far below rounding.
@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -328,27 +328,34 @@ def _kernel_weights(s, cfg: AFEConfig) -> np.ndarray:
     return np.exp(lg) / u * (_STEP / (2 * math.pi))
 
 
-def _kernel_powers(logy: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+def _powers(logy: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The giant steps P = y^{-_NODES[_BABY * j]} and the baby steps
-    Q = y^{-i _STEP m} of y = exp(logy), one (P, Q) pair per _BLOCK rows.
+    Q = y^{-i _STEP m} of y = exp(logy), for one block of at most _BLOCK rows.
 
     Each factor is exponentiated in place, so a block holds no temporary
     beside its two factors.
     """
-    giant = -_NODES[::_BABY]
-    baby = -1j * _STEP * np.arange(_BABY)
-    for i in range(0, len(logy), _BLOCK):
-        t = logy[i:i + _BLOCK]
-        P = np.outer(t, giant)
-        Q = np.outer(t, baby)
-        yield np.exp(P, out=P), np.exp(Q, out=Q)
+    P = np.outer(logy, -_NODES[::_BABY])
+    Q = np.outer(logy, -1j * _STEP * np.arange(_BABY))
+    return np.exp(P, out=P), np.exp(Q, out=Q)
 
 
-def _sums_from_powers(blocks: Iterable[Tuple[np.ndarray, np.ndarray]],
-                      weights: Sequence[np.ndarray],
-                      lengths: Sequence[int]) -> List[np.ndarray]:
-    """_kernel_sums from the blocks of _kernel_powers, which must cover at
-    least max(lengths) rows; blocks past those rows are not drawn."""
+def _kernel_sums(blocks: Iterable[Tuple[np.ndarray, np.ndarray]],
+                 weights: Sequence[np.ndarray],
+                 lengths: Sequence[int]) -> List[np.ndarray]:
+    """V_p = exp(-outer(logy[:lengths[p]], u)) @ weights[p] for every p, with
+    u = _NODES, without forming that matrix; blocks are the _powers of
+    consecutive _BLOCK-row slices of logy, and must cover at least
+    max(lengths) rows (blocks past those rows are not drawn).
+
+    With k = _BABY * j + m, y^{-u_k} = P[n, j] * Q[n, m] for the giant steps
+    P = y^{-_NODES[_BABY * j]} and the baby steps Q = y^{-i _STEP m}, so
+    V_p[n] = sum_j P[n, j] * (Q @ W_p)[n, j] with W_p[m, j] = weights[p][k]
+    (zero past the last node): _BABY + _GIANT = 37 exponentials a row
+    instead of len(_NODES) = 321, 592 bytes a row.  Each block is shared by
+    every point; each point has its own product, so its value does not
+    depend on the other points of the batch.
+    """
     W = np.zeros((len(weights), _GIANT * _BABY), dtype=np.complex128)
     for row, w in zip(W, weights):
         row[:len(_NODES)] = w
@@ -362,47 +369,16 @@ def _sums_from_powers(blocks: Iterable[Tuple[np.ndarray, np.ndarray]],
     return out
 
 
-def _kernel_sums(logy: np.ndarray, weights: Sequence[np.ndarray],
-                 lengths: Sequence[int]) -> List[np.ndarray]:
-    """V_p = exp(-outer(logy[:lengths[p]], u)) @ weights[p] for every p, with
-    u = _NODES, without forming that matrix.
-
-    With k = _BABY * j + m, y^{-u_k} = P[n, j] * Q[n, m] for the giant steps
-    P = y^{-_NODES[_BABY * j]} and the baby steps Q = y^{-i _STEP m}, so
-    V_p[n] = sum_j P[n, j] * (Q @ W_p)[n, j] with W_p[m, j] = weights[p][k]
-    (zero past the last node): _BABY + _GIANT = 37 exponentials a row
-    instead of len(_NODES) = 321, 592 bytes a row.  P and Q are built once
-    per _BLOCK rows (_kernel_powers) and shared by every point; each point
-    has its own product, so its value does not depend on the other points
-    of the batch.
-    """
-    return _sums_from_powers(_kernel_powers(logy), weights, lengths)
-
-
-# afe_values keeps the kernel powers of its last (rows, x_scale) when there
-# are at most this many rows (37 complex128 a row: 4.9 MB at most); a longer
-# table streams its blocks as _kernel_sums does, so memory stays flat
-_CACHED_ROWS = 4 * _BLOCK
-
-
-def _afe_logy(rows: int, x_scale: float) -> np.ndarray:
-    """log(n / x_scale) for n = 1..rows, the rows of afe_values' kernel."""
-    return np.log(np.arange(1, rows + 1, dtype=np.float64) / x_scale)
-
-
-@functools.lru_cache(maxsize=1)
-def _afe_powers(rows: int, x_scale: float) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-    """The _kernel_powers blocks of _afe_logy(rows, x_scale), read-only.
-
-    Keyed on the exact (rows, x_scale): the powers of a longer table are not
-    reused for a shorter one, whose last block's exponentials could round
-    differently.
-    """
-    blocks = tuple(_kernel_powers(_afe_logy(rows, x_scale)))
-    for block in blocks:
-        for factor in block:
-            factor.flags.writeable = False
-    return blocks
+@functools.lru_cache(maxsize=4)
+def _afe_block(start: int, stop: int, x_scale: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The read-only _powers of log(n / x_scale), start < n <= stop: one of the
+    _BLOCK-row blocks of afe_values, 4 of them (4.9 MB) kept at most.  Keyed on
+    the exact stop, so the last block of a short table is never cut from a
+    longer table's block, whose values could round differently."""
+    block = _powers(np.log(np.arange(start + 1, stop + 1, dtype=np.float64) / x_scale))
+    for factor in block:
+        factor.flags.writeable = False
+    return block
 
 
 class CutoffTooSmall(ValueError):
@@ -415,7 +391,8 @@ class CutoffTooSmall(ValueError):
 def smoothing_weights(s: complex, y: np.ndarray, cfg: AFEConfig) -> np.ndarray:
     """V_s(y) on an array of positive y, via the shared quadrature grid."""
     logy = np.log(np.asarray(y, dtype=np.float64))
-    return _kernel_sums(logy, [_kernel_weights(s, cfg)], [len(logy)])[0]
+    blocks = (_powers(logy[i:i + _BLOCK]) for i in range(0, len(logy), _BLOCK))
+    return _kernel_sums(blocks, [_kernel_weights(s, cfg)], [len(logy)])[0]
 
 
 def _check_point(s: complex) -> None:
@@ -441,10 +418,11 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
     (11 +- 6i; comments at _MAX_IM and _MAX_RE).  Every point
     is validated before any sum is formed.  The powers y^{-u} at
     y = n / x_scale do not depend on s: their giant-step and baby-step
-    factors (see _kernel_sums) are built once per block of n for the whole
-    batch, and up to _CACHED_ROWS rows they are kept for the next call with
-    the same largest cutoff and x_scale (_afe_powers).  Raises CutoffTooSmall
-    when the tail of a smoothed sum is not yet negligible.
+    factors (see _kernel_sums) are built once per block of _BLOCK values of
+    n for the whole batch, and the last four blocks drawn are kept for later
+    calls with the same x_scale (_afe_block), so after any sequence of calls
+    at most 4.9 MB of them are held.  Raises CutoffTooSmall when the tail of
+    a smoothed sum is not yet negligible.
     """
     points = [complex(s) for s in points]
     cutoffs = []
@@ -456,9 +434,9 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
         cutoffs.append(cutoff)
     rows = max(cutoffs, default=0)
     n_all = np.arange(1, rows + 1, dtype=np.float64)
-    blocks = (_afe_powers(rows, cfg.x_scale) if 0 < rows <= _CACHED_ROWS
-              else _kernel_powers(_afe_logy(rows, cfg.x_scale)))
-    kernels = _sums_from_powers(blocks, _kernel_weights(points, cfg), cutoffs)
+    blocks = (_afe_block(i, min(i + _BLOCK, rows), cfg.x_scale)
+              for i in range(0, rows, _BLOCK))
+    kernels = _kernel_sums(blocks, _kernel_weights(points, cfg), cutoffs)
     scales = np.abs(gamma_completed(points, cfg)).tolist()
     values = []
     for s, cutoff, V, scale in zip(points, cutoffs, kernels, scales):
@@ -493,7 +471,8 @@ def epsilon_probe(points: Sequence[complex], cfg: AFEConfig,
     Constancy across points and |eps| = 1 validate the gamma configuration;
     points where Lambda(1-s) sits below the noise floor are skipped.  The
     point s = 1/2, where 1 - s = s and the ratio is 1 for any data, is
-    refused with ValueError.
+    refused with ValueError, and so is one point on Re(s) = 1/2, repeated or
+    not, where |eps| = 1 for any real series whatever the gamma configuration.
     """
     if not cfg.self_dual:
         raise ValueError("root-number probe requires self-dual data")
@@ -502,6 +481,10 @@ def epsilon_probe(points: Sequence[complex], cfg: AFEConfig,
         raise ValueError("s = 0.5 is its own reflection 1 - s, where "
                          "Lambda(s)/Lambda(1-s) is 1 for any data")
     values = afe_values([z for s in points for z in (s, 1 - s)], cfg, coeffs)
+    # after the sums, which report a point outside their support first
+    if len(set(points)) < 2 and all(s.real == 0.5 for s in points):
+        raise ValueError("one point on Re(s) = 1/2 checks nothing: there |Lambda(s)/"
+                         "Lambda(1-s)| = 1 for any real series; add a second point")
     gammas = np.abs(gamma_completed(points, cfg)).tolist()
     used, estimates, skipped = [], [], []
     for s, num, den, gamma in zip(points, values[0::2], values[1::2], gammas):

@@ -209,17 +209,17 @@ def parse_hecke(path: str) -> ParsedHeckeData:
             raise HeckeParseError(i, f"duplicate prime {p}")
         seen.add(p)
         kind = bits[1]
-        if kind == "split":
-            if len(bits) != 4:
-                raise HeckeParseError(i, f"split entry at p={p} needs two values")
-            entry = HeckeLocalData(p, SPLIT, _parse_char_value(bits[2], i),
-                                   _parse_char_value(bits[3], i))
-        elif kind == "inert":
-            if len(bits) != 3:
-                raise HeckeParseError(i, f"inert entry at p={p} needs one value")
-            entry = HeckeLocalData(p, INERT, _parse_char_value(bits[2], i))
-        else:
+        if kind == SPLIT and len(bits) != 4:
+            raise HeckeParseError(i, f"split entry at p={p} needs two values")
+        if kind == INERT and len(bits) != 3:
+            raise HeckeParseError(i, f"inert entry at p={p} needs one value")
+        if kind not in (SPLIT, INERT):
             raise HeckeParseError(i, f"splitting must be split or inert, got {kind!r}")
+        values = [_parse_char_value(token, i) for token in bits[2:]]
+        try:
+            entry = HeckeLocalData(p, kind, *values)
+        except ValueError as exc:       # a zero character value
+            raise HeckeParseError(i, str(exc)) from None
         if order is not None:
             for v in (entry.chi_p, entry.chi_pbar):
                 if v is None:

@@ -16,9 +16,8 @@ import symcube
 from symcube import analytic
 from symcube.analytic import (
     AFEConfig, CoefficientTable, CutoffTooSmall, LocalPoleError, MissingPrimeError,
-    VERDICT_CONSISTENT, VERDICT_FLAGGED, _BABY, _BLOCK, _CACHED_ROWS, _CONTOUR,
-    _GIANT, _NODES, _STEP, _VMAX, _afe_powers, _kernel_powers, _kernel_sums,
-    _kernel_weights, _loggamma, afe_value, afe_values,
+    VERDICT_CONSISTENT, VERDICT_FLAGGED, _BABY, _BLOCK, _CONTOUR, _GIANT, _NODES,
+    _STEP, _VMAX, _afe_block, _kernel_sums, _kernel_weights, _loggamma, _powers, afe_value, afe_values,
     analytic_conductor, default_cutoff, delta_sym3_config,
     dirichlet_coeffs, dirichlet_sum, epsilon_probe, gamma_completed,
     inject_pole_factor, partial_L, pole_scan, primes_upto, smoothing_weights)
@@ -323,10 +322,10 @@ def test_mixed_points_derive_cutoffs_across_a_block():
 
 def test_afe_values_empty_batch(delta_sym3_coeffs_8k):
     afe_value(3, delta_sym3_config(), delta_sym3_coeffs_8k)
-    info = _afe_powers.cache_info()
+    info = _afe_block.cache_info()
     assert afe_values([], delta_sym3_config(), delta_sym3_coeffs_8k) == []
-    assert _afe_powers.cache_info() == info   # the cached powers stay
-    assert _kernel_sums(np.log(np.arange(1.0, 9.0)), [], []) == []
+    assert _afe_block.cache_info() == info   # the cached blocks stay
+    assert _kernel_sums([_powers(np.log(np.arange(1.0, 9.0)))], [], []) == []
 
 
 def test_nodes_are_an_exact_arithmetic_progression():
@@ -348,7 +347,7 @@ def test_kernel_sums_against_exact_discrete_sum():
     cfg = delta_sym3_config()
     weights = [_kernel_weights(s, cfg) for s in (0.55, 0.5 + 2j, 3 + 1.3j)]
     logy = np.log(np.array([1, 2, 16, 800, 3999]) / 16.0)
-    got = _kernel_sums(logy, weights, [len(logy)] * len(weights))
+    got = _kernel_sums([_powers(logy)], weights, [len(logy)] * len(weights))
     with mpmath.workdps(40):
         nodes = [mpmath.mpc(complex(u)) for u in _NODES]
         for w, V in zip(weights, got):
@@ -359,11 +358,21 @@ def test_kernel_sums_against_exact_discrete_sum():
                 assert abs(v - complex(exact)) <= bound
 
 
-# --- the kernel powers afe_values keeps between calls ----------------------
+# --- the kernel-power blocks afe_values keeps between calls ----------------
 
 PROBE_POINTS = [0.5 + 0.5j, 0.5 + 1j, 0.5 + 2j]
 # bytes of kernel powers per row: _GIANT + _BABY complex128 values
 ROW_BYTES = (_GIANT + _BABY) * 16
+BLOCK_BYTES = _BLOCK * ROW_BYTES
+# more rows than the four blocks the cache keeps; the last block has one row
+LONG_ROWS = 8 * _BLOCK + 1
+
+
+def _unit_table(rows):
+    """lambda(1) = 1 and 0 elsewhere, so every smoothed sum passes the tail check."""
+    table = CoefficientTable(np.zeros(rows + 1, dtype=np.complex128))
+    table.values[1] = 1
+    return table
 
 
 def _afe_calls(cfg, coeffs):
@@ -377,39 +386,45 @@ def _afe_results(cfg, coeffs):
     return [call() for call in _afe_calls(cfg, coeffs)]
 
 
-def test_afe_results_equal_from_a_cold_cache_a_warm_cache_and_streaming(
-        delta_sym3_coeffs_8k, monkeypatch):
+def test_afe_results_equal_from_a_cold_a_warm_and_an_evicted_cache(delta_sym3_coeffs_8k):
     cfg = delta_sym3_config()
     cold = []
     for call in _afe_calls(cfg, delta_sym3_coeffs_8k):
-        _afe_powers.cache_clear()
+        _afe_block.cache_clear()
         cold.append(call())
-    hits = _afe_powers.cache_info().hits
+    info = _afe_block.cache_info()
     assert _afe_results(cfg, delta_sym3_coeffs_8k) == cold
-    assert _afe_powers.cache_info().hits == hits + 3
-    monkeypatch.setattr(analytic, "_CACHED_ROWS", 0)
-    _afe_powers.cache_clear()
+    # 4000 rows are two blocks, and each of the three calls finds both
+    assert _afe_block.cache_info().hits == info.hits + 6
+    assert _afe_block.cache_info().misses == info.misses
+    afe_values([3.0], delta_sym3_config(cutoff=LONG_ROWS), _unit_table(LONG_ROWS))
+    info = _afe_block.cache_info()
     assert _afe_results(cfg, delta_sym3_coeffs_8k) == cold
-    assert _afe_powers.cache_info().currsize == 0
+    assert _afe_block.cache_info().misses == info.misses + 2
 
 
 @pytest.mark.parametrize("change", [{"x_scale": 20.0}, {"cutoff": 3000}])
-def test_afe_cache_rebuilds_for_a_new_cutoff_or_x_scale(delta_sym3_coeffs_8k, change):
+def test_afe_cache_keys_blocks_on_cutoff_and_x_scale(delta_sym3_coeffs_8k, change):
     cfg = dataclasses.replace(delta_sym3_config(), **change)
-    _afe_powers.cache_clear()
+    _afe_block.cache_clear()
     fresh = _afe_results(cfg, delta_sym3_coeffs_8k)
+    info = _afe_block.cache_info()
     _afe_results(delta_sym3_config(), delta_sym3_coeffs_8k)
+    # a new x_scale builds both blocks of 4000 rows; a new cutoff its last one
+    assert _afe_block.cache_info().misses == info.misses + (2 if "x_scale" in change else 1)
+    # both tables fit in the four blocks the cache keeps
+    info = _afe_block.cache_info()
     assert _afe_results(cfg, delta_sym3_coeffs_8k) == fresh
-    assert _afe_powers.cache_info().currsize == 1
+    assert _afe_block.cache_info().misses == info.misses
 
 
-def test_cached_kernel_powers_are_read_only_and_equal_a_fresh_build():
-    rows = _CACHED_ROWS
-    blocks = _afe_powers(rows, 16.0)
-    fresh = list(_kernel_powers(np.log(np.arange(1, rows + 1, dtype=np.float64) / 16.0)))
-    assert len(blocks) == len(fresh) == rows // _BLOCK
-    for (P, Q), (P0, Q0) in zip(blocks, fresh):
-        assert P.shape == (_BLOCK, _GIANT) and Q.shape == (_BLOCK, _BABY)
+def test_afe_blocks_are_read_only_and_equal_a_fresh_powers():
+    for start, stop in ((0, _BLOCK), (_BLOCK, 4000), (3 * _BLOCK, 3 * _BLOCK + 1)):
+        P, Q = _afe_block(start, stop, 16.0)
+        # the rows of the whole table, as one array, then sliced
+        logy = np.log(np.arange(1, stop + 1, dtype=np.float64) / 16.0)[start:]
+        P0, Q0 = _powers(logy)
+        assert P.shape == (stop - start, _GIANT) and Q.shape == (stop - start, _BABY)
         assert np.array_equal(P, P0) and np.array_equal(Q, Q0)
         for factor in (P, Q):
             assert not factor.flags.writeable
@@ -417,50 +432,80 @@ def test_cached_kernel_powers_are_read_only_and_equal_a_fresh_build():
                 factor[0, 0] = 1
 
 
-def test_afe_values_above_the_cached_rows_stream_like_kernel_sums():
-    rows = 2 * _CACHED_ROWS
+def test_a_short_table_gets_its_own_last_block(delta_sym3_coeffs_8k):
+    short = dataclasses.replace(delta_sym3_config(), cutoff=3000)
+    _afe_block.cache_clear()
+    cold = afe_values(PROBE_POINTS, short, delta_sym3_coeffs_8k)
+    _afe_block.cache_clear()
+    afe_values(PROBE_POINTS, dataclasses.replace(short, cutoff=5000), delta_sym3_coeffs_8k)
+    info = _afe_block.cache_info()
+    assert afe_values(PROBE_POINTS, short, delta_sym3_coeffs_8k) == cold
+    # the full block (0, 2048] is shared; (2048, 3000] is not cut from (2048, 4096]
+    assert _afe_block.cache_info().hits == info.hits + 1
+    assert _afe_block.cache_info().misses == info.misses + 1
+    assert _afe_block(_BLOCK, 3000, 16.0)[0].shape == (3000 - _BLOCK, _GIANT)
+
+
+def test_afe_values_past_four_blocks_cycle_the_cache_like_kernel_sums():
+    rows = LONG_ROWS
     coeffs = CoefficientTable(np.random.default_rng(7).normal(size=rows + 1) + 0j)
     points = [3 + 1j, 0.6 + 0j, 2 - 0.5j]
-    _afe_powers.cache_clear()
+    _afe_block.cache_clear()
     got = afe_values(points, delta_sym3_config(cutoff=rows), coeffs)
-    got += afe_values(points[:1], delta_sym3_config(cutoff=_CACHED_ROWS + 1), coeffs)
-    info = _afe_powers.cache_info()
-    assert info.currsize == 0 and info.misses == 0
+    got += afe_values(points[:1], delta_sym3_config(cutoff=4 * _BLOCK + 1), coeffs)
+    info = _afe_block.cache_info()
+    # 9 blocks, then 5 more: the first four were evicted by the long table
+    assert (info.hits, info.misses, info.currsize) == (0, 14, 4)
     n = np.arange(1, rows + 1, dtype=np.float64)
-    lengths = [rows] * len(points) + [_CACHED_ROWS + 1]
-    V = _kernel_sums(np.log(n / 16.0), _kernel_weights(points + points[:1], delta_sym3_config()),
-                     lengths)
+    logy = np.log(n / 16.0)
+    lengths = [rows] * len(points) + [4 * _BLOCK + 1]
+    V = _kernel_sums([_powers(logy[i:i + _BLOCK]) for i in range(0, rows, _BLOCK)],
+                     _kernel_weights(points + points[:1], delta_sym3_config()), lengths)
     for s, value, V_p in zip(points + points[:1], got, V):
         terms = coeffs.values[1:len(V_p) + 1] * n[:len(V_p)] ** (-s) * V_p
         assert value == complex(np.sum(terms))
 
 
-def test_afe_cache_holds_one_entry_of_at_most_cached_rows(delta_sym3_coeffs_8k):
+def test_afe_cache_holds_at_most_four_blocks_after_any_sequence(delta_sym3_coeffs_8k):
     # numpy reports its buffers to tracemalloc; each kind of call is made once
     # before tracing, so that one-time state (lazy numpy tables) is not counted
-    cfg = delta_sym3_config()
-    # lambda(1) = 1 and 0 elsewhere, so every smoothed sum passes the tail check
-    big = CoefficientTable(np.zeros(2 * _CACHED_ROWS + 1, dtype=np.complex128))
-    big.values[1] = 1
-    big_cfg = delta_sym3_config(cutoff=big.n_max)
-    afe_values([3.0], cfg, delta_sym3_coeffs_8k)
-    afe_values([3.0], big_cfg, big)
-    _afe_powers.cache_clear()
+    long_table = _unit_table(LONG_ROWS)
+    long_cfg = delta_sym3_config(cutoff=LONG_ROWS)
+    calls = [  # (rows, points, call)
+        (4000, 1, lambda: afe_values([3.0], delta_sym3_config(), delta_sym3_coeffs_8k)),
+        (LONG_ROWS, 1, lambda: afe_values([3.0], long_cfg, long_table)),
+        (LONG_ROWS, 3, lambda: afe_values([3.0, 2 + 1j, 0.6], long_cfg, long_table)),
+        (3000, 1, lambda: afe_values(
+            [3.0], dataclasses.replace(long_cfg, cutoff=3000, x_scale=20.0), long_table)),
+        (4000, 1, lambda: afe_values([3.0], delta_sym3_config(), delta_sym3_coeffs_8k)),
+    ]
+    for _, _, call in calls:
+        call()
+    _afe_block.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        afe_values([3.0], cfg, delta_sym3_coeffs_8k)
-        afe_values([3.0], cfg, delta_sym3_coeffs_8k)
-        held = tracemalloc.get_traced_memory()[0] - base
-        assert 4000 * ROW_BYTES <= held <= 1.1 * 4000 * ROW_BYTES
+        # what building one block takes at its peak (outer products and logs)
         tracemalloc.reset_peak()
-        afe_values([3.0], big_cfg, big)
-        current, peak = tracemalloc.get_traced_memory()
-        # the streamed call keeps nothing, and never holds as many kernel
-        # rows as the largest table that is cached
-        assert current - base <= (4000 + _BLOCK) * ROW_BYTES
-        assert peak - base - held <= _CACHED_ROWS * ROW_BYTES
+        before = tracemalloc.get_traced_memory()[0]
+        _afe_block.__wrapped__(0, _BLOCK, 16.0)
+        build = tracemalloc.get_traced_memory()[1] - before
+        assert BLOCK_BYTES <= build <= 1.3 * BLOCK_BYTES
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        for k, (rows, n_points, call) in enumerate(calls):
+            tracemalloc.reset_peak()
+            call()
+            current, peak = tracemalloc.get_traced_memory()
+            held = current - base
+            if k == 0:     # the two blocks of the 4000-row table
+                assert 4000 * ROW_BYTES <= held <= 1.01 * 4000 * ROW_BYTES
+            assert held <= 4 * BLOCK_BYTES + 4096
+            # beside the 4 held blocks: the one being built, the call's arrays
+            # of one value per row (n, and a kernel sum per point) and 64 KiB
+            # of small ones (the quadrature weights of the points, ...)
+            per_row = rows * (8 + 16 * n_points)
+            assert peak - base <= 4 * BLOCK_BYTES + build + per_row + 65536
     finally:
         tracemalloc.stop()
 
@@ -522,6 +567,26 @@ def test_epsilon_probe_refuses_the_point_that_is_its_own_reflection(delta_sym3_c
     with pytest.raises(ValueError, match="own reflection"):
         epsilon_probe([0.5 + 1j, 0.5], delta_sym3_config(), delta_sym3_coeffs_8k)
     afe_value(0.5, delta_sym3_config(), delta_sym3_coeffs_8k)   # the value itself is fine
+
+
+@pytest.mark.parametrize("points", [[0.5 + 1j], [0.5 - 2j, 0.5 - 2j], []])
+def test_epsilon_probe_refuses_one_point_on_the_critical_line(delta_sym3_coeffs_8k, points):
+    # there Lambda(1-s) is the conjugate of Lambda(s), so a wrong gamma
+    # shift still reads |eps| = 1 with no second estimate to disagree with
+    wrong = AFEConfig(gamma_shifts=(6.5, 16.5), cutoff=4000)
+    for cfg in (delta_sym3_config(), wrong):
+        with pytest.raises(ValueError, match="checks nothing"):
+            epsilon_probe(points, cfg, delta_sym3_coeffs_8k)
+
+
+def test_epsilon_probe_runs_off_the_line_or_on_two_points(delta_sym3_coeffs_8k):
+    # each of these probes tells the shipped shifts from a wrong one
+    wrong = AFEConfig(gamma_shifts=(6.5, 16.5), cutoff=4000)
+    for points in ([0.6], [0.5 + 1j, 0.5 + 2j], [0.5 + 1j, 0.5 - 1j]):
+        good = epsilon_probe(points, delta_sym3_config(), delta_sym3_coeffs_8k)
+        bad = epsilon_probe(points, wrong, delta_sym3_coeffs_8k)
+        assert max(good.max_pairwise_deviation, good.modulus_deviation) < 1e-5
+        assert max(bad.max_pairwise_deviation, bad.modulus_deviation) > 1e-2
 
 
 def test_epsilon_probe_requires_self_dual(delta_sym3_coeffs_8k):

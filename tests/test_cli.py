@@ -8,12 +8,14 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcube.cli import _prime_power, main
 from symcube.ingest import delta_form, satake_table
@@ -241,6 +243,9 @@ def test_missing_file_is_usage_error():
     ["scan", "--coeffs", "builtin:delta:4000", "--a", "1e300", "--b", "2e300", "--grid", "2"],
     ["scan", "--coeffs", "builtin:delta:4000", "--a", "100", "--b", "100", "--grid", "1"],
     ["afe", "--coeffs", "builtin:delta:4000", "--points", "0.5"],
+    # one point on the critical line, which no gamma configuration can fail
+    ["afe", "--coeffs", "builtin:delta:4000", "--points", "0.5+1j"],
+    ["afe", "--coeffs", "builtin:delta:4000", "--points", "0.5+1j,0.5+1j"],
     ["euler", "--coeffs", "builtin:delta:200", "--X", "100", "--s", "nan"],
     ["euler", "--coeffs", "builtin:delta:200", "--X", "100", "--s", "inf"],
     ["euler", "--coeffs", "builtin:delta:200", "--X", "100", "--s", "1+nanj"],
@@ -633,11 +638,13 @@ _READERS = {"--coeffs": ("parse_form", ["satake"]),
      "input error: line 3: non-finite coefficient in '2 1.e400'\n"),
     ("HeckeParseError", "--hecke", "field-disc -23 chi-order 3\n2 split 1/5 4/5\n3 inert 1/7\n",
      "input error: line 2: value at p=2 is not an order-3 root of unity (chi-order 3)\n"),
+    ("HeckeParseError", "--hecke", "field-disc -23 chi-order unknown\n2 split 0,0 1,0\n",
+     "input error: line 2: character values must be nonzero\n"),
     *(("ConfigParseError", "--config", text, f"input error: config{err}\n")
       for _, text, err in _BAD_CONFIGS),
 ], ids=["FormParseError", "MultiplicativityError", "HeckeParseError",
         "HeckeParseError-chi-order", "FormParseError-non-finite",
-        "HeckeParseError-chi-order-values",
+        "HeckeParseError-chi-order-values", "HeckeParseError-zero-value",
         *(f"ConfigParseError-{name}" for name, _, _ in _BAD_CONFIGS)])
 def test_parse_errors_are_symcube_input_errors(tmp_path, error, flag, text, err):
     """Each fault is a SymcubeInputError of its parser, and the command that
@@ -653,3 +660,54 @@ def test_parse_errors_are_symcube_input_errors(tmp_path, error, flag, text, err)
     assert isinstance(exc.value, ValueError)
     out = run_cold([*command, flag, str(path)])
     assert (out.returncode, out.stdout, out.stderr.decode()) == (2, b"", err)
+
+
+# --- afe and scan on any finite flags, from a cold and a refilled cache ------
+
+# any finite float, and one where the commands compute something
+_ANY_FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(-2.0, 13.0))
+_ANY_POINT = st.builds(complex, _ANY_FLOAT, st.one_of(_ANY_FLOAT, st.just(0.0)))
+
+
+def _complex_flag(z: complex) -> str:
+    return f"{z.real!r}{z.imag:+}j"
+
+
+_AFE_ARGV = st.builds(
+    lambda points, fmt: ["afe", "--coeffs", "builtin:delta:4000", f"--format={fmt}",
+                         *([f"--points={','.join(map(_complex_flag, points))}"]
+                           if points else [])],
+    st.lists(_ANY_POINT, max_size=4), st.sampled_from(["table", "json", "csv"]))
+_SCAN_ARGV = st.builds(
+    lambda a, b, grid, threshold, pole, fmt: [
+        "scan", "--coeffs", "builtin:delta:4000", f"--a={a!r}", f"--b={b!r}",
+        f"--grid={grid}", f"--threshold={threshold!r}", f"--format={fmt}",
+        *([f"--inject-pole={pole[0]},{pole[1]!r}"] if pole else [])],
+    _ANY_FLOAT, _ANY_FLOAT, st.integers(1, 20), _ANY_FLOAT,
+    st.none() | st.tuples(st.integers(2, 50), _ANY_FLOAT),
+    st.sampled_from(["table", "json", "csv"]))
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:     # argparse refusing a flag
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(_AFE_ARGV, _SCAN_ARGV))
+def test_afe_and_scan_exit_0_1_or_2_alike_from_a_cold_and_a_refilled_cache(argv):
+    from symcube import analytic
+    analytic._afe_block.cache_clear()
+    cold = _run_in_process(argv)
+    assert cold[0] in (0, 1, 2)
+    # leave other blocks in the cache: those of a 5000-row table
+    table = analytic.CoefficientTable(np.zeros(5001, dtype=np.complex128))
+    table.values[1] = 1
+    analytic.afe_values([3.0], analytic.delta_sym3_config(cutoff=5000), table)
+    assert _run_in_process(argv) == cold

@@ -57,3 +57,40 @@ def test_scalar_modules_import_nothing_from_cyclo(module):
         else:
             continue
         assert not any("cyclo" in name.split(".") for name in names), ast.dump(node)
+
+
+def _unused_imports(source: str):
+    """Names a module imports and never reads (``__all__`` counts as a read)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_finder_sees_unused_and_used_names():
+    source = ("from __future__ import annotations\n"
+              "import os, os.path\n"
+              "from typing import Iterator, List\n"
+              "from . import a as b\n"
+              "def f(x: List[int]) -> None:\n"
+              "    return os.sep\n")
+    assert _unused_imports(source) == [(3, "Iterator"), (4, "b")]
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "src" / "symcube").rglob("*.py")),
+                         ids=lambda path: path.name)
+def test_modules_import_no_name_they_never_use(path):
+    """An unused import costs import time and memory at every start (an
+    annotation-only import included), and says nothing."""
+    assert _unused_imports(path.read_text()) == []
