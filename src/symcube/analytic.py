@@ -397,6 +397,8 @@ def smoothing_weights(s: complex, y: np.ndarray, cfg: AFEConfig) -> np.ndarray:
 
 def _check_point(s: complex) -> None:
     """ValueError unless afe_values supports s (see its docstring)."""
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ValueError(f"s = {s} is not a finite point")
     if s.real + _CONTOUR <= 1.05:
         raise ValueError(f"Re(s) = {s.real} below the supported strip")
     if s.real > _MAX_RE:
@@ -524,6 +526,8 @@ def pole_scan(interval: Tuple[float, float], grid: int, cfg: AFEConfig,
     factor with a pole in the interval inflates them well past it.
     """
     a, b = float(interval[0]), float(interval[1])
+    if not math.isfinite(b - a):
+        raise ValueError(f"the interval [{a}, {b}] has no finite length")
     if grid < 1 or (grid < 2 and a != b):
         raise ValueError("grid must have at least 2 points on a real interval")
     sigmas = [a] if a == b else [a + (b - a) * i / (grid - 1) for i in range(grid)]

@@ -5,16 +5,25 @@ A value is stored as an integer order n and a dict {k: coefficient} with
 plain ints when integral and Fractions otherwise, and n is kept minimal
 (the lcm of the exponent denominators), so one formal sum has exactly one
 representation.  Sums and products align their operands at the lcm of the
-two orders with integer key arithmetic.  Two fast paths give the same
-result, term order included, as the general rebuild:
+two orders with integer key arithmetic.  Short routes give the same result,
+order, term order and coefficient types included, as the general rebuild:
 
-- a product with a single term c*zeta^k only shifts the other operand's keys
-  by k and scales its coefficients by c, so no keys collide and none vanish;
-  only the gcd reduction (zeta_4 * zeta_4 = zeta_2) and the int form of an
-  integral Fraction are left to do;
+- a product by the rational 1 returns the other operand (values are
+  immutable);
+- a product of two single terms c1*zeta^k1 and c2*zeta^k2 is the one term
+  c1*c2 at key k1*m1 + k2*m2 mod n, reduced by gcd(n, key);
+- a product with one single term c*zeta^k only shifts the other operand's
+  keys by k and scales its coefficients by c, so no keys collide and none
+  vanish; only the gcd reduction (zeta_4 * zeta_4 = zeta_2) and the int form
+  of an integral Fraction are left to do;
+- a sum of two values of one order starts from a copy of the first dict, as
+  the lift by m1 = 1 would build it;
 - a sum in which no coefficient cancels is already minimal: at n = lcm(n1, n2)
   the lifted keys of the two operands have gcds n/n1 and n/n2 with n, which
-  are coprime, so the union of the keys has gcd 1 with n.
+  are coprime, so the union of the keys has gcd 1 with n; `+ 0` returns
+  the other operand;
+- a negation flips the coefficients of a value that is already minimal;
+- the inverse of a single term keeps its order (gcd(n, -k) = gcd(n, k) = 1).
 
 The representation is lazy (ties
 like 1 + zeta_2 = 0 are not collapsed on construction, which keeps
@@ -231,9 +240,12 @@ class Cyclo:
         if not self._c:
             return other
         n1, n2 = self._n, other._n
-        n = math.lcm(n1, n2)
-        m1, m2 = n // n1, n // n2
-        out = {k * m1: c for k, c in self._c.items()}
+        if n1 == n2:
+            n, m2, out = n1, 1, dict(self._c)
+        else:
+            n = math.lcm(n1, n2)
+            m1, m2 = n // n1, n // n2
+            out = {k * m1: c for k, c in self._c.items()}
         cancelled = False
         for k, c in other._c.items():
             k *= m2
@@ -260,10 +272,20 @@ class Cyclo:
     def __mul__(self, other):
         if not isinstance(other, Cyclo):
             q = _rational(other)
+            if q == 1:
+                return self
             return _make(self._n, {k: c * q for k, c in self._c.items()})
         n1, n2 = self._n, other._n
         n = math.lcm(n1, n2)
         m1, m2 = n // n1, n // n2
+        if len(self._c) == 1 and len(other._c) == 1:
+            (k1, c1), = self._c.items()
+            (k2, c2), = other._c.items()
+            k, c = (k1 * m1 + k2 * m2) % n, c1 * c2
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            g = math.gcd(n, k)
+            return _raw(n // g, {k // g: c})
         if len(self._c) == 1 or len(other._c) == 1:
             if len(self._c) == 1:
                 (k0, c0), = self._c.items()
@@ -297,7 +319,10 @@ class Cyclo:
         if not self.is_monomial():
             raise ValueError("inverse defined only for monomial values")
         (k, c), = self._c.items()
-        return _make(self._n, {-k % self._n: Fraction(1, c)})
+        c = Fraction(1, c)
+        if c.denominator == 1:
+            c = c.numerator
+        return _raw(self._n, {-k % self._n: c})
 
     def __truediv__(self, other):
         """Division by a monomial or a nonzero rational; other divisors

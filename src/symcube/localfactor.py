@@ -108,14 +108,12 @@ class ReciprocalPoly:
         like B^(3 deg), far past any fixed absolute tolerance.  Equal
         exact-mode polynomials return exactly 0.0.
         """
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        if all(x == y for x, y in zip(a, b)):
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        if all(x == y for x, y in pairs):
             return 0.0
         worst = 0.0
         scale = 1.0
-        for x, y in zip(a, b):
+        for x, y in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0):
             xc, yc = complex(x), complex(y)
             worst = max(worst, abs(xc - yc))
             scale = max(scale, abs(xc), abs(yc))

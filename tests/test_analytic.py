@@ -3,6 +3,7 @@ import gc
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -314,6 +315,19 @@ def test_afe_values_refuse_a_point_above_re_s_12_before_any_sum(delta_sym3_coeff
             default_cutoff(s, AFEConfig(gamma_shifts=(5.5, 16.5)))
 
 
+@pytest.mark.parametrize("s", [float("nan"), complex(3, float("nan")), float("inf"),
+                               complex(3, float("-inf")), complex(float("nan"), float("inf"))])
+def test_afe_values_refuse_a_non_finite_point_before_any_sum(delta_sym3_coeffs_8k, s):
+    # every comparison with NaN is false, so the range checks alone let it through
+    cfg = delta_sym3_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="is not a finite point"):
+            afe_values([3.0, s], cfg, delta_sym3_coeffs_8k)
+        with pytest.raises(ValueError, match="is not a finite point"):
+            default_cutoff(s, AFEConfig(gamma_shifts=(5.5, 16.5)))
+
+
 def test_mixed_points_derive_cutoffs_across_a_block():
     cutoffs = {default_cutoff(s, MIXED_CONFIG) for s in MIXED_POINTS}
     assert len(cutoffs) == len(MIXED_POINTS)
@@ -615,6 +629,16 @@ def test_pole_scan_injected_pole_flagged(delta_sym3_coeffs_8k):
 def test_pole_scan_single_point(delta_sym3_coeffs_8k):
     report = pole_scan((0.7, 0.7), 5, delta_sym3_config(), delta_sym3_coeffs_8k)
     assert len(report.grid) == 1
+
+
+@pytest.mark.parametrize("interval", [(-1.7e308, 1.7e308), (1.7e308, -1.7e308),
+                                      (float("nan"), 0.7), (0.7, float("inf"))])
+def test_pole_scan_refuses_an_interval_without_a_finite_length(delta_sym3_coeffs_8k,
+                                                               interval):
+    # b - a = inf would put nan and inf on the grid, points nobody asked for
+    a, b = interval
+    with pytest.raises(ValueError, match=re.escape(f"interval [{a}, {b}]")):
+        pole_scan(interval, 9, delta_sym3_config(), delta_sym3_coeffs_8k)
 
 
 def test_inject_pole_factor_series():

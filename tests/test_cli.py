@@ -119,6 +119,24 @@ def test_identity_deterministic_bytes():
     assert out1 != out3
 
 
+# sha256 of the README's `identity --suite all --samples 100 --seed 7 --format
+# <format>` stdout, recorded before ReciprocalPoly.max_coeff_diff lost its
+# padded copies and max() calls
+IDENTITY_SHA256 = {
+    "table": "7a20c29dd97e8ed7f65139a2579ac10bc9884dd9f3d2b454e572ca499fc2882e",
+    "csv": "9083042745a41181fc8b01bb707af8fc7abd4a278846bbce598913f188dbda04",
+    "json": "d7fe6660b518c7eb01e9cdd6dd0ec5e4888ea27ba065d0a9d9b266d5edaa4fa3",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(IDENTITY_SHA256))
+def test_identity_readme_bytes_are_pinned(fmt):
+    code, out = run_cli(["identity", "--suite", "all", "--samples", "100", "--seed", "7",
+                         "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == IDENTITY_SHA256[fmt]
+
+
 def test_region_csv_vertices():
     code, out = run_cli(["region", "--grid", "13", "--format", "csv"])
     assert code == 0
@@ -519,6 +537,14 @@ def test_afe_point_past_the_supported_height_is_usage_error():
     assert out.returncode == 2
     assert out.stdout == b""
     assert out.stderr == b"input error: Im(s) = 7.0 outside the supported |Im(s)| <= 6\n"
+
+
+def test_scan_interval_whose_length_overflows_is_usage_error():
+    # b - a = inf once put nan and inf on the grid and reported Re(s) = inf
+    out = run_cold(["scan", "--coeffs", "builtin:delta:4000", "--a=-1.7e308", "--b", "1.7e308"])
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert out.stderr == b"input error: the interval [-1.7e+308, 1.7e+308] has no finite length\n"
 
 
 def test_exact_commands_do_not_load_numpy():

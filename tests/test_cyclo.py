@@ -349,15 +349,33 @@ def canonical(draw):
     return reference_make(n, {k: draw(SMALL) for k in keys})
 
 
+RATIONALS = st.sampled_from([0, 1, -1, 2, Q(1), Q(-1), Q(1, 2), Q(-3, 2)])
+
+
+def reference_inverse(m):
+    (k, c), = m._c.items()
+    return reference_make(m._n, {-k % m._n: Q(1, c)})
+
+
 @settings(deadline=None, max_examples=400)
-@given(canonical(), canonical())
-def test_fast_paths_equal_the_general_rebuild(a, b):
+@given(canonical(), canonical(), RATIONALS)
+def test_fast_paths_equal_the_general_rebuild(a, b, q):
     assert rep(a + b) == rep(reference_add(a, b))
     assert rep(a - b) == rep(reference_add(a, reference_neg(b)))
     assert rep(a * b) == rep(reference_mul(a, b))
     assert rep(b * a) == rep(reference_mul(b, a))
     assert rep(-a) == rep(reference_neg(a))
     assert rep(a + (-a) + b) == rep(reference_add(reference_add(a, reference_neg(a)), b))
+    # a rational operand on either side, as the order-1 value it stands for;
+    # q * a and q + a are reflected to a * q and a + q
+    r = reference_make(1, {0: q})
+    assert rep(a * q) == rep(q * a) == rep(reference_mul(a, r))
+    assert rep(a + q) == rep(q + a) == rep(reference_add(a, r))
+    assert rep(a - q) == rep(reference_add(a, reference_neg(r)))
+    assert rep(q - a) == rep(reference_add(r, reference_neg(a)))
+    for m in (a, b):
+        if m.is_monomial():
+            assert rep(m.inverse()) == rep(reference_inverse(m))
 
 
 def test_fast_path_cases():
@@ -370,3 +388,14 @@ def test_fast_path_cases():
     one_plus = Cyclo.one() + z(1, 2)
     assert rep(one_plus) == (2, [(0, 1), (1, 1)], [int, int])
     assert bool(one_plus) is False
+    # a sum of one order that cancels down to a lower order
+    assert rep((z(1, 4) + z(1, 2)) + (-z(1, 4))) == (2, [(1, 1)], [int])
+    # a product by the rational 1 is the operand itself; by -1 it has the
+    # rep of the negation
+    x = Q(1, 2) * z(1, 3) + 2 * z(1, 4)
+    assert x * 1 is x and 1 * x is x and x * Q(1) is x
+    assert rep(x * -1) == rep(-x) == (12, [(4, Q(-1, 2)), (3, -2)], [Q, int])
+    # the inverse of a monomial keeps its order and an integral coefficient
+    # as an int
+    assert rep((-z(1, 6)).inverse()) == (6, [(5, -1)], [int])
+    assert rep((Q(-1, 3) * z(1, 6)).inverse()) == (6, [(5, -3)], [int])

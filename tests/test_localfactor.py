@@ -227,6 +227,46 @@ def test_reciprocal_poly_contracts():
     assert ReciprocalPoly([1.0, -0.5]).coeffs == (1.0, -0.5)
 
 
+def reference_max_coeff_diff(p, q):
+    """The earlier body: padded list copies and max() calls."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    a = list(p.coeffs) + [0] * (n - len(p.coeffs))
+    b = list(q.coeffs) + [0] * (n - len(q.coeffs))
+    if all(x == y for x, y in zip(a, b)):
+        return 0.0
+    worst = 0.0
+    scale = 1.0
+    for x, y in zip(a, b):
+        xc, yc = complex(x), complex(y)
+        worst = max(worst, abs(xc - yc))
+        scale = max(scale, abs(xc), abs(yc))
+    return worst / scale
+
+
+_odd_parts = st.one_of(_float_parts, st.sampled_from([math.nan, math.inf, -math.inf]))
+_exact_values = st.one_of(st.integers(-3, 3),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                          _cyclo_values)
+_diff_polys = st.one_of(
+    st.lists(st.builds(complex, _odd_parts, _odd_parts), max_size=8),
+    st.lists(_exact_values, max_size=8),
+    st.lists(st.one_of(_exact_values, _complex_values), max_size=8),
+).map(lambda tail: ReciprocalPoly([1, *tail]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_diff_polys, _diff_polys)
+@example(ReciprocalPoly([1, complex(math.nan, 0)]), ReciprocalPoly([1, 2.0]))
+@example(ReciprocalPoly([1, complex(math.nan, 0), 3.0]), ReciprocalPoly([1, 2.0]))
+# 1 + zeta_2 equals 0 but reads about 1.2e-16j as a complex number
+@example(ReciprocalPoly([1, 1 + Cyclo.root_of_unity(1, 2), 2]), ReciprocalPoly([1, 0]))
+def test_max_coeff_diff_equals_the_padded_body(p, q):
+    # the same float bit for bit, NaN and signed zero included
+    assert repr(p.max_coeff_diff(q)) == repr(reference_max_coeff_diff(p, q))
+    assert repr(q.max_coeff_diff(p)) == repr(reference_max_coeff_diff(q, p))
+    assert repr(p.max_coeff_diff(p)) == repr(reference_max_coeff_diff(p, p))
+
+
 def test_degenerate_parameter_rejected():
     with pytest.raises(ZeroDivisionError):
         local_factor(RepTag.ADJOINT_CUBE, SatakeClass(0.0, 1.0, 2))
