@@ -265,11 +265,17 @@ def _log_gamma_factor(s: np.ndarray, cfg: AFEConfig) -> np.ndarray:
 
 def gamma_completed(s, cfg: AFEConfig):
     """conductor^{s/2} * prod_j Gamma_C(s + kappa_j), Gamma_C(w) = 2 (2pi)^{-w} Gamma(w),
-    at a point (a complex number) or elementwise over a sequence of points."""
-    return np.exp(_log_gamma_factor(np.asarray(s, dtype=np.complex128), cfg))
+    at a point (a complex number) or elementwise over a sequence of points;
+    ValueError at a non-finite point."""
+    s = np.asarray(s, dtype=np.complex128)
+    for z in s[~np.isfinite(s)].flat:
+        _check_finite(complex(z))
+    return np.exp(_log_gamma_factor(s, cfg))
 
 
 def analytic_conductor(s: complex, cfg: AFEConfig) -> float:
+    """conductor * prod_j |(s + kappa_j) / 2pi|^2; ValueError at a non-finite point."""
+    _check_finite(complex(s))
     out = float(cfg.conductor)
     for k in cfg.gamma_shifts:
         out *= abs((complex(s) + k) / (2 * math.pi)) ** 2
@@ -395,10 +401,14 @@ def smoothing_weights(s: complex, y: np.ndarray, cfg: AFEConfig) -> np.ndarray:
     return _kernel_sums(blocks, [_kernel_weights(s, cfg)], [len(logy)])[0]
 
 
-def _check_point(s: complex) -> None:
-    """ValueError unless afe_values supports s (see its docstring)."""
+def _check_finite(s: complex) -> None:
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise ValueError(f"s = {s} is not a finite point")
+
+
+def _check_point(s: complex) -> None:
+    """ValueError unless afe_values supports s (see its docstring)."""
+    _check_finite(s)
     if s.real + _CONTOUR <= 1.05:
         raise ValueError(f"Re(s) = {s.real} below the supported strip")
     if s.real > _MAX_RE:

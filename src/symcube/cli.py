@@ -104,8 +104,13 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _prime_power(text: str) -> int:
-    """An argparse type for prime powers p^k, k >= 1, with p below _MR_BOUND."""
+    """An argparse type for prime powers p^k, k >= 1, with p below _MR_BOUND
+    and p^k at most the largest float (gk_coefficient computes with complex(q))."""
     q = _int_at_least(2)(text)
+    if q > sys.float_info.max:
+        raise argparse.ArgumentTypeError(
+            f"must be a prime power at most the largest float, "
+            f"{sys.float_info.max:.6g}, got {text!r}")
     # with k the largest exponent such that q = m^k, m is no perfect power,
     # so q is a prime power exactly when m is prime
     for k in range(q.bit_length() - 1, 0, -1):
@@ -512,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("intertwine", help="constant-term coefficient checks / grid")
     p.add_argument("--q", type=_prime_power,
-                   help="prime power q of the --grid rows (default 2)")
+                   help="prime power q of the --grid rows, at most the largest float "
+                        "(default 2)")
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--r", type=_parse_fraction, default=Fraction(1, 10),
                    help="rational r for pole-set checks")

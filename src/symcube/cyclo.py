@@ -28,8 +28,9 @@ order, term order and coefficient types included, as the general rebuild:
 The representation is lazy (ties
 like 1 + zeta_2 = 0 are not collapsed on construction, which keeps
 monomials monomial), but equality and the zero test are complete: the
-difference is reduced modulo the cyclotomic polynomial of its order, so two
-values compare equal exactly when they are the same algebraic number.
+difference is decided by peeling one prime of its order at a time down to
+order 1 (`_is_zero`), so two values compare equal exactly when they are the
+same algebraic number.
 """
 
 from __future__ import annotations
@@ -37,77 +38,50 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(n: int):
-    """Ascending integer coefficients of the n-th cyclotomic polynomial.
-
-    Built from the primes of n by exact division: Phi_1 = x - 1,
-    Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for a prime p not dividing m, and
-    Phi_n(x) = Phi_rad(x^(n/rad)) with rad the product of the primes of n.
-    """
-    primes, rest, p = [], n, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        primes.append(rest)
-    poly = [-1, 1]
-    for p in primes:
-        poly = _polydiv_monic(_spread(poly, p), poly)
-    return tuple(_spread(poly, n // math.prod(primes)))
-
-
-def _spread(poly, step):
-    """The ascending coefficients of poly(x^step)."""
-    out = [0] * ((len(poly) - 1) * step + 1)
-    out[::step] = poly
-    return out
-
-
-def _polydiv_monic(num, den):
-    """Quotient of ascending integer polynomials by a monic one; remainder must vanish."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for j in range(len(num) - 1, dd - 1, -1):
-        f = num[j]
-        out[j - dd] = f
-        if f:
-            for k in range(dd + 1):
-                num[j - dd + k] -= f * den[k]
-    assert not any(num[:dd]), "non-exact polynomial division"
-    return out
 
 
 def _is_zero(n: int, coeffs: dict) -> bool:
-    """Whether sum_k c_k zeta_n^k vanishes, decided mod the n-th cyclotomic polynomial.
+    """Whether sum_k c_k zeta_n^k vanishes, decided one prime p of n at a time.
 
-    Fraction coefficients are cleared to integers first; Phi_n is monic with
-    integer coefficients, so the reduction runs on ints throughout.
+    With m = n/p, the value lies in Q(zeta_n), which has degree p over
+    Q(zeta_m) when p divides m and degree p - 1 when it does not.
+
+    - p | m: 1, zeta_n, ..., zeta_n^(p-1) is a basis of Q(zeta_n) over
+      Q(zeta_m), and zeta_n^(j+pi) = zeta_n^j zeta_m^i, so the sum vanishes
+      exactly when, for each j, the terms with k = j mod p vanish at order m.
+    - p does not divide m: with x = m^-1 mod p and y = p^-1 mod m,
+      xm + yp = 1 mod p and mod m, so zeta_n^k = zeta_p^(kx) zeta_m^(ky), and
+      k -> (kx mod p, ky mod m) is a bijection (CRT).  Write the sum as
+      sum_a zeta_p^a S_a with S_a in Q(zeta_m).  Over Q(zeta_m) the basis is
+      1, ..., zeta_p^(p-2), and zeta_p^(p-1) = -(1 + ... + zeta_p^(p-2)), so
+      the sum is sum_{a<p-1} zeta_p^a (S_a - S_(p-1)): it vanishes exactly
+      when every S_a - S_(p-1) vanishes at order m.
+    - Order 1: the sum is the rational c_0.
+
+    The coefficients are only added and subtracted, so int and Fraction
+    coefficients are taken as they are.
     """
-    den = 1
-    for c in coeffs.values():
-        if type(c) is not int:
-            den = math.lcm(den, c.denominator)
-    poly = [0] * n
+    if not coeffs:
+        return True
+    if n == 1:
+        return not coeffs.get(0)
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    m = n // p
+    parts = [{} for _ in range(p)]
+    if m % p == 0:
+        for k, c in coeffs.items():
+            parts[k % p][k // p] = c
+        return all(_is_zero(m, part) for part in parts)
+    x, y = pow(m, -1, p), pow(p, -1, m)
     for k, c in coeffs.items():
-        poly[k] = c if den == 1 else int(c * den)
-    phi = _cyclotomic(n)
-    dd = len(phi) - 1
-    low = [(k, p) for k, p in enumerate(phi[:dd]) if p]
-    for j in range(n - 1, dd - 1, -1):
-        f = poly[j]
-        if f:
-            base = j - dd
-            for k, p in low:
-                poly[base + k] -= f * p
-    return not any(poly[:dd])
+        parts[k * x % p][k * y % m] = c
+    last = parts.pop()
+    for part in parts:
+        for i, c in last.items():
+            part[i] = part.get(i, 0) - c
+        if not _is_zero(m, {i: c for i, c in part.items() if c}):
+            return False
+    return True
 
 
 def _make(n: int, coeffs: dict) -> "Cyclo":

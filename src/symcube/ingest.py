@@ -116,6 +116,10 @@ def parse_form(path: str) -> ParsedForm:
         weight, level = int(head[1]), int(head[3])
     except ValueError:
         raise FormParseError(1, "weight and level must be integers") from None
+    if weight < 1 or level < 1:
+        # at level 0 every prime would count as ramified and nothing be checked
+        raise FormParseError(1, f"weight and level must be >= 1, got weight {weight} "
+                                f"level {level}")
     if head[5] != "trivial":
         raise FormParseError(1, "only character trivial is accepted")
     coeffs: Dict[int, int] = {}

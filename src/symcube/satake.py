@@ -43,14 +43,19 @@ def satake_from_hecke(a_p, p: int, k: int, omega_p=1.0) -> SatakeClass:
 
     alpha, beta are the roots of X^2 - (a_p p^{-(k-1)/2}) X + omega_p.
     a_p is converted to complex first and then divided by the float
-    sqrt(p^(k-1)); the power p^(k-1) itself is an exact integer.
+    sqrt(p^(k-1)); the power p^(k-1) itself is an exact integer, and one
+    beyond the float range raises ValueError.
     """
     if p < 2:
         raise ValueError("p must be a prime >= 2")
     if abs(abs(complex(omega_p)) - 1.0) > 1e-6:
         raise ValueError("|omega_p| must be 1")
     # p^{(k-1)/2} via exact integer power under the square root
-    t = complex(a_p) / math.sqrt(float(p ** (k - 1)))
+    try:
+        scale = math.sqrt(float(p ** (k - 1)))
+    except OverflowError:
+        raise ValueError(f"weight {k}: {p}^{k - 1} is beyond the float range") from None
+    t = complex(a_p) / scale
     omega = complex(omega_p)
     disc = t * t - 4 * omega
     sq = cmath.sqrt(disc)

@@ -328,6 +328,22 @@ def test_afe_values_refuse_a_non_finite_point_before_any_sum(delta_sym3_coeffs_8
             default_cutoff(s, AFEConfig(gamma_shifts=(5.5, 16.5)))
 
 
+@pytest.mark.parametrize("s", [float("nan"), complex(3, float("nan")), float("inf"),
+                               complex(float("-inf"), 1)])
+def test_gamma_factor_and_conductor_refuse_a_non_finite_point(s):
+    # both are valid outside the afe_values strip, so only finiteness is checked
+    cfg = delta_sym3_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: gamma_completed(s, cfg), lambda: gamma_completed([3.0, s], cfg),
+                     lambda: analytic_conductor(s, cfg)):
+            with pytest.raises(ValueError, match=re.escape(f"s = {complex(s)} is not a "
+                                                           "finite point")):
+                call()
+        assert analytic_conductor(-40.0, cfg) > 0
+        assert np.isfinite(gamma_completed([-40.25, 20.0 + 30j], cfg)).all()
+
+
 def test_mixed_points_derive_cutoffs_across_a_block():
     cutoffs = {default_cutoff(s, MIXED_CONFIG) for s in MIXED_POINTS}
     assert len(cutoffs) == len(MIXED_POINTS)

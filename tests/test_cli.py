@@ -314,10 +314,13 @@ _FLAG_MESSAGES = {
     "intertwine --grid 2 --q 3317044064679887385961981":
         "symcube intertwine: error: argument --q: must be a prime power p^k with p below "
         "3317044064679887385961981, got '3317044064679887385961981'",
+    f"intertwine --grid 3 --q {2 ** 2000}":
+        "symcube intertwine: error: argument --q: must be a prime power at most the "
+        f"largest float, 1.79769e+308, got '{2 ** 2000}'",
 }
 
 
-@pytest.mark.parametrize("command", list(_FLAG_MESSAGES))
+@pytest.mark.parametrize("command", list(_FLAG_MESSAGES), ids=lambda c: c[:80])
 def test_bad_flag_value_messages_are_pinned(command, capsys):
     with pytest.raises(SystemExit) as err:
         main(command.split())
@@ -472,6 +475,21 @@ def test_euler_leaves_out_primes_dividing_the_level(tmp_path):
     factors[2] = ReciprocalPoly([1])
     want = partial_L(3, 50, factors).value
     assert json.loads(out.stdout)["value"] == [want.real, want.imag]
+
+
+@pytest.mark.parametrize("command", [["satake"], ["lfactor", "--p", "2"],
+                                     ["euler", "--X", "3"]])
+@pytest.mark.parametrize("weight, terms, prime", [(120, 1000, 397), (2000, 100, 2)])
+def test_a_weight_beyond_the_float_range_is_an_input_error(tmp_path, command, weight,
+                                                           terms, prime):
+    # a_n = 1 is multiplicative; p^(k-1) overflows a float first at `prime`
+    path = tmp_path / "heavy.txt"
+    path.write_text(f"weight {weight} level 1 character trivial\n"
+                    + "".join(f"{n} 1\n" for n in range(1, terms + 1)))
+    out = run_cold([command[0], "--coeffs", str(path), *command[1:]])
+    assert (out.returncode, out.stdout, out.stderr.decode()) == (
+        2, b"", f"input error: weight {weight}: {prime}^{weight - 1} is beyond the "
+                "float range\n")
 
 
 def test_sym3_table_of_a_level_2_form_vanishes_at_powers_of_2(tmp_path):
@@ -666,11 +684,16 @@ _READERS = {"--coeffs": ("parse_form", ["satake"]),
      "input error: line 2: value at p=2 is not an order-3 root of unity (chi-order 3)\n"),
     ("HeckeParseError", "--hecke", "field-disc -23 chi-order unknown\n2 split 0,0 1,0\n",
      "input error: line 2: character values must be nonzero\n"),
+    ("FormParseError", "--coeffs", "weight 12 level 0 character trivial\n1 1\n",
+     "input error: line 1: weight and level must be >= 1, got weight 12 level 0\n"),
+    ("FormParseError", "--coeffs", "weight -2 level 11 character trivial\n1 1\n",
+     "input error: line 1: weight and level must be >= 1, got weight -2 level 11\n"),
     *(("ConfigParseError", "--config", text, f"input error: config{err}\n")
       for _, text, err in _BAD_CONFIGS),
 ], ids=["FormParseError", "MultiplicativityError", "HeckeParseError",
         "HeckeParseError-chi-order", "FormParseError-non-finite",
         "HeckeParseError-chi-order-values", "HeckeParseError-zero-value",
+        "FormParseError-level-0", "FormParseError-negative-weight",
         *(f"ConfigParseError-{name}" for name, _, _ in _BAD_CONFIGS)])
 def test_parse_errors_are_symcube_input_errors(tmp_path, error, flag, text, err):
     """Each fault is a SymcubeInputError of its parser, and the command that
@@ -737,3 +760,32 @@ def test_afe_and_scan_exit_0_1_or_2_alike_from_a_cold_and_a_refilled_cache(argv)
     table.values[1] = 1
     analytic.afe_values([3.0], analytic.delta_sym3_config(cutoff=5000), table)
     assert _run_in_process(argv) == cold
+
+
+# --- header weights and levels, and --q, over wide integers -----------------
+
+_DELTA_BODY = (REPO / "data" / "delta_coeffs_small.txt").read_text().split("\n", 1)[1]
+_HEADER_INT = st.one_of(st.sampled_from([0, 1, 12]), st.integers(-3000, 3000))
+_FILE_COMMAND = st.one_of(st.just(["satake"]),
+                          st.builds(lambda p, tag: ["lfactor", "--p", str(p), "--tag", tag],
+                                    st.sampled_from([2, 3, 97]),
+                                    st.sampled_from(["sym3", "adjoint-cube"])))
+_PRIME_POWER = st.builds(pow, st.sampled_from([2, 3, 5, 7, 101, 1000003]),
+                         st.integers(1, 3000)).filter(lambda q: q <= 2 ** 3000)
+_COMPOSITE = st.builds(lambda a, b: a * b, st.integers(2, 2 ** 1500), st.integers(2, 2 ** 1500))
+
+
+@settings(max_examples=100, deadline=None)
+@given(weight=_HEADER_INT, level=_HEADER_INT, command=_FILE_COMMAND,
+       q=st.one_of(_PRIME_POWER, _COMPOSITE))
+def test_wide_header_integers_and_q_exit_0_1_or_2_alike(tmp_path_factory, weight, level,
+                                                        command, q):
+    """euler, afe and scan are left out: a file that lacks a prime they need
+    still ends in MissingPrimeError."""
+    path = tmp_path_factory.mktemp("header") / "form.txt"
+    path.write_text(f"weight {weight} level {level} character trivial\n{_DELTA_BODY}")
+    for argv in ([command[0], "--coeffs", str(path), *command[1:]],
+                 ["intertwine", "--grid", "2", "--q", str(q)]):
+        first = _run_in_process(argv)
+        assert first[0] in (0, 1, 2)
+        assert _run_in_process(argv) == first

@@ -9,49 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcube.cyclo import Cyclo, _cyclotomic, _polydiv_monic
+from symcube.cyclo import Cyclo, _is_zero
 
 
 def z(k, n):
     return Cyclo.root_of_unity(k, n)
-
-
-def test_cyclotomic_polynomials():
-    assert _cyclotomic(1) == (-1, 1)
-    assert _cyclotomic(2) == (1, 1)
-    assert _cyclotomic(3) == (1, 1, 1)
-    assert _cyclotomic(4) == (1, 0, 1)
-    assert _cyclotomic(6) == (1, -1, 1)
-    assert _cyclotomic(12) == (1, 0, -1, 0, 1)
-    # degree is Euler phi
-    for n, phi in ((5, 4), (8, 4), (9, 6), (10, 4), (15, 8)):
-        assert len(_cyclotomic(n)) - 1 == phi
-
-
-@functools.lru_cache(maxsize=None)
-def reference_cyclotomic(n):
-    """The earlier construction: x^n - 1 divided by Phi_d for every proper divisor d."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _polydiv_monic(poly, reference_cyclotomic(d))
-    return tuple(poly)
-
-
-def test_cyclotomic_matches_the_divisor_recursion():
-    for n in range(1, 501):
-        assert _cyclotomic(n) == reference_cyclotomic(n), n
-
-
-def test_cyclotomic_of_many_primes_is_fast():
-    for n in (2310, 4620):
-        _cyclotomic.cache_clear()
-        start = time.perf_counter()
-        phi = _cyclotomic(n)
-        # the divisor recursion took 0.5 s for 2310 and 1.6 s for 4620
-        assert time.perf_counter() - start < 0.5
-        assert len(phi) - 1 == 480 * n // 2310      # Euler phi
-        assert phi[-1] == 1 and phi[0] == 1
 
 
 def test_arithmetic_basics():
@@ -399,3 +361,99 @@ def test_fast_path_cases():
     # as an int
     assert rep((-z(1, 6)).inverse()) == (6, [(5, -1)], [int])
     assert rep((Q(-1, 3) * z(1, 6)).inverse()) == (6, [(5, -3)], [int])
+
+
+# --- the zero test against reduction modulo the cyclotomic polynomial -------
+
+def reference_divmod(num, den):
+    """Quotient and remainder of ascending coefficient lists by a monic divisor."""
+    num = list(num)
+    dd = len(den) - 1
+    low = [(k, c) for k, c in enumerate(den[:dd]) if c]
+    quo = [0] * max(len(num) - dd, 0)
+    for j in range(len(num) - 1, dd - 1, -1):
+        f = num[j]
+        if f:
+            quo[j - dd] = f
+            for k, c in low:
+                num[j - dd + k] -= f * c
+    return quo, num[:dd]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_cyclotomic(n):
+    """Phi_n: x^n - 1 divided by Phi_d for every proper divisor d."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = reference_divmod(poly, reference_cyclotomic(d))
+            assert not any(rem)
+    return tuple(poly)
+
+
+def reference_is_zero(n, coeffs):
+    """Whether sum_k c_k zeta_n^k vanishes: its remainder modulo Phi_n, in ints."""
+    den = math.lcm(1, *(Q(c).denominator for c in coeffs.values()))
+    poly = [0] * n
+    for k, c in coeffs.items():
+        poly[k] = int(c * den)
+    return not any(reference_divmod(poly, reference_cyclotomic(n))[1])
+
+
+def test_reference_cyclotomic():
+    assert reference_cyclotomic(1) == (-1, 1)
+    assert reference_cyclotomic(2) == (1, 1)
+    assert reference_cyclotomic(6) == (1, -1, 1)
+    assert reference_cyclotomic(12) == (1, 0, -1, 0, 1)
+    # degree is Euler phi
+    for n, phi in ((5, 4), (8, 4), (9, 6), (10, 4), (15, 8), (2310, 480)):
+        assert len(reference_cyclotomic(n)) - 1 == phi
+
+
+# orders up to 2310 = 2*3*5*7*11: small ones, lcms of small ones (as a sum
+# of two values is formed at), and products of many primes
+ZERO_TEST_ORDERS = st.one_of(
+    st.integers(1, 60),
+    st.lists(st.integers(1, 60), min_size=2, max_size=3).map(
+        lambda ds: math.lcm(*ds)).filter(lambda n: n <= 2310),
+    st.sampled_from([210, 1155, 2048, 2310]))
+
+
+@st.composite
+def zero_test_sums(draw):
+    """(n, relations, strays): relations sums c * sum_{t<d} zeta_n^(j + t*n/d)
+    over divisors d > 1 of n, which vanish; strays adds a few lone terms."""
+    n = draw(ZERO_TEST_ORDERS)
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    relations, strays = {}, {}
+    for _ in range(draw(st.integers(0, 3)) if divisors else 0):
+        d, j, c = draw(st.sampled_from(divisors)), draw(st.integers(0, n - 1)), draw(NONZERO)
+        for t in range(d):
+            k = (j + t * n // d) % n
+            relations[k] = relations.get(k, 0) + c
+    for _ in range(draw(st.integers(0, 2))):
+        strays[draw(st.integers(0, n - 1))] = draw(NONZERO)
+    return n, relations, strays
+
+
+@settings(deadline=None, max_examples=400)
+@given(zero_test_sums())
+def test_is_zero_matches_reduction_modulo_phi(case):
+    n, relations, strays = case
+    assert _is_zero(n, {k: c for k, c in relations.items() if c})
+    total = dict(relations)
+    for k, c in strays.items():
+        total[k] = total.get(k, 0) + c
+    total = {k: c for k, c in total.items() if c}
+    assert _is_zero(n, total) is reference_is_zero(n, total)
+
+
+def test_equality_at_order_30030_is_fast():
+    # the reduction modulo Phi_30030 took 8.2 s for the first comparison
+    a = 1 + z(1, 30030) + 2 * z(30029, 30030)
+    b = z(7, 30030)
+    ring = sum((z(t, 13) for t in range(13)), Cyclo.zero())
+    start = time.perf_counter()
+    assert a != b and a - b != 0
+    assert z(1, 30030) * ring == 0 and a + z(11, 30030) * ring == a
+    assert time.perf_counter() - start < 0.05

@@ -94,3 +94,50 @@ def test_modules_import_no_name_they_never_use(path):
     """An unused import costs import time and memory at every start (an
     annotation-only import included), and says nothing."""
     assert _unused_imports(path.read_text()) == []
+
+
+def _unbounded_caches(source: str):
+    """Lines of `cache` and `lru_cache(maxsize=None)` (or `lru_cache(None)`),
+    bare or as `functools.` attributes, decorators and calls alike."""
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        applied = list(getattr(node, "decorator_list", []))
+        if isinstance(node, ast.Call):
+            applied.append(node.func)
+        found.extend(f.lineno for f in applied if name(f) == "cache")
+        if isinstance(node, ast.Call) and name(node.func) == "lru_cache":
+            size = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if isinstance(size, ast.Constant) and size.value is None:
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_unbounded_cache_finder_sees_every_spelling():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "@functools.lru_cache(maxsize=None)\n"
+              "def a(): pass\n"
+              "@lru_cache(None)\n"
+              "def b(): pass\n"
+              "@functools.cache\n"
+              "def c(): pass\n"
+              "d = lru_cache(maxsize=None)(len)\n"
+              "@lru_cache(maxsize=4)\n"
+              "def e(): pass\n"
+              "@lru_cache\n"
+              "def f(): pass\n"
+              "g = cache(len)\n"
+              "cache = {}\n")
+    assert _unbounded_caches(source) == [3, 5, 7, 9, 14]
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "src" / "symcube").rglob("*.py")),
+                         ids=lambda path: path.name)
+def test_modules_hold_no_unbounded_cache(path):
+    """A cache without a bound grows with every distinct argument for the life
+    of the process; every cache in the package names its size."""
+    assert _unbounded_caches(path.read_text()) == []
