@@ -86,7 +86,8 @@ def gk_coefficient(p: PrincipalParams) -> complex:
     naming the offending root.  Root by root, the pole test is first exact,
     t_b == 0 and mu^c6 == 1 in the rings of (r, s) and mu (decisive for a
     root-of-unity mu and rational r, s), then a denominator below POLE_TOL in
-    modulus.
+    modulus.  A root whose q^(-t) overflows (a huge q) takes the factor in
+    the equal form (q^t - chi q^-1) / (q^t - chi).
     """
     value = 1.0 + 0j
     mu, q = complex(p.mu), complex(p.q)
@@ -95,12 +96,24 @@ def gk_coefficient(p: PrincipalParams) -> complex:
         if t == 0 and p.mu ** c6 == 1:
             raise IntertwiningPole(name, t)
         chi, tc = mu ** c6, complex(t)
-        den = 1.0 - chi * q ** (-tc)
+        try:
+            den = 1.0 - chi * _power(q, -tc)
+        except OverflowError:   # q^(-t) past the float range: take the factor
+            qt = _power(q, tc)  # as (q^t - chi q^-1) / (q^t - chi), near q^-1
+            value *= (qt - chi / q) / (qt - chi)
+            continue
         if abs(den) < POLE_TOL:
             raise IntertwiningPole(name, t)
-        num = 1.0 - chi * q ** (-tc - 1)
+        num = 1.0 - chi * _power(q, -tc - 1)
         value *= num / den
     return value
+
+
+def _power(q: complex, x: complex) -> complex:
+    """q ** x, or 0 where q^x underflows but Python's integer-exponent route
+    (1 / q^|x|, with q^|x| past the float range) gives NaN."""
+    value = q ** x
+    return value if value == value or x != x else 0j
 
 
 def l_ratio(p: PrincipalParams) -> complex:
@@ -216,51 +229,48 @@ FORBIDDEN_VERTICES = ((Fraction(0), Fraction(1)),
 _EXACT_TYPES = frozenset((int, Fraction))
 
 
-def _forms(R, S, D):
-    """The five edge forms ``(a, b, d, r, half)`` at (R/D, S/D), times D > 0.
-
-    a = s+3r-1, b = 1-(s+r), d = s-3r, r = r, half = 1-2s (twice 1/2-s).
-    For integer R, S, D each entry is an integer with the sign of its form.
-    """
-    return S + 3 * R - D, D - (S + R), S - 3 * R, R, D - 2 * S
-
-
-def _sign_values(r, s):
-    """The five edge forms at (r, s), sign-exactly for rational input.
+def _cleared(r, s):
+    """``(R, S, D)`` with r = R/D, s = S/D and D > 0.
 
     Rational (r, s) are cleared to the common denominator of r and s, so each
-    entry is an integer with the sign of its form; other input gives floats.
-    int and Fraction are read by ``as_integer_ratio()``, one call each; other
-    Rationals (bool, numpy integers) go through the ABC check and the
-    numerator and denominator properties.
+    edge form, times D, is an integer with the sign of its form; other input
+    gives ``(float(r), float(s), 1.0)``.  int and Fraction are read by
+    ``as_integer_ratio()``, one call each; other Rationals (bool, numpy
+    integers) go through the ABC check and the numerator and denominator
+    properties, taken as ints so that a numpy integer beside a huge int does
+    not overflow.
     """
     if type(r) in _EXACT_TYPES and type(s) in _EXACT_TYPES:
         rn, rd = r.as_integer_ratio()
         sn, sd = s.as_integer_ratio()
     elif isinstance(r, Rational) and isinstance(s, Rational):
-        rn, rd, sn, sd = r.numerator, r.denominator, s.numerator, s.denominator
+        rn, rd, sn, sd = map(int, (r.numerator, r.denominator, s.numerator, s.denominator))
     else:
-        return _forms(float(r), float(s), 1.0)
-    return _forms(rn * sd, sn * rd, rd * sd)
+        return float(r), float(s), 1.0
+    return rn * sd, sn * rd, rd * sd
 
 
-def _upper_applies(mu_case: str) -> bool:
-    if mu_case not in (MU_TRIVIAL, MU_ORDER2):
-        raise ValueError("mu_case must be trivial or order2")
-    return mu_case == MU_TRIVIAL
+def _classify(R, S, D, upper):
+    """The region class of (R/D, S/D), D > 0; see region_membership.
 
-
-def _classify(a, b, d, rr, half, upper):
-    """The region class from the signs of the edge forms; see region_membership."""
-    if upper and a > 0 and b > 0 and d > 0 and rr > 0:
-        return UPPER
-    if rr > 0 and half > 0 and d > 0:
+    Edge forms times D: d = s-3r, a = s+3r-1, b = 1-(s+r), half = 1-2s
+    (twice 1/2-s), and r itself.  Each class lies in d >= 0.
+    """
+    d = S - 3 * R
+    if not d >= 0:  # NaN too
+        return OUTSIDE
+    if upper:
+        a, b = S + 3 * R - D, D - (S + R)
+        if a > 0 and b > 0 and d > 0 and R > 0:
+            return UPPER
+    half = D - 2 * S
+    if R > 0 and half > 0 and d > 0:
         return LOWER
     # closed upper triangle: a >= 0, b >= 0, d >= 0 (r >= 0 follows)
-    if upper and a >= 0 and b >= 0 and d >= 0 and (a == 0 or b == 0 or d == 0):
+    if upper and a >= 0 and b >= 0 and (a == 0 or b == 0 or d == 0):
         return BOUNDARY
     # closed lower triangle: r >= 0, s <= 1/2, s >= 3r
-    if rr >= 0 and half >= 0 and d >= 0 and (rr == 0 or half == 0 or d == 0):
+    if R >= 0 and half >= 0 and (R == 0 or half == 0 or d == 0):
         return BOUNDARY
     return OUTSIDE
 
@@ -273,8 +283,10 @@ def region_membership(r, s, mu_case: str = MU_TRIVIAL) -> str:
     open: r > 0, s < 1/2, s > 3r; vertices (0,1/2), (1/6,1/2), (0,0).
     Points on the edges of an applicable closed triangle classify as boundary.
     """
-    upper = _upper_applies(mu_case)
-    return _classify(*_sign_values(r, s), upper)
+    if mu_case not in (MU_TRIVIAL, MU_ORDER2):
+        raise ValueError("mu_case must be trivial or order2")
+    R, S, D = _cleared(r, s)
+    return _classify(R, S, D, mu_case == MU_TRIVIAL)
 
 
 def forbidden_triangle_contains(r, s) -> bool:
@@ -283,8 +295,8 @@ def forbidden_triangle_contains(r, s) -> bool:
     Its inside meets no unitary region: edges r = 0, s = 1/2 shifted, and the
     line s = 1 - 3r shared with the upper triangle, so the two are disjoint.
     """
-    a, _, _, rr, half = _sign_values(r, s)
-    return rr > 0 and half < 0 and a < 0
+    R, S, D = _cleared(r, s)
+    return R > 0 and D - 2 * S < 0 and S + 3 * R - D < 0
 
 
 def region_grid(n: int, mu_case: str = MU_TRIVIAL) -> list:
@@ -296,12 +308,10 @@ def region_grid(n: int, mu_case: str = MU_TRIVIAL) -> list:
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    upper = _upper_applies(mu_case)
+    if mu_case not in (MU_TRIVIAL, MU_ORDER2):
+        raise ValueError("mu_case must be trivial or order2")
+    upper = mu_case == MU_TRIVIAL
     den = 2 * max(n - 1, 1)
-    out = []
-    for R in range(n):  # (R/den, S/den) = (i/2(n-1), j/(n-1))
-        for S in range(0, 2 * n, 2):
-            a, b, d, rr, half = _forms(R, S, den)
-            out.append((_classify(a, b, d, rr, half, upper),
-                        rr > 0 and half < 0 and a < 0))  # forbidden_triangle_contains
-    return out
+    # (R/den, S/den) = (i/2(n-1), j/(n-1)); the second entry is forbidden_triangle_contains
+    return [(_classify(R, S, den, upper), R > 0 and den - 2 * S < 0 and S + 3 * R - den < 0)
+            for R in range(n) for S in range(0, 2 * n, 2)]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcube.cli import _prime_power, main
@@ -777,15 +777,17 @@ _COMPOSITE = st.builds(lambda a, b: a * b, st.integers(2, 2 ** 1500), st.integer
 
 @settings(max_examples=100, deadline=None)
 @given(weight=_HEADER_INT, level=_HEADER_INT, command=_FILE_COMMAND,
-       q=st.one_of(_PRIME_POWER, _COMPOSITE))
+       q=st.one_of(_PRIME_POWER, _COMPOSITE), grid=st.integers(1, 12))
+@example(weight=12, level=1, command=["satake"], q=2 ** 1023, grid=12)
+@example(weight=12, level=1, command=["satake"], q=3 ** 600, grid=12)
 def test_wide_header_integers_and_q_exit_0_1_or_2_alike(tmp_path_factory, weight, level,
-                                                        command, q):
+                                                        command, q, grid):
     """euler, afe and scan are left out: a file that lacks a prime they need
     still ends in MissingPrimeError."""
     path = tmp_path_factory.mktemp("header") / "form.txt"
     path.write_text(f"weight {weight} level {level} character trivial\n{_DELTA_BODY}")
     for argv in ([command[0], "--coeffs", str(path), *command[1:]],
-                 ["intertwine", "--grid", "2", "--q", str(q)]):
+                 ["intertwine", "--grid", str(grid), "--q", str(q)]):
         first = _run_in_process(argv)
         assert first[0] in (0, 1, 2)
         assert _run_in_process(argv) == first

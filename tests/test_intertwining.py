@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 from fractions import Fraction as Q
 from numbers import Integral, Rational
 
@@ -15,10 +16,10 @@ from symcube.g2root import POSITIVE_ROOTS, lambda_weight, pairing
 from symcube.intertwining import (
     BOUNDARY, FORBIDDEN_VERTICES, LOWER, LOWER_VERTICES, MU_ORDER2,
     MU_TRIVIAL, OUTSIDE, UPPER, UPPER_VERTICES, IntertwiningPole,
-    PrincipalParams, forbidden_triangle_contains,
+    POLE_TOL, PrincipalParams, forbidden_triangle_contains,
     gk_coefficient, gk_pole_set, l_ratio, langlands_quotient_unitary,
-    _sign_values, principal_series_pole_set, region_grid, region_membership,
-    _GK_TABLE, _p_value)
+    principal_series_pole_set, region_grid, region_membership,
+    _cleared, _GK_TABLE, _p_value)
 from symcube.localfactor import RepTag, eigenvalues
 from symcube.satake import SatakeClass
 
@@ -71,6 +72,74 @@ def test_table_pairings_are_exact_on_rationals(r, s):
         t = _table_pairing(name, r, s)
         assert type(t) is Q
         assert t == pairing(lambda_weight(r, s), POSITIVE_ROOTS[name])
+
+
+def _plain_gk(p):
+    """The per-root product as evaluated before a huge q had its own form."""
+    value = 1.0 + 0j
+    mu, q = complex(p.mu), complex(p.q)
+    for name, (c0, cr, cs, c6) in _GK_TABLE.items():
+        t = c0 + cr * p.r + cs * p.s
+        if t == 0 and p.mu ** c6 == 1:
+            raise IntertwiningPole(name, t)
+        chi, tc = mu ** c6, complex(t)
+        den = 1.0 - chi * q ** (-tc)
+        if abs(den) < POLE_TOL:
+            raise IntertwiningPole(name, t)
+        num = 1.0 - chi * q ** (-tc - 1)
+        value *= num / den
+    return value
+
+
+_Q = st.one_of(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 25, 2 ** 61, 2 ** 1023, 3 ** 645]),
+               st.builds(pow, st.sampled_from([2, 3, 5]), st.integers(1, 400)))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_Q, st.integers(0, 11), st.integers(1, 23), st.sampled_from([1, 2, 3, 4, 6, 12]),
+       st.integers(0, 11), st.floats(-1e-3, 1e-3))
+@example(2 ** 1023, 11, 1, 1, 0, 0.0)   # q^(-t) overflows
+@example(3 ** 600, 10, 1, 2, 1, 0.0)
+@example(2 ** 1023, 6, 12, 1, 0, 0.0)   # an integer t: q^(-t) is NaN
+def test_gk_is_bit_identical_wherever_the_plain_product_is_finite(q, i, j, order, k, jitter):
+    """Only a q^(-t) past the float range (OverflowError) or the NaN of an
+    underflowing integer power takes the other form; every other value keeps
+    its bits."""
+    mu = cmath.exp(2j * math.pi * k / order)
+    p = PrincipalParams(mu, q, i / 24, j / 8 + jitter)
+    try:
+        want = _plain_gk(p)
+    except IntertwiningPole as exc:
+        with pytest.raises(IntertwiningPole) as got:
+            gk_coefficient(p)
+        assert got.value.root_name == exc.root_name
+        return
+    except OverflowError:
+        want = None
+    got = gk_coefficient(p)
+    assert cmath.isfinite(got)
+    if want is not None and not cmath.isnan(want):
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("q", [2 ** 1023, 3 ** 600])
+def test_gk_takes_a_q_near_the_float_bound(q):
+    """The CLI's --grid 12 points, against the product in 60-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    for i in range(1, 12):
+        for j in range(1, 12):
+            r, s = 0.5 * i / 12, 3.0 * j / 12
+            try:
+                got = gk_coefficient(PrincipalParams(1.0, q, r, s))
+            except IntertwiningPole:
+                continue
+            want = mpmath.mpf(1)
+            for c0, cr, cs, _ in _GK_TABLE.values():
+                t = c0 + cr * mpmath.mpf(r) + cs * mpmath.mpf(s)
+                want *= (1 - mpmath.mpf(q) ** (-t - 1)) / (1 - mpmath.mpf(q) ** (-t))
+            if abs(want) > 1e-200:  # else the float product underflows on its way
+                assert abs(got - complex(want)) <= 1e-12 * abs(want)
 
 
 def test_contragredient_convention_is_pinned():
@@ -422,9 +491,10 @@ def test_region_classifiers_take_bool_and_numpy_integers(point):
         assert region_membership(r, s, mu_case) == _oracle_region(r, s, mu_case)
     assert forbidden_triangle_contains(r, s) == _oracle_forbidden(r, s)
     exact = not isinstance(r, float) and not isinstance(s, float)
-    assert all(isinstance(v, Integral) for v in _sign_values(r, s)) == exact
+    assert all(isinstance(v, Integral) for v in _cleared(r, s)) == exact
     if exact:
-        assert _sign_values(r, s) == _sign_values(Q(r), Q(s))
+        assert _cleared(r, s)[2] > 0
+        assert _cleared(r, s) == _cleared(Q(r), Q(s))
 
 
 def _inline_float_forms(r, s):
@@ -442,9 +512,132 @@ FLOATS = st.one_of(st.floats(), st.sampled_from(
 @given(FLOATS, st.one_of(FLOATS, st.fractions(), st.integers(-3, 3)), st.booleans())
 def test_float_forms_are_bit_identical_to_the_inline_expressions(x, y, swap):
     r, s = (y, x) if swap else (x, y)
-    got = _sign_values(r, s)
+    got = _cleared(r, s)
     assert all(type(v) is float for v in got)
-    assert [v.hex() for v in got] == [v.hex() for v in _inline_float_forms(r, s)]
+    assert [v.hex() for v in got] == [float(r).hex(), float(s).hex(), (1.0).hex()]
+    assert [v.hex() for v in _forms(*got)] == [v.hex() for v in _inline_float_forms(r, s)]
+
+
+# --- the point classifiers before one-pass clearing, kept verbatim as the
+# reference: five edge forms per point, then the class from their signs ---
+
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _forms(R, S, D):
+    """The five edge forms ``(a, b, d, r, half)`` at (R/D, S/D), times D > 0.
+
+    a = s+3r-1, b = 1-(s+r), d = s-3r, r = r, half = 1-2s (twice 1/2-s).
+    For integer R, S, D each entry is an integer with the sign of its form.
+    """
+    return S + 3 * R - D, D - (S + R), S - 3 * R, R, D - 2 * S
+
+
+def _sign_values(r, s):
+    """The five edge forms at (r, s), sign-exactly for rational input.
+
+    Rational (r, s) are cleared to the common denominator of r and s, so each
+    entry is an integer with the sign of its form; other input gives floats.
+    int and Fraction are read by ``as_integer_ratio()``, one call each; other
+    Rationals (bool, numpy integers) go through the ABC check and the
+    numerator and denominator properties.
+    """
+    if type(r) in _EXACT_TYPES and type(s) in _EXACT_TYPES:
+        rn, rd = r.as_integer_ratio()
+        sn, sd = s.as_integer_ratio()
+    elif isinstance(r, Rational) and isinstance(s, Rational):
+        rn, rd, sn, sd = r.numerator, r.denominator, s.numerator, s.denominator
+    else:
+        return _forms(float(r), float(s), 1.0)
+    return _forms(rn * sd, sn * rd, rd * sd)
+
+
+def _upper_applies(mu_case: str) -> bool:
+    if mu_case not in (MU_TRIVIAL, MU_ORDER2):
+        raise ValueError("mu_case must be trivial or order2")
+    return mu_case == MU_TRIVIAL
+
+
+def _classify(a, b, d, rr, half, upper):
+    """The region class from the signs of the edge forms; see region_membership."""
+    if upper and a > 0 and b > 0 and d > 0 and rr > 0:
+        return UPPER
+    if rr > 0 and half > 0 and d > 0:
+        return LOWER
+    # closed upper triangle: a >= 0, b >= 0, d >= 0 (r >= 0 follows)
+    if upper and a >= 0 and b >= 0 and d >= 0 and (a == 0 or b == 0 or d == 0):
+        return BOUNDARY
+    # closed lower triangle: r >= 0, s <= 1/2, s >= 3r
+    if rr >= 0 and half >= 0 and d >= 0 and (rr == 0 or half == 0 or d == 0):
+        return BOUNDARY
+    return OUTSIDE
+
+
+def _reference_membership(r, s, mu_case):
+    upper = _upper_applies(mu_case)
+    return _classify(*_sign_values(r, s), upper)
+
+
+def _reference_forbidden(r, s):
+    a, _, _, rr, half = _sign_values(r, s)
+    return rr > 0 and half < 0 and a < 0
+
+
+def _outcome(f, *args):
+    """f's result, or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+# points on the edges and vertices, and a step of 1/10^k off them either way
+_CORNERS = [v for tri in (UPPER_VERTICES, LOWER_VERTICES, FORBIDDEN_VERTICES) for v in tri]
+NEAR_EDGES = st.builds(
+    lambda point, k, dr, ds: (point[0] + dr * Q(1, 10 ** k), point[1] + ds * Q(1, 10 ** k)),
+    st.one_of(st.sampled_from(_CORNERS), rs_points().filter(
+        lambda p: all(type(v) is Q for v in p))),
+    st.integers(1, 30), st.integers(-1, 1), st.integers(-1, 1))
+ANY_COORD = st.one_of(
+    COORDS, ABC_RATIONALS, FLOATS, st.floats(-2, 2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, None]),
+    st.integers(400, 500).map(lambda k: Q(10 ** k, 3)))   # past the float range
+
+
+@settings(deadline=None, max_examples=600)
+@given(st.one_of(NEAR_EDGES, rs_points(), abc_rs_points(), st.tuples(ANY_COORD, ANY_COORD)))
+@example((Q(10 ** 400, 3), 0.25))
+@example((0.25, Q(-10 ** 400, 7)))
+@example((math.nan, Q(1, 4)))
+@example((-0.0, 0.0))
+@example((True, np.int64(1)))
+@example((np.int64(0), 10 ** 400))
+@example((Q(-10 ** 400, 3), np.int32(2)))
+def test_point_classifiers_equal_the_five_form_reference(point):
+    """Same result, or the same exception type, as the reference.  The one
+    exception: the reference raised OverflowError at a rational point where a
+    numpy integer met an int past 64 bits; there the exact answer is given."""
+    r, s = point
+    exact = isinstance(r, Rational) and isinstance(s, Rational)
+
+    def check(got, want, oracle):
+        if exact and want is OverflowError:
+            assert got == oracle(*(Q(int(v.numerator), int(v.denominator)) for v in point))
+        else:
+            assert got == want
+
+    for mu_case in (MU_TRIVIAL, MU_ORDER2):
+        check(_outcome(region_membership, r, s, mu_case),
+              _outcome(_reference_membership, r, s, mu_case),
+              lambda r, s: _oracle_region(r, s, mu_case))
+    check(_outcome(forbidden_triangle_contains, r, s), _outcome(_reference_forbidden, r, s),
+          _oracle_forbidden)
+
+
+@pytest.mark.parametrize("r", [Q(1, 10), 0.1, None, "r", object()])
+def test_unknown_mu_case_is_refused_before_the_point_is_read(r):
+    with pytest.raises(ValueError):
+        region_membership(r, Q(1, 2), "order3")
 
 
 @settings(deadline=None, max_examples=60)

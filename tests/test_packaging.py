@@ -141,3 +141,50 @@ def test_modules_hold_no_unbounded_cache(path):
     """A cache without a bound grows with every distinct argument for the life
     of the process; every cache in the package names its size."""
     assert _unbounded_caches(path.read_text()) == []
+
+
+def _dead_helpers(sources):
+    """``(module, name)`` of every module-level ``_private`` function, class or
+    constant that no module of ``sources`` (name -> source) reads.  Reads are
+    matched by name, as a bare name or an attribute; a function's calls to
+    itself do not count."""
+    defined, read = set(), set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined.update((module, n) for n in names
+                           if n.startswith("_") and not n.startswith("__"))
+            here = {node.id for node in ast.walk(top)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            here.update(node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute))
+            read |= here - {getattr(top, "name", None)}
+    return sorted((module, name) for module, name in defined if name not in read)
+
+
+def test_dead_helper_finder_sees_unread_private_names():
+    sources = {"a": ("import b\n"
+                     "_USED, _UNUSED = 1, 2\n"
+                     "_ANNOTATED: int = 3\n"
+                     "__version__ = '1'\n"
+                     "def _helper(): return _USED + b._REMOTE\n"
+                     "def _recursive(n): return _recursive(n - 1)\n"
+                     "class _Unused: pass\n"
+                     "def public(): return _helper()\n"),
+               "b": "_REMOTE = 4\n_ONLY_HERE = 5\ndef _f(): pass\nx = [_f]\n"}
+    assert _dead_helpers(sources) == [("a", "_ANNOTATED"), ("a", "_UNUSED"),
+                                      ("a", "_Unused"), ("a", "_recursive"),
+                                      ("b", "_ONLY_HERE")]
+
+
+def test_package_defines_no_private_name_it_never_reads():
+    """A private helper or constant that nothing under src/ reads is dead code
+    (tests may still import it; they test what the package runs)."""
+    sources = {path.name: path.read_text()
+               for path in sorted((REPO / "src" / "symcube").rglob("*.py"))}
+    assert _dead_helpers(sources) == []
