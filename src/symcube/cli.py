@@ -67,32 +67,6 @@ _pole_spec = _arg_type(_p_sigma, "p,sigma0 with an integer p >= 2 and a finite s
                        lambda spec: spec[0] >= 2 and math.isfinite(spec[1]))
 
 
-# Miller-Rabin with the first 13 prime bases decides every n below this bound
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 2 <= n < _MR_BOUND."""
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _iroot(n: int, k: int) -> int:
     """The integer part of the k-th root of n >= 1, by Newton's method from above."""
     x = 1 << -(-n.bit_length() // k)
@@ -104,7 +78,7 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _prime_power(text: str) -> int:
-    """An argparse type for prime powers p^k, k >= 1, with p below _MR_BOUND
+    """An argparse type for prime powers p^k, k >= 1, with p below MR_BOUND
     and p^k at most the largest float (gk_coefficient computes with complex(q))."""
     q = _int_at_least(2)(text)
     if q > sys.float_info.max:
@@ -117,10 +91,10 @@ def _prime_power(text: str) -> int:
         m = _iroot(q, k)
         if m ** k == q:
             break
-    if m >= _MR_BOUND:
+    if m >= localfactor.MR_BOUND:
         raise argparse.ArgumentTypeError(
-            f"must be a prime power p^k with p below {_MR_BOUND}, got {text!r}")
-    if not _is_prime(m):
+            f"must be a prime power p^k with p below {localfactor.MR_BOUND}, got {text!r}")
+    if not localfactor.is_prime(m):
         raise argparse.ArgumentTypeError(f"must be a prime power, got {text!r}")
     return q
 
@@ -193,12 +167,8 @@ def cmd_roots(args) -> int:
     what = args.what
     if what == "pairing":
         r, s = args.r, args.s
-        lam = g2root.lambda_weight()
-        rows = []
-        for name, beta in g2root.POSITIVE_ROOTS.items():
-            form = g2root.pairing(lam, beta)
-            val = form(r, s) if r is not None and s is not None else ""
-            rows.append([name, str(form), str(val)])
+        rows = [[name, str(form), str(form(r, s)) if r is not None and s is not None else ""]
+                for name, form in g2root.pairing_table().items()]
         _emit(args.format, ["root", "pairing", "value"], rows)
         return EXIT_OK
     if what == "gram":

@@ -137,21 +137,11 @@ class Cyclo:
 
     def __init__(self, terms=None):
         """From a {exponent: coefficient} mapping, exponents rational and read mod 1."""
-        items = []
-        n = 1
+        value = Cyclo.zero()
         for e, c in (terms or {}).items():
-            c = _rational(c)
-            if c:
-                e = Fraction(e)
-                items.append((e, c))
-                n = math.lcm(n, e.denominator)
-        coeffs = {}
-        for e, c in items:
-            k = e.numerator * (n // e.denominator) % n
-            coeffs[k] = coeffs.get(k, 0) + c
-        made = _make(n, coeffs)
-        self._n = made._n
-        self._c = made._c
+            e = Fraction(e)
+            value = value + Cyclo.root_of_unity(e.numerator, e.denominator) * c
+        self._n, self._c = value._n, value._c
 
     @property
     def terms(self) -> dict:

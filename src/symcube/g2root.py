@@ -58,14 +58,7 @@ class Affine:
         return Affine(-self.const, -self.r_coeff, -self.s_coeff)
 
     def __mul__(self, other):
-        # products of two non-constant forms would leave the affine world
-        if isinstance(other, Affine):
-            if other.is_constant():
-                other = other.const
-            elif self.is_constant():
-                return other * self.const
-            else:
-                raise ValueError("product of two non-constant affine forms")
+        # only a rational factor keeps the product affine; _frac refuses the rest
         c = _frac(other)
         return Affine(self.const * c, self.r_coeff * c, self.s_coeff * c)
 
@@ -183,10 +176,6 @@ ROOT_NAMES = {v: k for k, v in POSITIVE_ROOTS.items()}
 def is_root(v: RootVector) -> bool:
     """Membership in the twelve roots, by table lookup."""
     return v in ROOT_NAMES or (-v) in ROOT_NAMES
-
-
-def is_positive_root(v: RootVector) -> bool:
-    return v in ROOT_NAMES
 
 
 def lambda_weight(r=None, s=None) -> RootVector:
@@ -310,9 +299,9 @@ def parabolic_weyl_element() -> WeylElement:
 
 
 def rho_parabolic() -> RootVector:
-    """Half the sum of {beta2,...,beta6}, the roots of the unipotent radical."""
-    radical = (POSITIVE_ROOTS[name] for name in ("beta2", "beta3", "beta4", "beta5", "beta6"))
-    return sum(radical, RootVector(0, 0)) * Fraction(1, 2)
+    """Half the sum of the roots of the unipotent radical, those the parabolic
+    Weyl element inverts: {beta2,...,beta6}."""
+    return sum(inverted_roots(parabolic_weyl_element()), RootVector(0, 0)) * Fraction(1, 2)
 
 
 def coroot_decomposition(beta: RootVector):
@@ -321,7 +310,7 @@ def coroot_decomposition(beta: RootVector):
     For beta = c1*beta1 + c6*beta6 the coroot coefficients are
     c_i * (alpha_i, alpha_i) / (beta, beta).
     """
-    if not is_positive_root(beta):
+    if beta not in ROOT_NAMES:
         raise ValueError(f"{beta!r} is not a positive root")
     nb = gram(beta, beta)
     d1 = beta.c1 * gram(BETA1, BETA1) / nb

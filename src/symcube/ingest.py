@@ -178,7 +178,7 @@ def parse_hecke(path: str) -> ParsedHeckeData:
     Grammar: header ``field-disc D chi-order n`` (n may be ``unknown``), then
     lines ``p split v v`` or ``p inert v`` where v is ``k/n`` or ``re,im``.
     """
-    from .monomial import INERT, SPLIT, HeckeLocalData
+    from .monomial import HeckeLocalData
 
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -203,7 +203,7 @@ def parse_hecke(path: str) -> ParsedHeckeData:
         if not raw.strip():
             continue
         bits = raw.split()
-        if len(bits) < 3:
+        if len(bits) not in (3, 4):
             raise HeckeParseError(i, f"expected 'p split v v' or 'p inert v', got {raw!r}")
         try:
             p = int(bits[0])
@@ -212,17 +212,10 @@ def parse_hecke(path: str) -> ParsedHeckeData:
         if p in seen:
             raise HeckeParseError(i, f"duplicate prime {p}")
         seen.add(p)
-        kind = bits[1]
-        if kind == SPLIT and len(bits) != 4:
-            raise HeckeParseError(i, f"split entry at p={p} needs two values")
-        if kind == INERT and len(bits) != 3:
-            raise HeckeParseError(i, f"inert entry at p={p} needs one value")
-        if kind not in (SPLIT, INERT):
-            raise HeckeParseError(i, f"splitting must be split or inert, got {kind!r}")
         values = [_parse_char_value(token, i) for token in bits[2:]]
         try:
-            entry = HeckeLocalData(p, kind, *values)
-        except ValueError as exc:       # a zero character value
+            entry = HeckeLocalData(p, bits[1], *values)
+        except ValueError as exc:       # a fault of the entry itself: HeckeLocalData names it
             raise HeckeParseError(i, str(exc)) from None
         if order is not None:
             for v in (entry.chi_p, entry.chi_pbar):

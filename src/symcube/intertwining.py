@@ -21,18 +21,16 @@ mu^c6 == 1 hold exactly, or else when its denominator is below POLE_TOL.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Set
 
 from . import satake as sk
-from .g2root import (POSITIVE_ROOTS, RootVector, coroot_decomposition,
-                     lambda_weight, pairing)
+from .g2root import (ROOT_NAMES, RootVector, coroot_decomposition, inverted_roots,
+                     lambda_weight, pairing, parabolic_weyl_element)
 from .localfactor import RepTag, eigenvalues
-
-# roots inverted by the parabolic Weyl element, in product order
-_GK_ROOTS = ("beta2", "beta3", "beta4", "beta5", "beta6")
 
 
 def _gk_row(beta: RootVector):
@@ -43,9 +41,11 @@ def _gk_row(beta: RootVector):
     return (*map(int, coeffs), coroot_decomposition(beta)[1])
 
 
-# integer coefficients: c0 + cr*r + cs*s is exact on rational (r, s) and, on
-# float (r, s), rounds as the Fraction-coefficient form does
-_GK_TABLE = {name: _gk_row(POSITIVE_ROOTS[name]) for name in _GK_ROOTS}
+# one row per root the parabolic Weyl element inverts, by name (product order
+# beta2 ... beta6); integer coefficients: c0 + cr*r + cs*s is exact on rational
+# (r, s) and, on float (r, s), rounds as the Fraction-coefficient form does
+_GK_TABLE = {ROOT_NAMES[b]: _gk_row(b)
+             for b in sorted(inverted_roots(parabolic_weyl_element()), key=ROOT_NAMES.get)}
 
 POLE_TOL = 1e-10
 
@@ -64,8 +64,10 @@ class PrincipalParams:
             raise ValueError("q must be >= 2")
         if not 0 <= float(self.r) < 0.5:
             raise ValueError("r must lie in [0, 1/2)")
-        if abs(abs(complex(self.mu)) - 1.0) > 1e-8:
-            raise ValueError("|mu| must be 1")
+        if not abs(abs(complex(self.mu)) - 1.0) <= 1e-8:  # NaN too
+            raise ValueError(f"|mu| must be 1, got mu = {self.mu!r}")
+        if not cmath.isfinite(complex(self.s)):
+            raise ValueError(f"s must be finite, got s = {self.s!r}")
 
 
 class IntertwiningPole(ArithmeticError):

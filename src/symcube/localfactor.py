@@ -42,6 +42,32 @@ def primes_upto(n: int) -> list:
     return list(itertools.compress(range(n + 1), sieve))
 
 
+# Miller-Rabin with the first 13 prime bases decides every n below this bound
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 2 <= n < MR_BOUND."""
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def poly_mul(a: Sequence, b: Sequence) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .localfactor import ReciprocalPoly, poly_from_eigenvalues
+from .localfactor import MR_BOUND, ReciprocalPoly, is_prime, poly_from_eigenvalues
 
 SPLIT = "split"
 INERT = "inert"
@@ -32,12 +32,14 @@ class HeckeLocalData:
     chi_pbar: object = None       # second value, split case only
 
     def __post_init__(self):
+        if not (2 <= self.p < MR_BOUND and is_prime(self.p)):
+            raise ValueError(f"p must be a prime below {MR_BOUND:.4g}, got {self.p}")
         if self.splitting not in (SPLIT, INERT):
             raise ValueError(f"splitting must be split or inert, got {self.splitting!r}")
         if self.splitting == SPLIT and self.chi_pbar is None:
             raise ValueError(f"split entry at p={self.p} needs two character values")
         if self.splitting == INERT and self.chi_pbar is not None:
-            raise ValueError(f"inert entry at p={self.p} carries a single value")
+            raise ValueError(f"inert entry at p={self.p} takes one character value")
         # the exact path needs both values in one ring; a mixed split pair demotes
         if self.splitting == SPLIT and type(self.chi_p) is not type(self.chi_pbar):
             object.__setattr__(self, "chi_p", complex(self.chi_p))

@@ -556,6 +556,22 @@ def test_afe_cutoff_too_small(delta_sym3_coeffs_8k):
         afe_value(0.5, cfg, delta_sym3_coeffs_8k)
 
 
+def test_afe_values_refuse_a_cutoff_past_the_table(delta_sym3_coeffs_8k):
+    cfg = delta_sym3_config(cutoff=delta_sym3_coeffs_8k.n_max + 1)
+    with pytest.raises(CutoffTooSmall) as err:
+        afe_values([0.5 + 1j], cfg, delta_sym3_coeffs_8k)
+    assert (err.value.needed, err.value.given) == (8193, 8192)
+
+
+def test_epsilon_probe_skips_points_where_lambda_vanishes():
+    # every Lambda(1 - s) of the zero series is below the noise floor
+    zero = CoefficientTable(np.zeros(4001, dtype=complex))
+    points = [0.5 + 1j, 0.7 + 2j]
+    rep = epsilon_probe(points, delta_sym3_config(), zero)
+    assert (rep.points, rep.estimates, rep.skipped) == ([], [], points)
+    assert rep.max_pairwise_deviation == rep.modulus_deviation == math.inf
+
+
 def test_epsilon_probe_positive_control(delta_sym3_coeffs_8k):
     cfg = delta_sym3_config()
     points = [0.5 + 0.5j, 0.5 + 1j, 0.5 + 2j]

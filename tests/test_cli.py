@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -454,6 +455,29 @@ def test_euler_csv_trace():
     assert rows[-1].split(",")[1] == "500"
 
 
+def test_euler_warns_on_stderr_at_re_s_up_to_1(capsys):
+    code, out = run_cli(["euler", "--coeffs", "builtin:delta:200", "--s", "0.9",
+                         "--X", "200", "--format", "csv"])
+    assert code == 0 and out.startswith("checkpoint,X,Re,Im\n") and "warning" not in out
+    assert capsys.readouterr().err == (
+        "warning: Re(s) <= 1, outside the absolute-convergence contract\n")
+
+
+def test_readme_tour_runs(capsys):
+    """Every `symcube` line of the README's CLI quick tour, in process and
+    with its `> file` redirection dropped, ends with its documented code:
+    0, and 1 for the scan with an injected pole."""
+    text = (REPO / "README.md").read_text()
+    block = text.split("## CLI quick tour", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    tour = [shlex.split(line.split(" > ", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("symcube ")]
+    assert len(tour) == 9
+    for argv in tour:
+        code, _ = run_cli(argv)
+        assert code == (1 if "--inject-pole" in argv else 0), argv
+        assert "Traceback" not in capsys.readouterr().err, argv
+
+
 def _level_2_copy(tmp_path):
     # the shipped level-1 file relabelled level 2: p = 2 becomes ramified
     text = (REPO / "data" / "delta_coeffs_small.txt").read_text()
@@ -662,6 +686,18 @@ _BAD_CONFIGS = [
     ("repeated-key", _CONFIG + "gamma_shifts = 6.5, 16.5\n",
      " line 3: repeated key 'gamma_shifts'; first set at line 1"),
 ]
+# each bad Hecke entry: (id, the line, the error's text after its line number);
+# p = 1 is refused before the primality test, which does not end on it
+_BAD_HECKE_LINES = [
+    ("p-4", "4 split 1/3 2/3", "p must be a prime below 3.317e+24, got 4"),
+    ("p-negative", "-7 inert 0/1", "p must be a prime below 3.317e+24, got -7"),
+    ("p-0", "0 inert 1/3", "p must be a prime below 3.317e+24, got 0"),
+    ("p-1", "1 inert 1/3", "p must be a prime below 3.317e+24, got 1"),
+    ("lone-split-value", "7 split 1/3", "split entry at p=7 needs two character values"),
+    ("inert-pair", "7 inert 1/3 2/3", "inert entry at p=7 takes one character value"),
+    ("five-tokens", "7 split 1/3 2/3 1/3",
+     "expected 'p split v v' or 'p inert v', got '7 split 1/3 2/3 1/3'"),
+]
 # per file flag: the parser, and the command that reads the file
 _READERS = {"--coeffs": ("parse_form", ["satake"]),
             "--hecke": ("parse_hecke", ["monomial-check"]),
@@ -684,6 +720,8 @@ _READERS = {"--coeffs": ("parse_form", ["satake"]),
      "input error: line 2: value at p=2 is not an order-3 root of unity (chi-order 3)\n"),
     ("HeckeParseError", "--hecke", "field-disc -23 chi-order unknown\n2 split 0,0 1,0\n",
      "input error: line 2: character values must be nonzero\n"),
+    *(("HeckeParseError", "--hecke", f"field-disc -23 chi-order unknown\n2 inert 1/2\n{line}\n",
+       f"input error: line 3: {err}\n") for _, line, err in _BAD_HECKE_LINES),
     ("FormParseError", "--coeffs", "weight 12 level 0 character trivial\n1 1\n",
      "input error: line 1: weight and level must be >= 1, got weight 12 level 0\n"),
     ("FormParseError", "--coeffs", "weight -2 level 11 character trivial\n1 1\n",
@@ -693,6 +731,7 @@ _READERS = {"--coeffs": ("parse_form", ["satake"]),
 ], ids=["FormParseError", "MultiplicativityError", "HeckeParseError",
         "HeckeParseError-chi-order", "FormParseError-non-finite",
         "HeckeParseError-chi-order-values", "HeckeParseError-zero-value",
+        *(f"HeckeParseError-{name}" for name, _, _ in _BAD_HECKE_LINES),
         "FormParseError-level-0", "FormParseError-negative-weight",
         *(f"ConfigParseError-{name}" for name, _, _ in _BAD_CONFIGS)])
 def test_parse_errors_are_symcube_input_errors(tmp_path, error, flag, text, err):

@@ -363,6 +363,74 @@ def test_fast_path_cases():
     assert rep((Q(-1, 3) * z(1, 6)).inverse()) == (6, [(5, -3)], [int])
 
 
+# --- the constructor against its one-loop reference -------------------------
+
+def reference_constructor(terms):
+    """Cyclo(terms) as one loop built it: the lcm of the exponent
+    denominators, then each coefficient summed onto its key, first seen first."""
+    items, n = [], 1
+    for e, c in terms.items():
+        if isinstance(c, float):
+            raise TypeError(f"exact arithmetic does not take the float {c!r}")
+        c = Q(c)
+        if c:
+            e = Q(e)
+            items.append((e, c))
+            n = math.lcm(n, e.denominator)
+    coeffs = {}
+    for e, c in items:
+        k = e.numerator * (n // e.denominator) % n
+        coeffs[k] = coeffs.get(k, 0) + c
+    return reference_make(n, coeffs)
+
+
+def returns_after_cancelling(terms):
+    """Whether an exponent's running sum, read mod 1, cancels to 0 and a later
+    term brings it back: the sum of root_of_unity terms then places that key
+    last, where the one loop keeps it at its first place."""
+    sums = {}
+    for e, c in terms.items():
+        if c:
+            key = Q(e) % 1
+            if sums.get(key, 1) == 0:
+                return True
+            sums[key] = sums.get(key, 0) + c
+    return False
+
+
+@st.composite
+def constructor_terms(draw):
+    """Up to six terms; exponents in [-2, 2] often agree mod 1, coefficients
+    may be 0, and one draw in ten brings in a float coefficient."""
+    coeffs = SMALL if draw(st.integers(0, 9)) else st.one_of(SMALL, st.floats(-2, 2))
+    return draw(st.dictionaries(st.fractions(min_value=-2, max_value=2, max_denominator=12),
+                                coeffs, max_size=6))
+
+
+@settings(deadline=None, max_examples=400)
+@given(constructor_terms())
+def test_constructor_equals_its_one_loop_reference(terms):
+    try:
+        want = reference_constructor(terms)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as err:
+            Cyclo(terms)
+        assert str(err.value) == str(exc)
+        return
+    got = Cyclo(terms)
+    assert repr(got) == repr(want)
+    if returns_after_cancelling(terms):
+        assert sorted(rep(got)[1]) == sorted(rep(want)[1]) and got._n == want._n
+    else:
+        assert rep(got) == rep(want)
+
+
+def test_constructor_places_a_key_that_returns_last():
+    terms = {Q(1, 3): 1, Q(1, 2): 2, Q(4, 3): -1, Q(-2, 3): Q(1, 2)}
+    assert rep(Cyclo(terms)) == (6, [(3, 2), (2, Q(1, 2))], [int, Q])
+    assert rep(reference_constructor(terms)) == (6, [(2, Q(1, 2)), (3, 2)], [Q, int])
+
+
 # --- the zero test against reduction modulo the cyclotomic polynomial -------
 
 def reference_divmod(num, den):

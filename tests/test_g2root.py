@@ -213,6 +213,14 @@ def test_constant_coordinates_are_rationals():
         BETA1 * 0.5
 
 
+def test_product_of_two_weights_is_refused():
+    # (lam, lam) is quadratic in (r, s): an affine form takes rational factors only
+    with pytest.raises(TypeError):
+        gram(lambda_weight(), lambda_weight())
+    with pytest.raises(TypeError):
+        Affine(0, 1, 0) * Affine(0, 0, 1)
+
+
 def test_affine_formatting():
     table = pairing_table()
     assert str(table["beta6"]) == "s - 3r"

@@ -205,6 +205,35 @@ def test_parse_hecke_errors(tmp_path):
         parse_hecke(str(path))
 
 
+_FORM_HEAD = "weight 12 level 1 character trivial\n"
+_HECKE_HEAD = "field-disc -23 chi-order unknown\n"
+
+
+@pytest.mark.parametrize("parse, text, line, message", [
+    (parse_form, "weight 12 level 1\n1 1\n", 1, "malformed header"),
+    (parse_form, "weight x level 1 character trivial\n1 1\n", 1,
+     "weight and level must be integers"),
+    (parse_form, _FORM_HEAD + "1 1\n2\n", 3, "expected 'n a_n', got '2'"),
+    (parse_hecke, "", 1, "empty file"),
+    (parse_hecke, "field-disc x chi-order 3\n", 1, "field-disc must be an integer"),
+    (parse_hecke, _HECKE_HEAD + "2 inert 1/2\n7 inert 1,x\n", 3, "bad re,im value '1,x'"),
+    (parse_hecke, _HECKE_HEAD + "7 inert 1\n", 2, "'1' is neither k/n nor re,im"),
+    (parse_hecke, _HECKE_HEAD + "x split 1/3 2/3\n", 2, "bad prime 'x'"),
+    (parse_hecke, _HECKE_HEAD + "7 split\n", 2, "expected 'p split v v' or 'p inert v'"),
+    # the values are read before the entry's shape is checked
+    (parse_hecke, _HECKE_HEAD + "7 ramified 1\n", 2, "'1' is neither k/n nor re,im"),
+    (parse_hecke, _HECKE_HEAD + "7 ramified 1/2\n", 2, "splitting must be split or inert"),
+    (parse_hecke, _HECKE_HEAD + "3317044064679887385961981 inert 1/3\n", 2,
+     "p must be a prime below 3.317e+24, got 3317044064679887385961981"),
+])
+def test_parse_refusals_name_their_line(tmp_path, parse, text, line, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises((FormParseError, HeckeParseError)) as err:
+        parse(str(path))
+    assert err.value.line == line and message in str(err.value)
+
+
 @pytest.mark.parametrize("order, entries, line", [
     ("3", "2 split 1/3 2/3\n3 inert 1/7\n", 3),
     ("3", "13 split 0.5,0.8660254037844386 0.5,-0.8660254037844386\n", 2),

@@ -171,6 +171,14 @@ def test_gk_pole_flagged_at_beta6():
     assert err.value.root_name == "beta6"
 
 
+@pytest.mark.parametrize("mu, s", [(1.0, 0.0), (1.0, 0.1), (1.0, -0.3), (-1.0, 0.0)])
+def test_l_ratio_refuses_its_poles(mu, s):
+    # the L-ratio's denominator vanishes on the locus where gk_coefficient has a pole
+    with pytest.raises(IntertwiningPole) as err:
+        l_ratio(PrincipalParams(mu, 2, 0.1, s))
+    assert err.value.root_name == "numerator-L-value" and err.value.pairing_value == s
+
+
 def test_gk_exact_pole_decision():
     from symcube.cyclo import Cyclo
     # rational parameters exactly on the pole locus: decided without tolerance
@@ -674,3 +682,14 @@ def test_principal_params_validation():
         PrincipalParams(1.0, 2, 0.6, 1.0)
     with pytest.raises(ValueError):
         PrincipalParams(2.0, 2, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("mu, s, field", [
+    (math.nan, 1.0, "mu"), (complex(math.nan, 0.0), 1.0, "mu"), (math.inf, 1.0, "mu"),
+    (1.0, math.inf, "s"), (1.0, -math.inf, "s"), (1.0, math.nan, "s"),
+    (1.0, complex(0.3, math.nan), "s"),
+])
+def test_principal_params_refuse_non_finite_mu_and_s(mu, s, field):
+    # at s = +-inf gk_coefficient read 1 and l_ratio NaN; a NaN mu passed |mu| = 1
+    with pytest.raises(ValueError, match=rf"^\|?{field}\b"):
+        PrincipalParams(mu, 2, 0.1, s)

@@ -53,6 +53,15 @@ def test_induced_validation():
         HeckeLocalData(7, INERT, 0.0)
 
 
+def test_induced_takes_primes_only():
+    assert HeckeLocalData(2, INERT, 1.0).p == 2
+    assert HeckeLocalData(1_000_000_007, INERT, 1.0).p == 1_000_000_007
+    # is_prime does not end on 1: the range guard runs before it
+    for p in (1, 4, 561, 1_000_000_007 * 998_244_353, -7, 0):
+        with pytest.raises(ValueError, match="p must be a prime"):
+            HeckeLocalData(p, INERT, 1.0)
+
+
 def _sym_cube_matrix(m):
     """Explicit 4x4 matrix of sym^3 on the basis x^3, x^2 y, x y^2, y^3: the
     reference the trace-and-determinant closed form is checked against."""

@@ -31,6 +31,18 @@ def test_ap_zero_gives_i_minus_i():
     assert c.alpha.imag > 0   # deterministic tie-break
 
 
+def test_satake_from_hecke_refuses_bad_p_and_omega():
+    with pytest.raises(ValueError, match="p must be a prime >= 2"):
+        satake_from_hecke(1, 1, 12)
+    with pytest.raises(ValueError, match="omega_p"):
+        satake_from_hecke(1, 5, 12, 1.5)
+
+
+def test_same_class_needs_the_same_q():
+    assert SatakeClass(1j, -1j, 5).same_class(SatakeClass(-1j, 1j, 5))
+    assert not SatakeClass(1j, -1j, 5).same_class(SatakeClass(1j, -1j, 7))
+
+
 def test_vieta_product_always_exact():
     rng = random.Random(31)
     for _ in range(200):
