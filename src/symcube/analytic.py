@@ -191,8 +191,9 @@ def delta_sym3_config(cutoff: int = 4000) -> AFEConfig:
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
              1 / 156, -3617 / 122400, 43867 / 244188)
 _STIRLING_MIN = 10.0
-# arguments per block of _loggamma: the dozen temporaries of a block then
-# stay in cache (one 9-point batch at once ran about 1.5x slower per point)
+# arguments per block of _loggamma: the blocks bound the memory of its dozen
+# temporaries, not its time (a 1000-point scan batch, 642 000 arguments,
+# peaks at about 10 MiB blocked and 72 MiB at once; speed is about the same)
 _LOGGAMMA_BLOCK = 4096
 
 

@@ -245,15 +245,15 @@ def cmd_lfactor(args) -> int:
     return EXIT_OK
 
 
+_SUITES = {"triple": localfactor.check_triple_identity,
+           "twist": localfactor.check_twist_identity,
+           "gj": localfactor.check_gj_identity}
+
+
 def cmd_identity(args) -> int:
     from .satake import SatakeClass
 
-    suites = {
-        "triple": localfactor.check_triple_identity,
-        "twist": localfactor.check_twist_identity,
-        "gj": localfactor.check_gj_identity,
-    }
-    chosen = list(suites) if args.suite == "all" else [args.suite]
+    chosen = list(_SUITES) if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
     log_bound = math.log(args.bound)
 
@@ -265,7 +265,7 @@ def cmd_identity(args) -> int:
     failed = False
     rows = []
     for name in chosen:
-        errs = [suites[name](c) for c in classes]
+        errs = [_SUITES[name](c) for c in classes]
         worst = max(errs) if errs else 0.0
         ok = worst < args.tol
         failed = failed or not ok
@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lfactor)
 
     p = sub.add_parser("identity", help="seeded random factorization-identity suites")
-    p.add_argument("--suite", choices=["all", "triple", "twist", "gj"], default="all")
+    p.add_argument("--suite", choices=["all", *_SUITES], default="all")
     p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--bound", type=_positive_float, default=4.0)
     common(p, tol=1e-12, seed=True)

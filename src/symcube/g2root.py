@@ -206,10 +206,9 @@ def reflect(alpha: RootVector, v):
     return v - alpha * pairing(v, alpha)
 
 
-def pairing_table(lam=None):
-    """Pairings of lam (default: the symbolic Lambda(r,s)) with all six coroots."""
-    if lam is None:
-        lam = lambda_weight()
+def pairing_table():
+    """Pairings of the symbolic Lambda(r,s) with all six coroots."""
+    lam = lambda_weight()
     return {name: pairing(lam, beta) for name, beta in POSITIVE_ROOTS.items()}
 
 

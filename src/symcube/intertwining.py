@@ -66,7 +66,11 @@ class PrincipalParams:
             raise ValueError("r must lie in [0, 1/2)")
         if not abs(abs(complex(self.mu)) - 1.0) <= 1e-8:  # NaN too
             raise ValueError(f"|mu| must be 1, got mu = {self.mu!r}")
-        if not cmath.isfinite(complex(self.s)):
+        try:
+            finite = cmath.isfinite(complex(self.s))
+        except OverflowError:
+            raise ValueError("s is beyond the float range") from None
+        if not finite:
             raise ValueError(f"s must be finite, got s = {self.s!r}")
 
 
@@ -123,7 +127,7 @@ def l_ratio(p: PrincipalParams) -> complex:
 
     The class used is (mu q^{-r}, mu q^{r}), not its contragredient (see the
     module docstring).  A denominator below POLE_TOL in modulus raises
-    IntertwiningPole.
+    IntertwiningPole, a ratio that is not finite in floats ValueError.
     """
     mu = complex(p.mu)
     qr = float(p.q) ** float(p.r)
@@ -131,12 +135,18 @@ def l_ratio(p: PrincipalParams) -> complex:
     r30 = eigenvalues(RepTag.ADJOINT_CUBE, cls)
     w2 = eigenvalues(RepTag.WEDGE2, cls)
     s = complex(p.s)
-    # L(s) = 1/P(q^{-s}); the assembled ratio is a quotient of P-values
-    den = _p_value(r30, p.q ** (-s)) * _p_value(w2, p.q ** (-2 * s))
-    if abs(den) < POLE_TOL:
-        raise IntertwiningPole("numerator-L-value", p.s)
-    num = _p_value(r30, p.q ** (-1 - s)) * _p_value(w2, p.q ** (-1 - 2 * s))
-    return num / den
+    try:
+        # L(s) = 1/P(q^{-s}); the assembled ratio is a quotient of P-values
+        den = _p_value(r30, p.q ** (-s)) * _p_value(w2, p.q ** (-2 * s))
+        if abs(den) < POLE_TOL:
+            raise IntertwiningPole("numerator-L-value", p.s)
+        num = _p_value(r30, p.q ** (-1 - s)) * _p_value(w2, p.q ** (-1 - 2 * s))
+        ratio = num / den
+    except OverflowError:
+        ratio = cmath.nan
+    if not cmath.isfinite(ratio):
+        raise ValueError(f"L-ratio at q = {p.q:.6g}, s = {p.s!r} leaves the float range")
+    return ratio
 
 
 def _p_value(eigen, t: complex) -> complex:
@@ -146,7 +156,7 @@ def _p_value(eigen, t: complex) -> complex:
     polynomial evaluated by Horner loses that factor's relative accuracy to
     cancellation, the product keeps it.
     """
-    value = 1.0 + 0j
+    value = 1
     for lam in eigen:
         value *= 1 - lam * t
     return value

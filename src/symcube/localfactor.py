@@ -105,8 +105,7 @@ class ReciprocalPoly:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("empty coefficient list")
-        lead = coeffs[0]
-        if not (lead == 1 or abs(complex(lead) - 1) < 1e-12):
+        if coeffs[0] != 1:
             raise ValueError("constant coefficient must be 1")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -162,9 +161,8 @@ def eigenvalues(tag: RepTag, c: SatakeClass) -> list:
     if tag is RepTag.WEDGE2:
         return [a * b]
     if tag in (RepTag.ADJOINT_CUBE, RepTag.GJ_ADJOINT):
-        # x * (1 / y), not x / y: complex division rounds differently; an int
-        # or Fraction beside a Cyclo is inverted in the Cyclo ring
-        ia, ib = inverse(a, b), inverse(b, a)
+        # x * (1 / y), not x / y: complex division rounds differently
+        ia, ib = inverse(a), inverse(b)
         if tag is RepTag.ADJOINT_CUBE:
             return [a * a * ib, a, b, ia * b * b]
         return [a * ib, 1, ia * b]
@@ -193,17 +191,13 @@ def rankin_selberg(a: SatakeClass, b_eigen: Sequence) -> ReciprocalPoly:
     return ReciprocalPoly(poly_from_eigenvalues(pairs))
 
 
-def triple_product(c: SatakeClass) -> ReciprocalPoly:
-    return local_factor(RepTag.TRIPLE, c)
-
-
 def check_triple_identity(c: SatakeClass) -> float:
     """Triple product against sym-cube times the squared twisted standard factor."""
     omega = c.central_character()
     twisted = twist(c, omega)
     std = local_factor(RepTag.STANDARD, twisted)
     rhs = local_factor(RepTag.SYM3, c) * std * std
-    return triple_product(c).max_coeff_diff(rhs)
+    return local_factor(RepTag.TRIPLE, c).max_coeff_diff(rhs)
 
 
 def check_twist_identity(c: SatakeClass) -> float:

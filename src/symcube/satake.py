@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 DEFAULT_TOL = 1e-8
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,10 @@ def twist(c: SatakeClass, chi_p) -> SatakeClass:
     return SatakeClass(c.alpha * chi_p, c.beta * chi_p, c.q)
 
 
-def inverse(x, partner):
-    """1 / x, with x a Satake parameter and partner the other one.
-
-    Beside a Cyclo, a rational x is inverted exactly, as a Cyclo; float and
-    complex parameters, and two of one type, are inverted as 1 / x.
-    """
-    if type(x) is not type(partner) and isinstance(x, numbers.Rational) \
-            and not isinstance(partner, numbers.Number):
-        return partner / (x * partner)   # exact, in the partner's ring
-    return 1 / x
+def inverse(x):
+    """1 / x for a Satake parameter x; an int or Fraction is inverted exactly,
+    as a Fraction, and any other x as 1 / x."""
+    return _ONE / x if type(x) in (int, Fraction) else 1 / x
 
 
 def contragredient(c: SatakeClass) -> SatakeClass:
@@ -105,5 +100,5 @@ def contragredient(c: SatakeClass) -> SatakeClass:
     a, b = c.alpha, c.beta
     if not a or not b:
         raise ValueError("zero Satake parameter has no contragredient")
-    return SatakeClass(inverse(a, b), inverse(b, a), c.q)
+    return SatakeClass(inverse(a), inverse(b), c.q)
 

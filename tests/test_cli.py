@@ -109,6 +109,15 @@ def test_identity_exit_codes():
     assert code == 1
 
 
+def test_suite_choices_are_all_and_the_suites_table():
+    from symcube.cli import _SUITES, build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["identity"]._actions if a.dest == "suite")
+    assert suite.choices == ["all", *_SUITES]
+    assert list(_SUITES) == ["triple", "twist", "gj"]
+
+
 def test_identity_deterministic_bytes():
     _, out1 = run_cli(["identity", "--samples", "25", "--seed", "3",
                        "--format", "json"])

@@ -283,6 +283,15 @@ def test_parse_afe_config(tmp_path):
         parse_afe_config(str(path))
 
 
+def test_shipped_afe_config_file_is_the_cli_default():
+    # the CLI without --config uses delta_sym3_config(); the README and the
+    # benchmark read the file
+    from pathlib import Path
+    from symcube.analytic import delta_sym3_config
+    path = Path(__file__).resolve().parents[1] / "data" / "delta_sym3_afe.cfg"
+    assert parse_afe_config(str(path)) == delta_sym3_config()
+
+
 def test_parse_afe_config_degree_key(tmp_path):
     # the degree is 2 x the number of Gamma_C factors; a key may restate it
     path = tmp_path / "cfg.txt"

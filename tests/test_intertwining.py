@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 from fractions import Fraction as Q
 from numbers import Integral, Rational
@@ -687,9 +688,66 @@ def test_principal_params_validation():
 @pytest.mark.parametrize("mu, s, field", [
     (math.nan, 1.0, "mu"), (complex(math.nan, 0.0), 1.0, "mu"), (math.inf, 1.0, "mu"),
     (1.0, math.inf, "s"), (1.0, -math.inf, "s"), (1.0, math.nan, "s"),
-    (1.0, complex(0.3, math.nan), "s"),
+    (1.0, complex(0.3, math.nan), "s"), (1.0, 10 ** 400, "s"), (1.0, -(10 ** 400), "s"),
+    (1.0, Fraction(10 ** 400, 3), "s"),
 ])
 def test_principal_params_refuse_non_finite_mu_and_s(mu, s, field):
-    # at s = +-inf gk_coefficient read 1 and l_ratio NaN; a NaN mu passed |mu| = 1
+    # at s = +-inf gk_coefficient read 1 and l_ratio NaN; a NaN mu passed |mu| = 1;
+    # an s beyond the float range raised OverflowError from complex(s)
     with pytest.raises(ValueError, match=rf"^\|?{field}\b"):
         PrincipalParams(mu, 2, 0.1, s)
+
+
+def reference_l_ratio(p):
+    """The earlier l_ratio body: each P-value a product from 1.0 + 0j, no refusal."""
+    def p_value(eigen, t):
+        value = 1.0 + 0j
+        for lam in eigen:
+            value *= 1 - lam * t
+        return value
+    mu = complex(p.mu)
+    qr = float(p.q) ** float(p.r)
+    cls = SatakeClass(mu / qr, mu * qr, p.q)
+    r30 = eigenvalues(RepTag.ADJOINT_CUBE, cls)
+    w2 = eigenvalues(RepTag.WEDGE2, cls)
+    s = complex(p.s)
+    den = p_value(r30, p.q ** (-s)) * p_value(w2, p.q ** (-2 * s))
+    if abs(den) < POLE_TOL:
+        raise IntertwiningPole("numerator-L-value", p.s)
+    return p_value(r30, p.q ** (-1 - s)) * p_value(w2, p.q ** (-1 - 2 * s)) / den
+
+
+_OUT_OF_RANGE = [(2, -400), (2, -500), (2 ** 1023, 2.5), (2 ** 1023, -50),
+                 (5, -400), (5, -1e300)]
+
+
+@pytest.mark.parametrize("q, s", _OUT_OF_RANGE)
+def test_l_ratio_refuses_a_ratio_beyond_the_float_range(q, s):
+    # these read (nan+nanj) or raised OverflowError; the per-root product is finite
+    p = PrincipalParams(1.0, q, 0.1, s)
+    assert cmath.isfinite(gk_coefficient(p))
+    with pytest.raises(ValueError, match=re.escape(f"q = {q:.6g}, s = {s!r}")):
+        l_ratio(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from([2, 3, 5, 7, 3 ** 600, 2 ** 1023]),
+       r=st.floats(0, 0.49), s=st.floats(-1e4, 1e4), order=st.integers(1, 12),
+       k=st.integers(0, 11))
+@example(q=2, r=0.1, s=2.5, order=1, k=0)
+def test_l_ratio_keeps_every_finite_value_and_refuses_the_rest(q, r, s, order, k):
+    p = PrincipalParams(cmath.exp(2j * math.pi * (k % order) / order), q, r, s)
+    try:
+        want = reference_l_ratio(p)
+    except IntertwiningPole:
+        with pytest.raises(IntertwiningPole):
+            l_ratio(p)
+        return
+    except OverflowError:
+        want = cmath.nan
+    if cmath.isfinite(want):
+        assert repr(l_ratio(p)) == repr(want)
+    else:
+        with pytest.raises(ValueError, match="leaves the float range"):
+            l_ratio(p)
+

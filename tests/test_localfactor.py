@@ -11,7 +11,7 @@ from symcube.cyclo import Cyclo
 from symcube.localfactor import (
     RepTag, ReciprocalPoly, check_gj_identity,
     check_triple_identity, check_twist_identity, eigenvalues, local_factor,
-    poly_from_eigenvalues, rankin_selberg, triple_product)
+    poly_from_eigenvalues, rankin_selberg)
 from symcube.satake import SatakeClass, contragredient
 
 
@@ -138,12 +138,12 @@ def test_rankin_selberg_gj_multiset():
 
 def test_triple_product_structure():
     c = SatakeClass(1.0, 1.0, 2)
-    got = triple_product(c).coeffs
+    got = local_factor(RepTag.TRIPLE, c).coeffs
     want = poly_from_eigenvalues([1.0] * 8)         # (1-T)^8
     assert all(abs(x - w) < 1e-12 for x, w in zip(got, want))
     rng = random.Random(5)
     c = _random_class(rng)
-    e1 = -triple_product(c).coeffs[1]
+    e1 = -local_factor(RepTag.TRIPLE, c).coeffs[1]
     assert abs(e1 - (c.alpha + c.beta) ** 3) < 1e-12 * max(1, abs(e1))
 
 
@@ -152,7 +152,7 @@ def test_triple_product_unitary_roots_on_circle():
     rng = random.Random(6)
     for _ in range(10):
         c = _unitary_class(rng)
-        roots = np.roots(list(triple_product(c).coeffs)[::-1])
+        roots = np.roots(list(local_factor(RepTag.TRIPLE, c).coeffs)[::-1])
         # clustered triple eigenvalues make the extracted roots
         # ill-conditioned; the test separates on-circle from q^(1/4)-scale
         assert max(abs(abs(r) - 1.0) for r in roots) < 5e-3
@@ -220,11 +220,14 @@ def test_tempered_reciprocal_roots_on_unit_circle():
 
 
 def test_reciprocal_poly_contracts():
-    with pytest.raises(ValueError):
-        ReciprocalPoly([2.0, 1.0])
+    # P(0) is exactly 1: a Fraction or a complex within 1e-12 of 1 used to pass
+    for lead in (2.0, Fraction(10 ** 13 + 1, 10 ** 13), 1 + 1e-13j):
+        with pytest.raises(ValueError, match="constant coefficient must be 1"):
+            ReciprocalPoly([lead, 1.0])
     with pytest.raises(ValueError):
         ReciprocalPoly([])
-    assert ReciprocalPoly([1.0, -0.5]).coeffs == (1.0, -0.5)
+    for one in (1, 1.0, 1 + 0j, Fraction(1), Cyclo.one()):
+        assert ReciprocalPoly([one, -0.5]).coeffs == (one, -0.5)
 
 
 def reference_max_coeff_diff(p, q):
@@ -303,3 +306,24 @@ def test_an_int_parameter_beside_a_cyclo_is_inverted_exactly():
             got = eigenvalues(tag, c)
             assert got == want
             assert not any(isinstance(x, (float, complex)) for x in got)
+
+
+_nonzero_rational = st.one_of(st.integers(-60, 60).filter(bool),
+                              st.fractions(-60, 60, max_denominator=60).filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nonzero_rational, _nonzero_rational, st.sampled_from([2, 3, 5, 7]))
+@example(2, 3, 5)
+@example(3, 7, 5)
+@example(2, Fraction(3, 7), 5)
+def test_rational_classes_check_exactly(alpha, beta, q):
+    # an int parameter was inverted as a float, so these read 1.87e-16 (gj at
+    # (2, 3)) and 1.74e-16 (twist at (3, 7))
+    c = SatakeClass(alpha, beta, q)
+    assert check_triple_identity(c) == 0.0
+    assert check_twist_identity(c) == 0.0
+    assert check_gj_identity(c) == 0.0
+    for tag in (RepTag.ADJOINT_CUBE, RepTag.GJ_ADJOINT):
+        assert not any(isinstance(x, (float, complex)) for x in eigenvalues(tag, c))
+

@@ -1,11 +1,15 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symcube.cyclo import Cyclo
 from symcube.satake import (
-    SatakeClass, contragredient, is_tempered, satake_from_hecke, twist)
+    SatakeClass, contragredient, inverse, is_tempered, satake_from_hecke, twist)
 
 # frozen from the built-in q-expansion: a_2 = -24, weight 12
 A2_OVER_SCALE = -0.530330085889911
@@ -101,14 +105,12 @@ def test_contragredient():
 
 
 def test_contragredient_keeps_a_rational_partner_of_a_cyclo_exact():
-    from fractions import Fraction
-    from symcube.cyclo import Cyclo
     zeta3 = Cyclo.root_of_unity(1, 3)
     cc = contragredient(SatakeClass(zeta3, 3, 5))
-    assert isinstance(cc.beta, Cyclo) and cc.beta == Cyclo.from_rational(Fraction(1, 3))
+    assert type(cc.beta) is Fraction and cc.beta == Fraction(1, 3)
     assert cc.alpha == Cyclo.root_of_unity(2, 3)
-    assert contragredient(SatakeClass(zeta3, Fraction(2, 7), 5)).beta \
-        == Cyclo.from_rational(Fraction(7, 2))
+    beta = contragredient(SatakeClass(zeta3, Fraction(2, 7), 5)).beta
+    assert type(beta) is Fraction and beta == Fraction(7, 2)
 
 
 @pytest.mark.parametrize("alpha, beta", [
@@ -116,6 +118,35 @@ def test_contragredient_keeps_a_rational_partner_of_a_cyclo_exact():
     (7, 3),
 ])
 def test_contragredient_of_float_and_complex_classes_is_one_over_x(alpha, beta):
+    """float and complex parameters take 1 / x; an int is inverted exactly."""
     cc = contragredient(SatakeClass(alpha, beta, 3))
     for got, x in ((cc.alpha, alpha), (cc.beta, beta)):
-        assert type(got) is type(1 / x) and repr(got) == repr(1 / x)
+        want = Fraction(1, x) if type(x) is int else 1 / x
+        assert type(got) is type(want) and repr(got) == repr(want)
+
+
+def _outcome(f, x):
+    """(type, repr) of f(x), or the type of what it raises."""
+    try:
+        value = f(x)
+    except ArithmeticError as exc:
+        return type(exc)
+    return type(value), repr(value)
+
+
+# a Cyclo inverts only single-term values
+_cyclo = st.builds(lambda k, n, c: Cyclo.root_of_unity(k, n) * c,
+                   st.integers(0, 11), st.integers(1, 12),
+                   st.fractions(-9, 9, max_denominator=9).filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(), st.complex_numbers(), _cyclo))
+def test_inverse_of_a_float_complex_or_cyclo_is_one_over_x(x):
+    assert _outcome(inverse, x) == _outcome(lambda y: 1 / y, x)
+
+
+@given(st.one_of(st.integers().filter(bool), st.fractions().filter(bool)))
+def test_inverse_of_an_int_or_fraction_is_an_exact_fraction(x):
+    got = inverse(x)
+    assert type(got) is Fraction and got * x == 1
