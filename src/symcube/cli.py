@@ -250,9 +250,24 @@ _SUITES = {"triple": localfactor.check_triple_identity,
            "gj": localfactor.check_gj_identity}
 
 
+# The largest --bound whose draws keep every factor finite.  A draw's moduli
+# lie in [1/B, B] for B = max(bound, 1/bound), so the triple factor's
+# eigenvalues are at most B^3 in modulus and its coefficients at most
+# C(8, k) B^(3k), the largest the top one, B^24 (B >= 2), which also bounds
+# every partial sum and each product part.  A coefficient difference has
+# parts up to 2 B^24 and modulus up to 2 sqrt(2) B^24, so B^24 <= max/4 keeps
+# them all finite: B <= 6.59e12.  Every other factor's coefficients stay near
+# B^18 or below, and no divisor falls below B^-3 in modulus, far from underflow.
+_MAX_BOUND = (sys.float_info.max / 4) ** (1 / 24)
+
+
 def cmd_identity(args) -> int:
     from .satake import SatakeClass
 
+    if max(args.bound, 1 / args.bound) > _MAX_BOUND:
+        raise ValueError(f"--bound must lie in [1/{_MAX_BOUND:.6g}, {_MAX_BOUND:.6g}], "
+                         f"past which the triple factor leaves the float range, "
+                         f"got {args.bound!r}")
     chosen = list(_SUITES) if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
     log_bound = math.log(args.bound)
@@ -266,7 +281,7 @@ def cmd_identity(args) -> int:
     rows = []
     for name in chosen:
         errs = [_SUITES[name](c) for c in classes]
-        worst = max(errs) if errs else 0.0
+        worst = max(errs, key=lambda e: (e != e, e))  # a NaN ranks worst
         ok = worst < args.tol
         failed = failed or not ok
         rows.append([name, args.samples, f"{worst:.3e}", "pass" if ok else "FAIL"])

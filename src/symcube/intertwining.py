@@ -62,16 +62,22 @@ class PrincipalParams:
     def __post_init__(self):
         if self.q < 2:
             raise ValueError("q must be >= 2")
-        if not 0 <= float(self.r) < 0.5:
+        _in_float_range(float, self.q, "q")  # both routes compute with a float q
+        if not 0 <= self.r < 0.5:  # exact: no rounding, no overflow, NaN refused
             raise ValueError("r must lie in [0, 1/2)")
-        if not abs(abs(complex(self.mu)) - 1.0) <= 1e-8:  # NaN too
+        if not abs(abs(_in_float_range(complex, self.mu, "mu")) - 1.0) <= 1e-8:  # NaN too
             raise ValueError(f"|mu| must be 1, got mu = {self.mu!r}")
-        try:
-            finite = cmath.isfinite(complex(self.s))
-        except OverflowError:
-            raise ValueError("s is beyond the float range") from None
-        if not finite:
+        if not cmath.isfinite(_in_float_range(complex, self.s, "s")):
             raise ValueError(f"s must be finite, got s = {self.s!r}")
+
+
+def _in_float_range(convert, value, name: str):
+    """convert(value), for convert float or complex; a value beyond the float
+    range raises ValueError naming it, in place of OverflowError."""
+    try:
+        return convert(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond the float range") from None
 
 
 class IntertwiningPole(ArithmeticError):
@@ -168,7 +174,7 @@ def principal_series_pole_set(mu_order, r) -> Set:
     mu trivial: {+-r, +-3r, 0}; mu of exact order 2: {0}; otherwise empty.
     Exact Fractions in, exact Fractions out.
     """
-    if not 0 <= float(r) < 0.5:
+    if not 0 <= r < 0.5:
         raise ValueError("r must lie in [0, 1/2)")
     if mu_order == 1:
         return {r, -r, 3 * r, -3 * r, 0 * r}

@@ -11,6 +11,7 @@ and 0 are the ints 1 and 0.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import itertools
 import math
@@ -28,6 +29,10 @@ class RepTag(enum.Enum):
     WEDGE2 = "wedge2"
     GJ_ADJOINT = "gj-adjoint"
     TRIPLE = "triple"
+
+
+# for eigenvalues(): on Python 3.11 a RepTag.X lookup costs several global reads
+_STANDARD, _SYM2, _SYM3, _ADJOINT_CUBE, _WEDGE2, _GJ_ADJOINT, _TRIPLE = RepTag
 
 
 def primes_upto(n: int) -> list:
@@ -76,22 +81,16 @@ def poly_mul(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def times_linear(coeffs: Sequence, m) -> list:
-    """coeffs times (1 + m T): c'_k = c_k + c_{k-1} m, no product by the 1.
-
-    The top coefficient is 0 + c_d m, so no coefficient carries a negative
-    zero, as none of a poly_mul product does.
-    """
-    return [coeffs[0], *(c + p * m for c, p in zip(coeffs[1:], coeffs)),
-            0 + coeffs[-1] * m]
-
-
 def poly_from_eigenvalues(eigen: Sequence) -> list:
-    """Coefficients of prod (1 - e T), in the order given (no re-sorting),
-    one linear factor at a time."""
+    """Coefficients of prod (1 - e T), in the order given, one factor 1 + m T
+    (m = -e) at a time, in place: a new top 0 + c_d m, then c_k + c_{k-1} m from
+    the top down, so no product by the 1 and no coefficient is a negative zero."""
     coeffs = [1]
     for e in eigen:
-        coeffs = times_linear(coeffs, -e)
+        m = -e
+        coeffs.append(0 + coeffs[-1] * m)
+        for k in range(len(coeffs) - 2, 0, -1):
+            coeffs[k] = coeffs[k] + coeffs[k - 1] * m
     return coeffs
 
 
@@ -131,7 +130,8 @@ class ReciprocalPoly:
         The scaling keeps the tolerance meaningful away from the unitary
         locus: with parameters bounded by B the coefficients themselves grow
         like B^(3 deg), far past any fixed absolute tolerance.  Equal
-        exact-mode polynomials return exactly 0.0.
+        exact-mode polynomials return exactly 0.0; unequal ones with a
+        coefficient that is not finite return NaN.
         """
         pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         if all(x == y for x, y in pairs):
@@ -140,7 +140,12 @@ class ReciprocalPoly:
         scale = 1.0
         for x, y in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0):
             xc, yc = complex(x), complex(y)
-            worst = max(worst, abs(xc - yc))
+            diff = abs(xc - yc)
+            # max() passes over a NaN; a part that is not finite makes diff
+            # inf or NaN, as does a difference past the float range
+            if not diff < math.inf and not (cmath.isfinite(xc) and cmath.isfinite(yc)):
+                return math.nan
+            worst = max(worst, diff)
             scale = max(scale, abs(xc), abs(yc))
         return worst / scale
 
@@ -156,24 +161,24 @@ class LocalPoleError(ArithmeticError):
 def eigenvalues(tag: RepTag, c: SatakeClass) -> list:
     """Eigenvalue list of the representation at the class (alpha, beta)."""
     a, b = c.alpha, c.beta
-    if tag is RepTag.STANDARD:
+    if tag is _STANDARD:
         return [a, b]
-    if tag is RepTag.WEDGE2:
+    if tag is _WEDGE2:
         return [a * b]
-    if tag in (RepTag.ADJOINT_CUBE, RepTag.GJ_ADJOINT):
+    if tag is _ADJOINT_CUBE or tag is _GJ_ADJOINT:
         # x * (1 / y), not x / y: complex division rounds differently
         ia, ib = inverse(a), inverse(b)
-        if tag is RepTag.ADJOINT_CUBE:
+        if tag is _ADJOINT_CUBE:
             return [a * a * ib, a, b, ia * b * b]
         return [a * ib, 1, ia * b]
     # each product once, grouped left to right as a * a * b is
     aa, ab, bb = a * a, a * b, b * b
-    if tag is RepTag.SYM2:
+    if tag is _SYM2:
         return [aa, ab, bb]
     aab, abb = aa * b, ab * b
-    if tag is RepTag.SYM3:
+    if tag is _SYM3:
         return [aa * a, aab, abb, bb * b]
-    if tag is RepTag.TRIPLE:
+    if tag is _TRIPLE:
         # tensor cube: alpha^3 once, alpha^2 beta and alpha beta^2 three times
         return [aa * a, aab, aab, aab, abb, abb, abb, bb * b]
     raise ValueError(f"unknown representation tag {tag!r}")

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -22,6 +23,8 @@ from symcube.cli import _prime_power, main
 from symcube.ingest import delta_form, satake_table
 from symcube.intertwining import (UPPER_VERTICES, forbidden_triangle_contains,
                                   region_membership)
+from symcube.localfactor import RepTag, eigenvalues, local_factor, rankin_selberg
+from symcube.satake import SatakeClass, twist
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -98,6 +101,35 @@ def test_monomial_check_bytes_are_pinned(fmt):
                          "--format", fmt])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == MONOMIAL_SHA256[fmt]
+
+
+# sha256 of `lfactor --coeffs builtin:delta:200 --p <p> --tag <tag> --format
+# json` stdout, recorded while each linear factor of a local factor was
+# multiplied into a new coefficient list
+LFACTOR_SHA256 = {
+    (7, "adjoint-cube"): "96c95af2d68c3ec35495334c9fa49c06b1b32fae993b8eb8c7b0f06371bd2e73",
+    (7, "gj-adjoint"): "1c68aa3e456da4d63e6e7a19f033735abbbdb40e7b02d0adbf761dc9b09b3af6",
+    (7, "standard"): "316b87c1b6a462e62a170d0a435eed6a27b755518772609c2f7f42ffeb355e79",
+    (7, "sym2"): "b6150f28466fdece1f9941ed7a255326a5b35e98bb01ef07f95fb71f09c62c55",
+    (7, "sym3"): "d7b8d6878a2eae7191ac8f37607fb99e09bea4024b743d7bbc200596284f67f8",
+    (7, "triple"): "3bf8690562e163bba452cf003d27eb40fa6eef5d429d1d13d27eb87aab01112d",
+    (7, "wedge2"): "8572561970fa554e87a60611e93a0c0bae79a8feb7f8f4866d097f253ae8275d",
+    (97, "adjoint-cube"): "3bb8069c159de60cecd545428d1d8d6c29276fc0b93f9206475f50335c45956a",
+    (97, "gj-adjoint"): "b2320e443cf6b34ff20ef1493dc88fc90f88e9b0702fb5ece6bc5e3b6f7df571",
+    (97, "standard"): "1e85b54230ae3a2f2ba5d7cc507f3637c570075d34d626e9b73fc8bc323650ec",
+    (97, "sym2"): "df6e8f2ee7b2b2d72ce58bbddc792dbb91956a42dd016854d883b9a07dbe8f0b",
+    (97, "sym3"): "1d11958935e4a5d7615a3a01e5a69ee5c8c042806ef95231009fc419cde43b52",
+    (97, "triple"): "654dd2052d1404afc7f2bac6f39a83b4d1541a71542a7976eb69e7b56198f139",
+    (97, "wedge2"): "969e77810b49cc80c8fcfa9e4b58d739c49c7dc8688b18c5c088f3d603233bfd",
+}
+
+
+@pytest.mark.parametrize("p, tag", sorted(LFACTOR_SHA256))
+def test_lfactor_json_bytes_are_pinned(p, tag):
+    code, out = run_cli(["lfactor", "--coeffs", "builtin:delta:200", "--p", str(p),
+                         "--tag", tag, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LFACTOR_SHA256[p, tag]
 
 
 def test_identity_exit_codes():
@@ -808,6 +840,65 @@ def test_afe_and_scan_exit_0_1_or_2_alike_from_a_cold_and_a_refilled_cache(argv)
     table.values[1] = 1
     analytic.afe_values([3.0], analytic.delta_sym3_config(cutoff=5000), table)
     assert _run_in_process(argv) == cold
+
+
+# --- identity --bound and intertwine --r over their whole ranges -------------
+
+def _identity_draws(bound, samples, seed):
+    """The classes `identity --bound --samples --seed` draws, in its order."""
+    rng = random.Random(seed)
+    log_bound = math.log(bound)
+
+    def draw():
+        mod = math.exp(rng.uniform(-log_bound, log_bound))
+        return mod * cmath.exp(2j * math.pi * rng.random())
+    return [SatakeClass(draw(), draw(), rng.choice([2, 3, 5, 7])) for _ in range(samples)]
+
+
+def _has_finite_factors(c):
+    """Every factor the suites expand at c has finite coefficients: each of
+    c's own, the gj Rankin-Selberg product, and the standard and adjoint-cube
+    factors of its central twist."""
+    tw = twist(c, c.central_character())
+    factors = [*(local_factor(tag, c) for tag in RepTag),
+               rankin_selberg(c, eigenvalues(RepTag.GJ_ADJOINT, c)),
+               local_factor(RepTag.STANDARD, tw), local_factor(RepTag.ADJOINT_CUBE, tw)]
+    return all(cmath.isfinite(complex(x)) for f in factors for x in f.coeffs)
+
+
+_BOUND = st.one_of(st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True),
+                   st.floats(1e-14, 1e14))
+_WIDE_FRACTION = st.one_of(
+    st.fractions(0, Fraction(1, 2)),
+    st.builds(Fraction, st.integers(-(10 ** 450), 10 ** 450), st.integers(1, 10 ** 450)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound=_BOUND, samples=st.integers(1, 20), seed=st.integers(-10 ** 6, 10 ** 6),
+       suite=st.sampled_from(["all", "triple", "twist", "gj"]))
+# the triple factor's top coefficient is inf at 4 of the 5 classes: this read pass
+@example(bound=1e150, samples=5, seed=1, suite="all")
+# a parameter of the central twist underflows to 0: ZeroDivisionError, also
+# below 1, where the draws are those of 1/bound
+@example(bound=1e300, samples=5, seed=1, suite="all")
+@example(bound=1e-300, samples=5, seed=1, suite="twist")
+def test_identity_exits_0_only_where_every_drawn_factor_is_finite(bound, samples, seed, suite):
+    code, _ = _run_in_process(["identity", f"--bound={bound!r}", f"--samples={samples}",
+                               f"--seed={seed}", f"--suite={suite}"])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert all(map(_has_finite_factors, _identity_draws(bound, samples, seed)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=_WIDE_FRACTION, samples=st.integers(1, 20), seed=st.integers(-10 ** 6, 10 ** 6))
+@example(r=Fraction(10 ** 400), samples=1, seed=7)   # OverflowError from float(r)
+@example(r=Fraction(-1, 10 ** 400), samples=1, seed=7)  # float(r) is -0.0: exit 0
+def test_intertwine_exits_0_1_or_2_over_wide_rationals(r, samples, seed):
+    code, _ = _run_in_process(["intertwine", f"--r={r}", f"--samples={samples}",
+                               f"--seed={seed}"])
+    assert code in (0, 1, 2)
+    assert (code == 2) == (not 0 <= r < Fraction(1, 2))
 
 
 # --- header weights and levels, and --q, over wide integers -----------------

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from fractions import Fraction as Q
 from numbers import Integral, Rational
@@ -212,6 +213,11 @@ def test_pole_sets():
     assert principal_series_pole_set(1, Q(0)) == {Q(0)}
     with pytest.raises(ValueError):
         principal_series_pole_set(1, Q(3, 4))
+    # an r past the float range raised OverflowError from float(r), and a
+    # negative r that float() rounds to -0.0 was taken
+    for r in (10 ** 400, -(10 ** 400), Q(10 ** 400, 7), Q(-1, 10 ** 400)):
+        with pytest.raises(ValueError, match=r"^r must lie in \[0, 1/2\)"):
+            principal_series_pole_set(1, r)
 
 
 def test_pole_sets_match_per_root_derivation():
@@ -689,13 +695,42 @@ def test_principal_params_validation():
     (math.nan, 1.0, "mu"), (complex(math.nan, 0.0), 1.0, "mu"), (math.inf, 1.0, "mu"),
     (1.0, math.inf, "s"), (1.0, -math.inf, "s"), (1.0, math.nan, "s"),
     (1.0, complex(0.3, math.nan), "s"), (1.0, 10 ** 400, "s"), (1.0, -(10 ** 400), "s"),
-    (1.0, Fraction(10 ** 400, 3), "s"),
+    (1.0, Fraction(10 ** 400, 3), "s"), (10 ** 400, 1.0, "mu"), (-(10 ** 400), 1.0, "mu"),
 ])
 def test_principal_params_refuse_non_finite_mu_and_s(mu, s, field):
     # at s = +-inf gk_coefficient read 1 and l_ratio NaN; a NaN mu passed |mu| = 1;
-    # an s beyond the float range raised OverflowError from complex(s)
+    # an s or mu beyond the float range raised OverflowError from complex()
     with pytest.raises(ValueError, match=rf"^\|?{field}\b"):
         PrincipalParams(mu, 2, 0.1, s)
+
+
+@pytest.mark.parametrize("q, r, match", [
+    (2 ** 1100, 0.1, "q is beyond the float range"), (3 ** 700, 0.1, "q is beyond the float range"),
+    (2, 10 ** 400, r"r must lie in \[0, 1/2\)"), (2, -(10 ** 400), r"r must lie in \[0, 1/2\)"),
+    (2, Fraction(10 ** 400, 3), r"r must lie in \[0, 1/2\)"),
+    (2, Fraction(-1, 10 ** 400), r"r must lie in \[0, 1/2\)"),
+])
+def test_principal_params_refuse_a_huge_q_and_test_r_exactly(q, r, match):
+    # a q past the float range built, and gk_coefficient and l_ratio then raised
+    # OverflowError; an r past it raised OverflowError from float(r), and a
+    # negative r that float() rounds to -0.0 was taken
+    with pytest.raises(ValueError, match="^" + match):
+        PrincipalParams(1.0, q, r, 1.0)
+
+
+def test_an_r_that_floats_to_one_half_is_inside_the_range():
+    # the range test is exact: 1/2 - 10^-30 lies in [0, 1/2), though float() gives 0.5
+    r = Fraction(1, 2) - Fraction(1, 10 ** 30)
+    p = PrincipalParams(1.0, 2, r, 1.0)
+    assert cmath.isfinite(gk_coefficient(p))
+    assert principal_series_pole_set(1, r) == gk_pole_set(1, r)
+
+
+def test_a_q_that_rounds_to_the_largest_float_is_kept():
+    # float(q) rounds to the largest float, so both routes still run
+    q = int(sys.float_info.max) + 1
+    p = PrincipalParams(1.0, q, 0.1, 1.0)
+    assert cmath.isfinite(gk_coefficient(p))
 
 
 def reference_l_ratio(p):

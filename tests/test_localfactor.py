@@ -11,7 +11,7 @@ from symcube.cyclo import Cyclo
 from symcube.localfactor import (
     RepTag, ReciprocalPoly, check_gj_identity,
     check_triple_identity, check_twist_identity, eigenvalues, local_factor,
-    poly_from_eigenvalues, rankin_selberg)
+    poly_from_eigenvalues, poly_mul, rankin_selberg)
 from symcube.satake import SatakeClass, contragredient
 
 
@@ -231,12 +231,15 @@ def test_reciprocal_poly_contracts():
 
 
 def reference_max_coeff_diff(p, q):
-    """The earlier body: padded list copies and max() calls."""
+    """The earlier body: padded list copies and max() calls; unequal
+    polynomials with a coefficient that is not finite give NaN."""
     n = max(len(p.coeffs), len(q.coeffs))
     a = list(p.coeffs) + [0] * (n - len(p.coeffs))
     b = list(q.coeffs) + [0] * (n - len(q.coeffs))
     if all(x == y for x, y in zip(a, b)):
         return 0.0
+    if not all(cmath.isfinite(complex(c)) for c in a + b):
+        return math.nan
     worst = 0.0
     scale = 1.0
     for x, y in zip(a, b):
@@ -261,6 +264,11 @@ _diff_polys = st.one_of(
 @given(_diff_polys, _diff_polys)
 @example(ReciprocalPoly([1, complex(math.nan, 0)]), ReciprocalPoly([1, 2.0]))
 @example(ReciprocalPoly([1, complex(math.nan, 0), 3.0]), ReciprocalPoly([1, 2.0]))
+# an inf coefficient on both sides: the difference is NaN and the scale inf,
+# which read 0.0, a pass, before non-finite coefficients gave NaN
+@example(ReciprocalPoly([1, complex(math.inf, 0), 3.0]),
+         ReciprocalPoly([1, complex(math.inf, 0), 2.0]))
+@example(ReciprocalPoly([1, 2.0, complex(0.0, -math.inf)]), ReciprocalPoly([1, 2.5]))
 # 1 + zeta_2 equals 0 but reads about 1.2e-16j as a complex number
 @example(ReciprocalPoly([1, 1 + Cyclo.root_of_unity(1, 2), 2]), ReciprocalPoly([1, 0]))
 def test_max_coeff_diff_equals_the_padded_body(p, q):
@@ -268,6 +276,58 @@ def test_max_coeff_diff_equals_the_padded_body(p, q):
     assert repr(p.max_coeff_diff(q)) == repr(reference_max_coeff_diff(p, q))
     assert repr(q.max_coeff_diff(p)) == repr(reference_max_coeff_diff(q, p))
     assert repr(p.max_coeff_diff(p)) == repr(reference_max_coeff_diff(p, p))
+
+
+def reference_times_linear_chain(eigen):
+    """The earlier expansion: a new list per linear factor (1 + m T), m = -e."""
+    coeffs = [1]
+    for e in eigen:
+        m = -e
+        coeffs = [coeffs[0], *(c + p * m for c, p in zip(coeffs[1:], coeffs)),
+                  0 + coeffs[-1] * m]
+    return coeffs
+
+
+def reference_poly_mul(a, b):
+    """The poly_mul body as written when poly_from_eigenvalues went in place;
+    a faster body must match it rep for rep."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _rep(x):
+    """x to the last bit: a Cyclo's n and its terms in dict order with their
+    types, any other value's type and repr (signed zeros, NaN and inf kept)."""
+    if isinstance(x, Cyclo):
+        return Cyclo, x._n, [(k, type(c), c) for k, c in x._c.items()]
+    return type(x), repr(x)
+
+
+_odd_scalars = st.one_of(st.builds(complex, _odd_parts, _odd_parts), st.floats(-1e3, 1e3),
+                         st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+_eigen_lists = st.one_of(st.lists(_exact_values, max_size=9), st.lists(_odd_scalars, max_size=9))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_eigen_lists)
+@example([complex(-0.0, math.nan), complex(math.inf, -0.0), -0.0, 1])
+@example([Cyclo.root_of_unity(1, 3), 1, Fraction(1, 2), Cyclo.root_of_unity(2, 3)])
+def test_poly_from_eigenvalues_equals_the_new_list_chain_rep_for_rep(eigen):
+    assert list(map(_rep, poly_from_eigenvalues(eigen))) == \
+        list(map(_rep, reference_times_linear_chain(eigen)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.lists(_exact_values, min_size=1, max_size=6),
+                           st.lists(_exact_values, min_size=1, max_size=6)),
+                 st.tuples(st.lists(_odd_scalars, min_size=1, max_size=6),
+                           st.lists(_odd_scalars, min_size=1, max_size=6))))
+def test_poly_mul_equals_its_earlier_body_rep_for_rep(pair):
+    a, b = pair
+    assert list(map(_rep, poly_mul(a, b))) == list(map(_rep, reference_poly_mul(a, b)))
 
 
 def test_degenerate_parameter_rejected():
