@@ -252,11 +252,13 @@ def _cleared(r, s):
 
     Rational (r, s) are cleared to the common denominator of r and s, so each
     edge form, times D, is an integer with the sign of its form; other input
-    gives ``(float(r), float(s), 1.0)``.  int and Fraction are read by
-    ``as_integer_ratio()``, one call each; other Rationals (bool, numpy
-    integers) go through the ABC check and the numerator and denominator
-    properties, taken as ints so that a numpy integer beside a huge int does
-    not overflow.
+    gives ``(float(r), float(s), 1.0)``.  A point of two exact Fractions
+    does not reach it: the classifiers read those slots inline.  What does:
+    int and int/Fraction mixes, read by ``as_integer_ratio()``, one call
+    each; other Rationals (bool, numpy integers, Fraction subclasses) go
+    through the ABC check and the numerator and denominator properties,
+    taken as ints so that a numpy integer beside a huge int does not
+    overflow; floats, NaN and other input, converted by ``float()``.
     """
     if type(r) in _EXACT_TYPES and type(s) in _EXACT_TYPES:
         rn, rd = r.as_integer_ratio()
@@ -303,7 +305,11 @@ def region_membership(r, s, mu_case: str = MU_TRIVIAL) -> str:
     """
     if mu_case not in (MU_TRIVIAL, MU_ORDER2):
         raise ValueError("mu_case must be trivial or order2")
-    R, S, D = _cleared(r, s)
+    if type(r) is Fraction and type(s) is Fraction:  # cleared here, as _cleared would
+        rd, sd = r._denominator, s._denominator
+        R, S, D = r._numerator * sd, s._numerator * rd, rd * sd
+    else:
+        R, S, D = _cleared(r, s)
     return _classify(R, S, D, mu_case == MU_TRIVIAL)
 
 
@@ -313,7 +319,11 @@ def forbidden_triangle_contains(r, s) -> bool:
     Its inside meets no unitary region: edges r = 0, s = 1/2 shifted, and the
     line s = 1 - 3r shared with the upper triangle, so the two are disjoint.
     """
-    R, S, D = _cleared(r, s)
+    if type(r) is Fraction and type(s) is Fraction:  # cleared here, as _cleared would
+        rd, sd = r._denominator, s._denominator
+        R, S, D = r._numerator * sd, s._numerator * rd, rd * sd
+    else:
+        R, S, D = _cleared(r, s)
     return R > 0 and D - 2 * S < 0 and S + 3 * R - D < 0
 
 

@@ -136,18 +136,31 @@ class ReciprocalPoly:
         pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         if all(x == y for x, y in pairs):
             return 0.0
-        worst = 0.0
-        scale = 1.0
-        for x, y in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0):
-            xc, yc = complex(x), complex(y)
-            diff = abs(xc - yc)
-            # max() passes over a NaN; a part that is not finite makes diff
-            # inf or NaN, as does a difference past the float range
-            if not diff < math.inf and not (cmath.isfinite(xc) and cmath.isfinite(yc)):
+        try:
+            return _max_scaled_diff(self.coeffs, other.coeffs, 1.0)
+        except OverflowError:  # a finite modulus or difference past the float range;
+            # the ratio is scale-free, and a quarter of each value keeps all in range
+            return _max_scaled_diff([complex(c) / 4 for c in self.coeffs],
+                                    [complex(c) / 4 for c in other.coeffs], 0.25)
+
+
+def _max_scaled_diff(a, b, scale: float) -> float:
+    """max |x - y| / max(scale, |x|, |y|) over the padded coefficient pairs:
+    NaN where a coefficient is not finite, and OverflowError where finite
+    ones give a modulus or difference past the float range."""
+    worst = 0.0
+    for x, y in itertools.zip_longest(a, b, fillvalue=0):
+        xc, yc = complex(x), complex(y)
+        diff = abs(xc - yc)
+        # max() passes over a NaN; a part that is not finite makes diff
+        # inf or NaN, as does a difference past the float range
+        if not diff < math.inf:
+            if not (cmath.isfinite(xc) and cmath.isfinite(yc)):
                 return math.nan
-            worst = max(worst, diff)
-            scale = max(scale, abs(xc), abs(yc))
-        return worst / scale
+            raise OverflowError("coefficient difference past the float range")
+        worst = max(worst, diff)
+        scale = max(scale, abs(xc), abs(yc))
+    return worst / scale
 
 
 class LocalPoleError(ArithmeticError):

@@ -613,15 +613,31 @@ NEAR_EDGES = st.builds(
     st.one_of(st.sampled_from(_CORNERS), rs_points().filter(
         lambda p: all(type(v) is Q for v in p))),
     st.integers(1, 30), st.integers(-1, 1), st.integers(-1, 1))
+
+
+class _FractionSubclass(Fraction):
+    """Not ``type(x) is Fraction``: the classifiers clear it through _cleared."""
+
+
 ANY_COORD = st.one_of(
     COORDS, ABC_RATIONALS, FLOATS, st.floats(-2, 2),
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, None]),
-    st.integers(400, 500).map(lambda k: Q(10 ** k, 3)))   # past the float range
+    st.integers(400, 500).map(lambda k: Q(10 ** k, 3)),   # past the float range
+    st.fractions(), st.integers(), st.fractions().map(_FractionSubclass))
+# one int and one Fraction, either way round: the fallback beside the fast path
+INT_FRACTION_MIXES = st.builds(lambda i, q, swap: (q, i) if swap else (i, q),
+                               st.integers(), st.fractions(), st.booleans())
 
 
 @settings(deadline=None, max_examples=600)
-@given(st.one_of(NEAR_EDGES, rs_points(), abc_rs_points(), st.tuples(ANY_COORD, ANY_COORD)))
+@given(st.one_of(NEAR_EDGES, rs_points(), abc_rs_points(), INT_FRACTION_MIXES,
+                 st.tuples(ANY_COORD, ANY_COORD)))
 @example((Q(10 ** 400, 3), 0.25))
+@example((_FractionSubclass(1, 10), Q(1, 2)))
+@example((Q(1, 12), _FractionSubclass(1, 2)))
+@example((0, Q(1, 3)))
+@example((Q(1, 7), 1))
+@example((Q(-10 ** 400, 3), Q(10 ** 400, 7)))
 @example((0.25, Q(-10 ** 400, 7)))
 @example((math.nan, Q(1, 4)))
 @example((-0.0, 0.0))
@@ -647,6 +663,24 @@ def test_point_classifiers_equal_the_five_form_reference(point):
               lambda r, s: _oracle_region(r, s, mu_case))
     check(_outcome(forbidden_triangle_contains, r, s), _outcome(_reference_forbidden, r, s),
           _oracle_forbidden)
+
+
+def test_fraction_keeps_the_slots_the_classifiers_read():
+    """region_membership and forbidden_triangle_contains read these two slots
+    of an exact Fraction in place of as_integer_ratio(); a Python that renames
+    them fails here."""
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.fractions(), st.integers(-10 ** 400, 10 ** 400),
+                 st.builds(Q, st.integers(-10 ** 400, 10 ** 400), st.integers(1, 10 ** 400))))
+@example(Q(-1, 3))
+@example(Q(-10 ** 400, 7))
+def test_fraction_slots_hold_its_integer_ratio(value):
+    f = Q(value)
+    assert (f._numerator, f._denominator) == f.as_integer_ratio()
+    assert type(f._numerator) is int and type(f._denominator) is int
 
 
 @pytest.mark.parametrize("r", [Q(1, 10), 0.1, None, "r", object()])

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -276,6 +277,47 @@ def test_max_coeff_diff_equals_the_padded_body(p, q):
     assert repr(p.max_coeff_diff(q)) == repr(reference_max_coeff_diff(p, q))
     assert repr(q.max_coeff_diff(p)) == repr(reference_max_coeff_diff(q, p))
     assert repr(p.max_coeff_diff(p)) == repr(reference_max_coeff_diff(p, p))
+
+
+@pytest.mark.parametrize("p, q, want", [
+    ([1, complex(1.7e308, 1.7e308)], [1, 0], 1.0),  # |x| past the float range: abs() raised
+    ([1, 1.7e308], [1, -1.7e308], 2.0),              # x - y past it: read inf
+    ([1, 1.7e308, math.nan], [1, -1.7e308], math.nan),
+])
+def test_max_coeff_diff_of_finite_coefficients_past_the_float_range(p, q, want):
+    for a, b in ((p, q), (q, p)):
+        assert repr(ReciprocalPoly(a).max_coeff_diff(ReciprocalPoly(b))) == repr(want)
+
+
+def test_max_coeff_diff_still_refuses_a_coefficient_with_no_float():
+    with pytest.raises(OverflowError):
+        ReciprocalPoly([1, 10 ** 400]).max_coeff_diff(ReciprocalPoly([1, 0]))
+
+
+def _quartered(p):
+    """p's coefficients as complex numbers with each part divided by 4."""
+    return SimpleNamespace(coeffs=[complex(c.real / 4, c.imag / 4) for c in map(complex, p.coeffs)])
+
+
+_wide_parts = st.one_of(st.floats(), st.sampled_from([1.7e308, -1.7e308, 9e307, -9e307, 5e-324]))
+_wide_polys = st.lists(st.one_of(_wide_parts, st.builds(complex, _wide_parts, _wide_parts)),
+                       max_size=6).map(lambda tail: ReciprocalPoly([1, *tail]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_wide_polys, _wide_polys)
+def test_max_coeff_diff_keeps_its_bits_where_the_padded_body_stayed_in_range(p, q):
+    """The padded body's float, bit for bit; where finite coefficients took it
+    past the float range (OverflowError or inf), the same ratio on quartered
+    coefficients, which is finite."""
+    try:
+        want = reference_max_coeff_diff(p, q)
+    except OverflowError:
+        want = math.inf
+    if want == math.inf:
+        want = reference_max_coeff_diff(_quartered(p), _quartered(q))
+        assert math.isfinite(want)
+    assert repr(p.max_coeff_diff(q)) == repr(want)
 
 
 def reference_times_linear_chain(eigen):

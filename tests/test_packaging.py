@@ -188,3 +188,45 @@ def test_package_defines_no_private_name_it_never_reads():
     sources = {path.name: path.read_text()
                for path in sorted((REPO / "src" / "symcube").rglob("*.py"))}
     assert _dead_helpers(sources) == []
+
+
+_FRACTION_SLOTS = {"_numerator", "_denominator"}
+
+
+def _fraction_slot_reads(source: str):
+    """Lines that read a Fraction slot, ``x._numerator`` or ``x._denominator``,
+    as an attribute or through ``getattr`` with a constant name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+            name = node.args[1].value
+        else:
+            continue
+        if name in _FRACTION_SLOTS:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_fraction_slot_finder_sees_reads_and_passes_over_the_rest():
+    source = ("a = f._numerator\n"
+              "b = g(x)._denominator * 2\n"
+              "c = getattr(f, '_numerator', None)\n"
+              "d = f.numerator + f.denominator\n"
+              "e = f.as_integer_ratio()\n"
+              "self._numerator = 1\n"
+              "_denominator = 3\n"
+              "h = getattr(f, '_numerator_count')\n"
+              "i = '_denominator'\n")
+    assert _fraction_slot_reads(source) == [1, 2, 3]
+
+
+def test_only_intertwining_reads_fraction_slots():
+    """Fraction's slots are an implementation detail of CPython's fractions
+    module.  The rs-plane classifiers read them on their hot path, and the
+    tests there pin the slots' names and values; no other module may."""
+    readers = {path.name for path in (REPO / "src" / "symcube").rglob("*.py")
+               if _fraction_slot_reads(path.read_text())}
+    assert readers <= {"intertwining.py"}
