@@ -275,11 +275,16 @@ def gamma_completed(s, cfg: AFEConfig):
 
 
 def analytic_conductor(s: complex, cfg: AFEConfig) -> float:
-    """conductor * prod_j |(s + kappa_j) / 2pi|^2; ValueError at a non-finite point."""
+    """conductor * prod_j |(s + kappa_j) / 2pi|^2; ValueError at a non-finite point or value."""
     _check_finite(complex(s))
-    out = float(cfg.conductor)
-    for k in cfg.gamma_shifts:
-        out *= abs((complex(s) + k) / (2 * math.pi)) ** 2
+    try:
+        out = float(cfg.conductor)
+        for k in cfg.gamma_shifts:
+            out *= abs((complex(s) + k) / (2 * math.pi)) ** 2
+    except OverflowError:
+        out = math.inf
+    if out == math.inf:
+        raise ValueError(f"the analytic conductor at s = {s} is past the float range")
     return out
 
 
@@ -395,13 +400,6 @@ class CutoffTooSmall(ValueError):
             f"cutoff {given} too small for target accuracy; need about {needed}")
 
 
-def smoothing_weights(s: complex, y: np.ndarray, cfg: AFEConfig) -> np.ndarray:
-    """V_s(y) on an array of positive y, via the shared quadrature grid."""
-    logy = np.log(np.asarray(y, dtype=np.float64))
-    blocks = (_powers(logy[i:i + _BLOCK]) for i in range(0, len(logy), _BLOCK))
-    return _kernel_sums(blocks, [_kernel_weights(s, cfg)], [len(logy)])[0]
-
-
 def _check_finite(s: complex) -> None:
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise ValueError(f"s = {s} is not a finite point")
@@ -419,6 +417,7 @@ def _check_point(s: complex) -> None:
                          f"|Im(s)| <= {_MAX_IM:g}")
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite sum raises ValueError below
 def afe_values(points: Sequence[complex], cfg: AFEConfig,
                coeffs: CoefficientTable) -> List[complex]:
     """Completed values Lambda(s) at every point, each up to the dropped
@@ -435,7 +434,8 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
     n for the whole batch, and the last four blocks drawn are kept for later
     calls with the same x_scale (_afe_block), so after any sequence of calls
     at most 4.9 MB of them are held.  Raises CutoffTooSmall when the tail of
-    a smoothed sum is not yet negligible.
+    a smoothed sum is not yet negligible, and ValueError at a point whose sum
+    or gamma scale is not finite.
     """
     points = [complex(s) for s in points]
     cutoffs = []
@@ -456,6 +456,9 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
         n = n_all[:cutoff]
         terms = coeffs.values[1:cutoff + 1] * n ** (-s) * V
         total = complex(np.sum(terms))
+        if not math.isfinite(abs(total) + scale):   # NaN or inf in either
+            raise ValueError(f"the smoothed sum at s = {s} is not finite: the gamma "
+                             f"shifts or the conductor are past the float range")
         tail = float(np.sum(np.abs(terms[-16:])))
         if tail > 1e-9 * max(abs(total), scale):
             raise CutoffTooSmall(cutoff * 2, cutoff)

@@ -244,29 +244,18 @@ FORBIDDEN_VERTICES = ((Fraction(0), Fraction(1)),
                       (Fraction(0), Fraction(1, 2)))
 
 
-_EXACT_TYPES = frozenset((int, Fraction))
-
-
 def _cleared(r, s):
     """``(R, S, D)`` with r = R/D, s = S/D and D > 0.
 
-    Rational (r, s) are cleared to the common denominator of r and s, so each
-    edge form, times D, is an integer with the sign of its form; other input
-    gives ``(float(r), float(s), 1.0)``.  A point of two exact Fractions
-    does not reach it: the classifiers read those slots inline.  What does:
-    int and int/Fraction mixes, read by ``as_integer_ratio()``, one call
-    each; other Rationals (bool, numpy integers, Fraction subclasses) go
-    through the ABC check and the numerator and denominator properties,
-    taken as ints so that a numpy integer beside a huge int does not
-    overflow; floats, NaN and other input, converted by ``float()``.
+    Rational (r, s), ints and Fractions alike, are cleared to their common
+    denominator as ints (so a numpy integer beside a huge int does not
+    overflow), and each edge form, times D, is an integer with the sign of
+    its form; other input gives ``(float(r), float(s), 1.0)``.  The
+    classifiers clear a point of two exact Fractions inline.
     """
-    if type(r) in _EXACT_TYPES and type(s) in _EXACT_TYPES:
-        rn, rd = r.as_integer_ratio()
-        sn, sd = s.as_integer_ratio()
-    elif isinstance(r, Rational) and isinstance(s, Rational):
-        rn, rd, sn, sd = map(int, (r.numerator, r.denominator, s.numerator, s.denominator))
-    else:
+    if not (isinstance(r, Rational) and isinstance(s, Rational)):
         return float(r), float(s), 1.0
+    rn, rd, sn, sd = map(int, (r.numerator, r.denominator, s.numerator, s.denominator))
     return rn * sd, sn * rd, rd * sd
 
 

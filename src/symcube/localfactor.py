@@ -16,6 +16,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .satake import SatakeClass, inverse, twist
@@ -131,14 +132,20 @@ class ReciprocalPoly:
         locus: with parameters bounded by B the coefficients themselves grow
         like B^(3 deg), far past any fixed absolute tolerance.  Equal
         exact-mode polynomials return exactly 0.0; unequal ones with a
-        coefficient that is not finite return NaN.
+        coefficient that is not finite return NaN.  Past the float range, int
+        and Fraction coefficients give the exact ratio, rounded once; a Cyclo
+        one raises OverflowError.
         """
         pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         if all(x == y for x, y in pairs):
             return 0.0
         try:
             return _max_scaled_diff(self.coeffs, other.coeffs, 1.0)
-        except OverflowError:  # a finite modulus or difference past the float range;
+        except OverflowError:  # a finite modulus or difference past the float range
+            both = self.coeffs + other.coeffs
+            if all(type(c) in (int, Fraction) for c in both):
+                pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+                return float(max(abs(x - y) for x, y in pairs) / max(1, *map(abs, both)))
             # the ratio is scale-free, and a quarter of each value keeps all in range
             return _max_scaled_diff([complex(c) / 4 for c in self.coeffs],
                                     [complex(c) / 4 for c in other.coeffs], 0.25)

@@ -21,7 +21,7 @@ from symcube.analytic import (
     _STEP, _VMAX, _afe_block, _kernel_sums, _kernel_weights, _loggamma, _powers, afe_value, afe_values,
     analytic_conductor, default_cutoff, delta_sym3_config,
     dirichlet_coeffs, dirichlet_sum, epsilon_probe, gamma_completed,
-    inject_pole_factor, partial_L, pole_scan, primes_upto, smoothing_weights)
+    inject_pole_factor, partial_L, pole_scan, primes_upto)
 from symcube.localfactor import RepTag, ReciprocalPoly, local_factor
 from symcube.satake import SatakeClass
 
@@ -123,7 +123,7 @@ def test_smoothing_weights_against_quadrature_oracle():
     cfg = delta_sym3_config()
     s = 0.5 + 1j
     for y in (0.25, 2.0):
-        got = smoothing_weights(s, np.array([y]), cfg)[0]
+        got = _kernel_sums([_powers(np.log([y]))], [_kernel_weights(s, cfg)], [1])[0][0]
 
         def integrand(v):
             u = mpmath.mpc(2.5, v)
@@ -147,8 +147,8 @@ def test_smoothing_weights_against_a_finer_trapezoid(s):
     import mpmath
     cfg = delta_sym3_config()
     ys = [1 / 16, 1.0, 16.0, 250.0]
-    got = smoothing_weights(s, np.array(ys), cfg)
     w = _kernel_weights(s, cfg)
+    got = _kernel_sums([_powers(np.log(ys))], [w], [len(ys)])[0]
     with mpmath.workdps(30):
         fine = mpmath.mpf(1) / 8
         sm = mpmath.mpc(s)

@@ -791,6 +791,36 @@ def test_parse_errors_are_symcube_input_errors(tmp_path, error, flag, text, err)
     assert (out.returncode, out.stdout, out.stderr.decode()) == (2, b"", err)
 
 
+# configs past the float range: the kernel weights overflow to NaN sums (scan,
+# a set cutoff), or the analytic conductor of the default cutoff overflows (afe)
+_OUT_OF_RANGE_CONFIGS = [
+    ("scan-shift-300", ["scan", "--coeffs", "builtin:delta:4000"],
+     "gamma_shifts = 300, 16.5\ncutoff = 4000\n",
+     "input error: the smoothed sum at s = (0.55+0j) is not finite: the gamma shifts "
+     "or the conductor are past the float range\n"),
+    ("scan-conductor-1e250", ["scan", "--coeffs", "builtin:delta:4000"],
+     f"gamma_shifts = 5.5, 16.5\nconductor = {10 ** 250}\ncutoff = 4000\n",
+     "input error: the smoothed sum at s = (0.55+0j) is not finite: the gamma shifts "
+     "or the conductor are past the float range\n"),
+    ("afe-conductor-1e400", ["afe", "--coeffs", "builtin:delta:400"],
+     f"gamma_shifts = 5.5, 16.5\nconductor = {10 ** 400}\ncutoff = 0\n",
+     "input error: the analytic conductor at s = (0.5+0.5j) is past the float range\n"),
+    ("afe-shift-1e200", ["afe", "--coeffs", "builtin:delta:400"],
+     "gamma_shifts = 1e200, 16.5\ncutoff = 0\n",
+     "input error: the analytic conductor at s = (0.5+0.5j) is past the float range\n"),
+]
+
+
+@pytest.mark.parametrize("command, text, err", [c[1:] for c in _OUT_OF_RANGE_CONFIGS],
+                         ids=[c[0] for c in _OUT_OF_RANGE_CONFIGS])
+def test_configs_past_the_float_range_are_input_errors(tmp_path, command, text, err):
+    """No verdict on a NaN and no traceback: exit 2 with one stderr line."""
+    path = tmp_path / "config.txt"
+    path.write_text(text)
+    out = run_cold([*command, "--config", str(path)])
+    assert (out.returncode, out.stdout, out.stderr.decode()) == (2, b"", err)
+
+
 # --- afe and scan on any finite flags, from a cold and a refilled cache ------
 
 # any finite float, and one where the commands compute something

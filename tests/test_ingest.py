@@ -132,6 +132,66 @@ def test_parse_form_rejects_multiplicativity_violation(tmp_path):
     assert err.value.line is None
 
 
+def _prime_power_split(n):
+    """(q, n // q) for q the power of the least prime of n that exactly divides it."""
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    q = p
+    while n % (q * p) == 0:
+        q *= p
+    return q, n // q
+
+
+@st.composite
+def multiplicative_tables(draw, values=st.integers(-10 ** 6, 10 ** 6), n_min=1):
+    """a(1..n_max), multiplicative, from one drawn value at each prime power."""
+    table = {1: 1}
+    for n in range(2, draw(st.integers(n_min, 2000)) + 1):
+        q, rest = _prime_power_split(n)
+        table[n] = draw(values) if rest == 1 else table[q] * table[rest]
+    return table
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A multiplicative table and an index n, not a prime power, to change."""
+    table = draw(multiplicative_tables(n_min=6))
+    composite = [n for n in table if n > 1 and _prime_power_split(n)[1] > 1]
+    return table, draw(st.sampled_from(composite))
+
+
+def _delta_without(n_max, *missing):
+    table = delta_form(n_max).coefficients
+    for n in missing:
+        del table[n]
+    return table
+
+
+@settings(deadline=None, max_examples=60)
+@given(corrupted_tables(), st.none())
+# with the pair of the first prime-power split whose two parts are present
+@example((delta_form(3000).coefficients, 2500), (4, 625))
+@example((delta_form(3000).coefficients, 1536), (3, 512))
+@example((delta_form(3000).coefficients, 2310), (2, 1155))
+@example((delta_form(3000).coefficients, 2730), (2, 1365))
+@example((_delta_without(1000, 4), 60), (3, 20))   # a gap at the split at 2
+def test_audit_refuses_any_changed_entry_with_a_pair_of_its_index(corrupted, pair):
+    table, n = corrupted
+    ingest._audit_multiplicativity(table)
+    with pytest.raises(MultiplicativityError) as err:
+        ingest._audit_multiplicativity({**table, n: table[n] + 1})
+    m, k = err.value.pair
+    assert m < k and m * k == n and math.gcd(m, k) == 1
+    assert pair in (None, (m, k))
+
+
+@settings(deadline=None, max_examples=30)
+@given(multiplicative_tables(st.floats(-3, 3)), st.randoms(use_true_random=False))
+def test_audit_takes_a_float_table_multiplicative_to_within_1e_9(table, rng):
+    # each entry off by up to 1e-11 of itself, so a(q) a(n/q) stays within 1e-9
+    ingest._audit_multiplicativity(
+        {n: a * (1 + rng.uniform(-1e-11, 1e-11)) if n > 1 else a for n, a in table.items()})
+
+
 def test_parse_form_error_positions(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")

@@ -290,8 +290,22 @@ def test_max_coeff_diff_of_finite_coefficients_past_the_float_range(p, q, want):
 
 
 def test_max_coeff_diff_still_refuses_a_coefficient_with_no_float():
+    # a Cyclo value has no exact modulus to fall back on
     with pytest.raises(OverflowError):
-        ReciprocalPoly([1, 10 ** 400]).max_coeff_diff(ReciprocalPoly([1, 0]))
+        ReciprocalPoly([1, 10 ** 400 * Cyclo.root_of_unity(1, 3)]).max_coeff_diff(
+            ReciprocalPoly([1, 0]))
+
+
+@pytest.mark.parametrize("p, q, want", [
+    ([1, 10 ** 400], [1, 0], 1.0),
+    ([1, Fraction(10 ** 400, 3)], [1, 1], 1.0),
+    ([1, 10 ** 400, Fraction(1, 3)], [1, -10 ** 400], 2.0),
+    ([1, 3 * 10 ** 400], [1, 10 ** 400, 5 * 10 ** 400], 1.0),
+])
+def test_max_coeff_diff_of_exact_coefficients_past_the_float_range(p, q, want):
+    """int and Fraction coefficients with no float: the ratio exactly, rounded once."""
+    for a, b in ((p, q), (q, p)):
+        assert repr(ReciprocalPoly(a).max_coeff_diff(ReciprocalPoly(b))) == repr(want)
 
 
 def _quartered(p):

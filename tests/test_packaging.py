@@ -96,6 +96,37 @@ def test_modules_import_no_name_they_never_use(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _random_imports(source: str):
+    """Lines that import the random module or a name from it, lazy ones included."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import) and any(
+                      a.name.split(".")[0] == "random" for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "random")
+
+
+def test_random_import_finder_sees_every_spelling():
+    source = ("import random\n"
+              "import os, random as rnd\n"
+              "from random import Random\n"
+              "def f():\n"
+              "    import random\n"
+              "from . import random_walk\n"
+              "from .random import x\n"
+              "import randomness\n"
+              "random = 3\n")
+    assert _random_imports(source) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "src" / "symcube").rglob("*.py")),
+                         ids=lambda path: path.name)
+def test_only_the_cli_draws_random_numbers(path):
+    """The library decides what it checks; only the cli samples, with draws
+    its --seed fixes."""
+    if path.name != "cli.py":
+        assert _random_imports(path.read_text()) == []
+
+
 def _unbounded_caches(source: str):
     """Lines of `cache` and `lru_cache(maxsize=None)` (or `lru_cache(None)`),
     bare or as `functools.` attributes, decorators and calls alike."""
