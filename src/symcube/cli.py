@@ -206,11 +206,19 @@ def cmd_region(args) -> int:
     r_strs = [str(Fraction(i, 2 * step)) for i in range(n)]
     s_strs = [str(Fraction(j, step)) for j in range(n)]
     labels = ((r, s) for r in r_strs for s in s_strs)
-    rows = [[r, s, cls, int(forbidden)] for (r, s), (cls, forbidden)
-            in zip(labels, intertwining.region_grid(n, args.mu_case))]
-    rows += [[str(vr), str(vs), intertwining.region_membership(vr, vs, args.mu_case), 0]
-             for vr, vs in intertwining.UPPER_VERTICES]
-    _emit(args.format, ["r", "s", "class", "forbidden"], rows)
+    grid = intertwining.region_grid(n, args.mu_case)
+    vertices = [[str(vr), str(vs), intertwining.region_membership(vr, vs, args.mu_case), 0]
+                for vr, vs in intertwining.UPPER_VERTICES]
+    if args.format == "csv":
+        # csv.writer's bytes: no cell needs quoting, as labels are str(Fraction)
+        # of rationals >= 0 and classes are intertwining's constants
+        tails = {key: f",{key[0]},{int(key[1])}\n" for key in set(grid)}
+        sys.stdout.write("".join(["r,s,class,forbidden\n",
+                                  *[f"{r},{s}{tails[key]}" for (r, s), key in zip(labels, grid)],
+                                  *[f"{vr},{vs},{cls},0\n" for vr, vs, cls, _ in vertices]]))
+        return EXIT_OK
+    rows = [[r, s, cls, int(forbidden)] for (r, s), (cls, forbidden) in zip(labels, grid)]
+    _emit(args.format, ["r", "s", "class", "forbidden"], rows + vertices)
     return EXIT_OK
 
 
@@ -335,7 +343,7 @@ def cmd_intertwine(args) -> int:
         grid_rows = [row for i in range(1, n) for row in grid_row(i)]
         _emit(args.format, ["r", "s", "re", "im"], grid_rows)
         return EXIT_OK
-    worst = 0.0
+    errs = []
     for _ in range(args.samples):
         q = rng.choice([2, 3, 5])
         r = rng.uniform(0.01, 0.49)
@@ -348,7 +356,8 @@ def cmd_intertwine(args) -> int:
             l = intertwining.l_ratio(p)
         except intertwining.IntertwiningPole:
             continue
-        worst = max(worst, abs(g - l) / max(abs(l), 1e-30))
+        errs.append(abs(g - l) / max(abs(l), 1e-30))
+    worst = max(errs, key=lambda e: (e != e, e), default=0.0)  # a NaN ranks worst
     ok = worst < args.tol
     rows.append(["gk-vs-lratio", args.samples, f"{worst:.3e}", "pass" if ok else "FAIL"])
     r = args.r

@@ -329,6 +329,13 @@ def region_grid(n: int, mu_case: str = MU_TRIVIAL) -> list:
         raise ValueError("mu_case must be trivial or order2")
     upper = mu_case == MU_TRIVIAL
     den = 2 * max(n - 1, 1)
-    # (R/den, S/den) = (i/2(n-1), j/(n-1)); the second entry is forbidden_triangle_contains
-    return [(_classify(R, S, den, upper), R > 0 and den - 2 * S < 0 and S + 3 * R - den < 0)
-            for R in range(n) for S in range(0, 2 * n, 2)]
+    # (R/den, S/den) = (i/2(n-1), j/(n-1)); the second entry is forbidden_triangle_contains.
+    # S < 3R is (outside, False): _classify's d = S - 3R < 0, and forbidden needs
+    # 2S > den > S + 3R, but S + 3R > 2S there.  That is each row's first k points.
+    out = []
+    for R in range(n):
+        k = min(n, (3 * R + 1) // 2)
+        out += [(OUTSIDE, False)] * k
+        out += [(_classify(R, S, den, upper), R > 0 and den - 2 * S < 0 and S + 3 * R - den < 0)
+                for S in range(2 * k, 2 * n, 2)]
+    return out

@@ -1,5 +1,6 @@
 import argparse
 import cmath
+import csv
 import hashlib
 import io
 import json
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symcube import intertwining
 from symcube.cli import _prime_power, main
 from symcube.ingest import delta_form, satake_table
 from symcube.intertwining import (UPPER_VERTICES, forbidden_triangle_contains,
@@ -225,6 +227,42 @@ def test_region_grid_200_csv_bytes_are_pinned(mu_case):
                          "--format", "csv"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REGION_200_CSV_SHA256[mu_case]
+
+
+# sha256 of `region --grid 50 --mu-case <case> --format <fmt>` stdout as the
+# command printed every format through one row list, before csv was written
+# as joined lines
+REGION_50_SHA256 = {
+    ("trivial", "table"): "f8dfe08cd052c495c10afb5796985c6829529579e6a7994399bbd08c37a3db41",
+    ("trivial", "json"): "48dde3d51e8dffad551d1a037d1eec450b3b17b2cbb1a7f6f81e086513012304",
+    ("order2", "table"): "0a4697d226db2af29f2616a870c3d09a7276daafc0fcb4396dd5d1d1b4c59eee",
+    ("order2", "json"): "17963e215c585623b6d619bac9e9bba062af64a7fd9617a196c11972d17dc49b",
+}
+
+
+@pytest.mark.parametrize("mu_case, fmt", sorted(REGION_50_SHA256))
+def test_region_grid_50_table_and_json_bytes_are_pinned(mu_case, fmt):
+    code, out = run_cli(["region", "--grid", "50", "--mu-case", mu_case, "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REGION_50_SHA256[mu_case, fmt]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 40), st.sampled_from(["trivial", "order2"]))
+def test_region_csv_bytes_equal_csv_writer_rows(n, mu_case):
+    step = max(n - 1, 1)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["r", "s", "class", "forbidden"])
+    for i in range(n):
+        for j in range(n):
+            r, s = Fraction(i, 2 * step), Fraction(j, step)
+            w.writerow([r, s, region_membership(r, s, mu_case),
+                        int(forbidden_triangle_contains(r, s))])
+    w.writerows([r, s, region_membership(r, s, mu_case), 0] for r, s in UPPER_VERTICES)
+    code, out = run_cli(["region", "--grid", str(n), "--mu-case", mu_case, "--format", "csv"])
+    assert code == 0
+    assert out == buf.getvalue()
 
 
 @pytest.mark.parametrize("argv", [
@@ -446,6 +484,21 @@ def test_intertwine_draws_near_the_pole_locus_pass(seed):
     code, out = run_cli(["intertwine", "--samples", "2000", "--seed", str(seed)])
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_intertwine_fails_on_a_nan_disagreement(monkeypatch):
+    calls = []
+    real = intertwining.gk_coefficient
+
+    def third_is_nan(p):
+        calls.append(p)
+        return complex("nan") if len(calls) == 3 else real(p)
+
+    monkeypatch.setattr(intertwining, "gk_coefficient", third_is_nan)
+    code, out = run_cli(["intertwine", "--samples", "10"])
+    assert code == 1
+    row = [line.split() for line in out.splitlines() if line.startswith("gk-vs-lratio")]
+    assert row == [["gk-vs-lratio", "10", "nan", "FAIL"]]
 
 
 def test_intertwine_grid_csv():

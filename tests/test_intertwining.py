@@ -693,6 +693,7 @@ def test_unknown_mu_case_is_refused_before_the_point_is_read(r):
 @given(st.integers(1, 60))
 @example(1)
 @example(2)
+@example(200)
 def test_region_grid_equals_the_point_classifiers(n):
     step = max(n - 1, 1)
     points = [(Q(i, 2 * step), Q(j, step)) for i in range(n) for j in range(n)]
@@ -700,6 +701,16 @@ def test_region_grid_equals_the_point_classifiers(n):
         assert region_grid(n, mu_case) == [
             (region_membership(r, s, mu_case), forbidden_triangle_contains(r, s))
             for r, s in points]
+
+
+@given(st.integers(1, 10**6), st.integers(1, 10**6), st.data())
+def test_points_below_s_equals_3r_are_outside_and_not_forbidden(D, R, data):
+    # region_grid answers (outside, False) for these without classifying them;
+    # R = 0 leaves no S with 0 <= S < 3R
+    S = data.draw(st.integers(0, 3 * R - 1))
+    assert intertwining._classify(R, S, D, True) == OUTSIDE
+    assert intertwining._classify(R, S, D, False) == OUTSIDE
+    assert not forbidden_triangle_contains(Q(R, D), Q(S, D))
 
 
 def test_region_grid_refuses_an_empty_grid_and_an_unknown_mu_case():
