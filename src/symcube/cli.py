@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import io
-import json
 import math
+import os
 import random
 import re
 import sys
@@ -105,6 +104,8 @@ def _complex_list(text: str) -> list:
 
 
 def _emit_csv(header, rows) -> None:
+    import csv  # json and csv load only in the commands that write them
+
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(header)
@@ -126,6 +127,8 @@ def _emit_table(header, rows) -> None:
 def _emit(fmt, header, rows, json_obj=None):
     """The one output path: rows as a table or csv; json_obj, else the rows, as json."""
     if fmt == "json":
+        import json
+
         obj = json_obj if json_obj is not None else [dict(zip(header, row)) for row in rows]
         sys.stdout.write(json.dumps(obj, sort_keys=True, default=str) + "\n")
     elif fmt == "csv":
@@ -550,6 +553,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # On a 2-core host numpy's OpenBLAS otherwise starts a second thread,
+        # and the small zgemm calls of analytic._kernel_sums then took
+        # 0.096-0.147 s in 3 of 4 cold afe/scan runs, against 0.008-0.014 s
+        # on one thread.  A caller that already holds numpy keeps its setting.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

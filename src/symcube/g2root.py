@@ -11,10 +11,11 @@ expressions (e.g. "s - 3r") rather than floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
+
+from .satake import FrozenRecord, set_field
 
 
 def _frac(x) -> Fraction:
@@ -117,16 +118,14 @@ def _coord(x):
     return _frac(x)
 
 
-@dataclass(frozen=True)
-class RootVector:
+class RootVector(FrozenRecord):
     """Vector c1*beta1 + c6*beta6; rational for a root, affine in (r, s) for a weight."""
 
-    c1: Fraction | Affine
-    c6: Fraction | Affine
+    _fields = ("c1", "c6")
 
-    def __init__(self, c1, c6):
-        object.__setattr__(self, "c1", _coord(c1))
-        object.__setattr__(self, "c6", _coord(c6))
+    def __init__(self, c1: Fraction | Affine, c6: Fraction | Affine):
+        set_field(self, "c1", _coord(c1))
+        set_field(self, "c6", _coord(c6))
 
     def __add__(self, other):
         return RootVector(self.c1 + other.c1, self.c6 + other.c6)
@@ -212,12 +211,14 @@ def pairing_table():
     return {name: pairing(lam, beta) for name, beta in POSITIVE_ROOTS.items()}
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(FrozenRecord):
     """Group element, canonical by its integer matrix on (c1, c6) coordinates."""
 
-    matrix: tuple
-    word: tuple = ()
+    _fields = ("matrix", "word")
+
+    def __init__(self, matrix: tuple, word: tuple = ()):
+        set_field(self, "matrix", matrix)
+        set_field(self, "word", word)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         a, b = self.matrix, other.matrix

@@ -14,12 +14,11 @@ from __future__ import annotations
 import decimal
 import math
 from array import array
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from . import SymcubeInputError
 from .localfactor import primes_upto
-from .satake import SatakeClass, satake_from_hecke
+from .satake import Record, SatakeClass, satake_from_hecke
 
 # cyclo and monomial serve only parse_hecke, which imports them when it runs
 if TYPE_CHECKING:
@@ -56,12 +55,15 @@ class ConfigParseError(SymcubeInputError):
         super().__init__(f"config line {line}: {message}" if line else f"config: {message}")
 
 
-@dataclass
-class ParsedForm:
-    weight: int
-    level: int
-    coefficients: Dict[int, int]
-    source_path: str = ""
+class ParsedForm(Record):
+    _fields = ("weight", "level", "coefficients", "source_path")
+
+    def __init__(self, weight: int, level: int, coefficients: Dict[int, int],
+                 source_path: str = ""):
+        self.weight = weight
+        self.level = level
+        self.coefficients = coefficients
+        self.source_path = source_path
 
     @property
     def n_max(self) -> int:
@@ -141,11 +143,14 @@ def parse_form(path: str) -> ParsedForm:
     return ParsedForm(weight, level, coeffs, source_path=path)
 
 
-@dataclass
-class ParsedHeckeData:
-    entries: List[HeckeLocalData]
-    chi_order: Optional[int] = None
-    field_disc: Optional[int] = None
+class ParsedHeckeData(Record):
+    _fields = ("entries", "chi_order", "field_disc")
+
+    def __init__(self, entries: List[HeckeLocalData], chi_order: Optional[int] = None,
+                 field_disc: Optional[int] = None):
+        self.entries = entries
+        self.chi_order = chi_order
+        self.field_disc = field_disc
 
 
 def _parse_char_value(token: str, line: int):

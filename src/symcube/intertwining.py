@@ -22,7 +22,6 @@ mu^c6 == 1 hold exactly, or else when its denominator is below POLE_TOL.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Set
@@ -31,6 +30,7 @@ from . import satake as sk
 from .g2root import (ROOT_NAMES, RootVector, coroot_decomposition, inverted_roots,
                      lambda_weight, pairing, parabolic_weyl_element)
 from .localfactor import RepTag, eigenvalues
+from .satake import FrozenRecord, set_field
 
 
 def _gk_row(beta: RootVector):
@@ -50,16 +50,16 @@ _GK_TABLE = {ROOT_NAMES[b]: _gk_row(b)
 POLE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PrincipalParams:
+class PrincipalParams(FrozenRecord):
     """Unramified principal-series datum (mu, q, r, s)."""
 
-    mu: complex
-    q: int
-    r: float
-    s: complex
+    _fields = ("mu", "q", "r", "s")
 
-    def __post_init__(self):
+    def __init__(self, mu: complex, q: int, r: float, s: complex):
+        set_field(self, "mu", mu)
+        set_field(self, "q", q)
+        set_field(self, "r", r)
+        set_field(self, "s", s)
         if self.q < 2:
             raise ValueError("q must be >= 2")
         _in_float_range(float, self.q, "q")  # both routes compute with a float q

@@ -15,11 +15,10 @@ import cmath
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .satake import SatakeClass, inverse, twist
+from .satake import FrozenRecord, SatakeClass, inverse, set_field, twist
 
 
 class RepTag(enum.Enum):
@@ -95,11 +94,10 @@ def poly_from_eigenvalues(eigen: Sequence) -> list:
     return coeffs
 
 
-@dataclass(frozen=True)
-class ReciprocalPoly:
+class ReciprocalPoly(FrozenRecord):
     """Dense polynomial P(T) with P(0) = 1; the local factor is 1/P."""
 
-    coeffs: tuple
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
@@ -107,7 +105,7 @@ class ReciprocalPoly:
             raise ValueError("empty coefficient list")
         if coeffs[0] != 1:
             raise ValueError("constant coefficient must be 1")
-        object.__setattr__(self, "coeffs", coeffs)
+        set_field(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:

@@ -12,26 +12,27 @@ return error 0 exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 from .localfactor import MR_BOUND, ReciprocalPoly, is_prime, poly_from_eigenvalues
+from .satake import FrozenRecord, set_field
 
 SPLIT = "split"
 INERT = "inert"
 
 
-@dataclass(frozen=True)
-class HeckeLocalData:
-    """Character data above one rational prime p."""
+class HeckeLocalData(FrozenRecord):
+    """Character data above one rational prime p: chi_p is the value at a
+    prime above p (complex or exact), chi_pbar the second value, split case only."""
 
-    p: int
-    splitting: str
-    chi_p: object                 # value at a prime above p (complex or exact)
-    chi_pbar: object = None       # second value, split case only
+    _fields = ("p", "splitting", "chi_p", "chi_pbar")
 
-    def __post_init__(self):
+    def __init__(self, p: int, splitting: str, chi_p, chi_pbar=None):
+        set_field(self, "p", p)
+        set_field(self, "splitting", splitting)
+        set_field(self, "chi_p", chi_p)
+        set_field(self, "chi_pbar", chi_pbar)
         if not (2 <= self.p < MR_BOUND and is_prime(self.p)):
             raise ValueError(f"p must be a prime below {MR_BOUND:.4g}, got {self.p}")
         if self.splitting not in (SPLIT, INERT):
@@ -42,8 +43,8 @@ class HeckeLocalData:
             raise ValueError(f"inert entry at p={self.p} takes one character value")
         # the exact path needs both values in one ring; a mixed split pair demotes
         if self.splitting == SPLIT and type(self.chi_p) is not type(self.chi_pbar):
-            object.__setattr__(self, "chi_p", complex(self.chi_p))
-            object.__setattr__(self, "chi_pbar", complex(self.chi_pbar))
+            set_field(self, "chi_p", complex(self.chi_p))
+            set_field(self, "chi_pbar", complex(self.chi_pbar))
         if not self.chi_p or (self.splitting == SPLIT and not self.chi_pbar):
             raise ValueError("character values must be nonzero")
 
@@ -124,10 +125,12 @@ HAS_POLE = "has-pole-at-0-and-1"
 ENTIRE = "entire"
 
 
-@dataclass(frozen=True)
-class PoleVerdict:
-    kind: str
-    poles: Tuple[Fraction, ...] = ()
+class PoleVerdict(FrozenRecord):
+    _fields = ("kind", "poles")
+
+    def __init__(self, kind: str, poles: Tuple[Fraction, ...] = ()):
+        set_field(self, "kind", kind)
+        set_field(self, "poles", poles)
 
 
 def pole_criterion(order_of_chi: int) -> PoleVerdict:

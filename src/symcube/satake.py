@@ -10,20 +10,60 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 DEFAULT_TOL = 1e-8
 _ONE = Fraction(1)
 
+# A frozen record's __init__ sets each field with this, which keeps the
+# values inline in the instance (fast to read), and is a little faster than
+# the object.__setattr__ lookup a frozen dataclass makes per field.
+set_field = object.__setattr__
 
-@dataclass(frozen=True)
-class SatakeClass:
+
+class Record:
+    """Named fields with the equality and repr that @dataclass gives, over
+    the field tuple `_fields`; written out because importing dataclasses
+    (and with it inspect) costs a cold command about 6.5 ms."""
+
+    _fields = ()
+
+    def _key(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class FrozenRecord(Record):
+    """A Record hashed by its field tuple and refusing assignment, as
+    @dataclass(frozen=True) makes it; copy and pickle still fill __dict__."""
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SatakeClass(FrozenRecord):
     """Unramified parameter (alpha, beta, q); (alpha, beta) unordered."""
 
-    alpha: complex
-    beta: complex
-    q: int
+    _fields = ("alpha", "beta", "q")
+
+    def __init__(self, alpha: complex, beta: complex, q: int):
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        set_field(self, "q", q)
 
     def central_character(self):
         """omega(uniformizer) = alpha * beta."""

@@ -96,13 +96,13 @@ def test_modules_import_no_name_they_never_use(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _random_imports(source: str):
-    """Lines that import the random module or a name from it, lazy ones included."""
+def _imports_of(module: str, source: str):
+    """Lines that import the module or a name from it, lazy ones included."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Import) and any(
-                      a.name.split(".")[0] == "random" for a in node.names)
+                      a.name.split(".")[0] == module for a in node.names)
                   or isinstance(node, ast.ImportFrom) and node.level == 0
-                  and node.module.split(".")[0] == "random")
+                  and node.module.split(".")[0] == module)
 
 
 def test_random_import_finder_sees_every_spelling():
@@ -115,7 +115,7 @@ def test_random_import_finder_sees_every_spelling():
               "from .random import x\n"
               "import randomness\n"
               "random = 3\n")
-    assert _random_imports(source) == [1, 2, 3, 5]
+    assert _imports_of("random", source) == [1, 2, 3, 5]
 
 
 @pytest.mark.parametrize("path", sorted((REPO / "src" / "symcube").rglob("*.py")),
@@ -124,7 +124,16 @@ def test_only_the_cli_draws_random_numbers(path):
     """The library decides what it checks; only the cli samples, with draws
     its --seed fixes."""
     if path.name != "cli.py":
-        assert _random_imports(path.read_text()) == []
+        assert _imports_of("random", path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "src" / "symcube").rglob("*.py")),
+                         ids=lambda path: path.name)
+def test_only_analytic_imports_dataclasses(path):
+    """dataclasses loads inspect, ast, dis and tokenize, about 6.5 ms of a cold
+    command; analytic's commands load numpy, which imports inspect anyway."""
+    if path.name != "analytic.py":
+        assert _imports_of("dataclasses", path.read_text()) == []
 
 
 def _unbounded_caches(source: str):
