@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,10 +155,9 @@ class AFEConfig:
 
     Each gamma shift is one Gamma_C factor, so the degree is 2 len(gamma_shifts).
     x_scale controls how far the smoothed sum is unbalanced: reflected terms
-    carry weights V(n * x_scale), and the dropped reflected term is about
-    1e-7 of Lambda at the default 16 for the sym3 of Delta, about 1e-11 at
-    32 (see the module docstring).  Higher degrees decay more slowly and
-    need a larger x_scale (with a correspondingly larger cutoff).
+    carry weights V(n * x_scale), and the module docstring gives the size of
+    the dropped reflected term.  Higher degrees decay more slowly and need a
+    larger x_scale (with a correspondingly larger cutoff).
     """
 
     gamma_shifts: Tuple[float, ...]
@@ -421,7 +420,7 @@ def _check_point(s: complex) -> None:
 def afe_values(points: Sequence[complex], cfg: AFEConfig,
                coeffs: CoefficientTable) -> List[complex]:
     """Completed values Lambda(s) at every point, each up to the dropped
-    reflected term (about 1e-7 of Lambda at x_scale = 16; module docstring).
+    reflected term (its size is in the module docstring).
 
     Supported for 1 - _CONTOUR + 0.05 < Re(s) <= _MAX_RE (the contour must
     stay inside the region of absolute convergence of the shifted series)
@@ -434,8 +433,9 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
     n for the whole batch, and the last four blocks drawn are kept for later
     calls with the same x_scale (_afe_block), so after any sequence of calls
     at most 4.9 MB of them are held.  Raises CutoffTooSmall when the tail of
-    a smoothed sum is not yet negligible, and ValueError at a point whose sum
-    or gamma scale is not finite.
+    a smoothed sum is not yet negligible, at a configured cutoff at once and
+    at a derived one (cfg.cutoff = 0) after one retry at twice its length,
+    and ValueError at a point whose sum or gamma scale is not finite.
     """
     points = [complex(s) for s in points]
     cutoffs = []
@@ -461,7 +461,10 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
                              f"shifts or the conductor are past the float range")
         tail = float(np.sum(np.abs(terms[-16:])))
         if tail > 1e-9 * max(abs(total), scale):
-            raise CutoffTooSmall(cutoff * 2, cutoff)
+            if cfg.cutoff or coeffs.n_max < 2 * cutoff:
+                raise CutoffTooSmall(cutoff * 2, cutoff)
+            # a derived length is redone once at twice its length
+            total = afe_value(s, replace(cfg, cutoff=2 * cutoff), coeffs)
         values.append(total)
     return values
 
@@ -577,5 +580,4 @@ def inject_pole_factor(coeffs: CoefficientTable, p: int, sigma0: float) -> Coeff
             pk *= p
     except OverflowError:
         raise ValueError(f"{p}^({k} sigma0) overflows at sigma0 = {sigma0}") from None
-    return CoefficientTable(lam, rep_tag=coeffs.rep_tag,
-                            source=coeffs.source + f"+pole(p={p},sigma={sigma0})")
+    return CoefficientTable(lam)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import io
 import math
 import os
 import random
@@ -103,16 +102,6 @@ def _complex_list(text: str) -> list:
     return [_finite_complex(t) for t in text.split(",")]
 
 
-def _emit_csv(header, rows) -> None:
-    import csv  # json and csv load only in the commands that write them
-
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    sys.stdout.write(out.getvalue())
-
-
 def _emit_table(header, rows) -> None:
     widths = [len(h) for h in header]
     srows = [[str(c) for c in row] for row in rows]
@@ -127,14 +116,29 @@ def _emit_table(header, rows) -> None:
 def _emit(fmt, header, rows, json_obj=None):
     """The one output path: rows as a table or csv; json_obj, else the rows, as json."""
     if fmt == "json":
-        import json
+        import json  # json and csv load only in the commands that write them
 
         obj = json_obj if json_obj is not None else [dict(zip(header, row)) for row in rows]
         sys.stdout.write(json.dumps(obj, sort_keys=True, default=str) + "\n")
     elif fmt == "csv":
-        _emit_csv(header, rows)
+        import csv
+
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
     else:
         _emit_table(header, rows)
+
+
+def _emit_checks(fmt, header, rows) -> int:
+    """_emit the rows of a check command: EXIT_FAIL exactly when a row's last cell is FAIL."""
+    _emit(fmt, header, rows)
+    return EXIT_FAIL if any(row[-1] == "FAIL" for row in rows) else EXIT_OK
+
+
+def _worst(errs) -> float:
+    """The largest error, a NaN ranking worst; 0.0 for none."""
+    return max(errs, key=lambda e: (e != e, e), default=0.0)
 
 
 def _load_form(source: str) -> ParsedForm:
@@ -149,17 +153,6 @@ def _load_form(source: str) -> ParsedForm:
                              f"builtin:delta:N with N >= 1")
         return ingest.delta_form(n)
     return ingest.parse_form(source)
-
-
-def _sym3_factors(form, limit):
-    """The sym3 factor map of the primes p <= limit; 1 at those dividing the level."""
-    from . import ingest
-
-    factors = {p: localfactor.ReciprocalPoly([1])
-               for p in localfactor.primes_upto(limit) if form.level % p == 0}
-    factors.update((p, localfactor.local_factor(RepTag.SYM3, c))
-                   for p, c in ingest.satake_table(form).items() if p <= limit)
-    return factors
 
 
 # --- subcommands -----------------------------------------------------------
@@ -186,17 +179,14 @@ def cmd_roots(args) -> int:
                 for name, beta in g2root.POSITIVE_ROOTS.items()]
         _emit(args.format, ["root", "c1", "c6"], rows)
         return EXIT_OK
-    rows = []  # weyl, the last of the parser's choices
-    root_name = g2root.ROOT_NAMES
-    for w in g2root.weyl_group():
-        inv = sorted(root_name[b] for b in g2root.inverted_roots(w))
-        rows.append(["*".join(w.word) or "1", len(w.word),
-                     "{" + ",".join(inv) + "}"])
+
+    def inverted(w):  # weyl, the last of the parser's choices
+        return "{" + ",".join(sorted(g2root.ROOT_NAMES[b] for b in g2root.inverted_roots(w))) + "}"
+    rows = [["*".join(w.word) or "1", len(w.word), inverted(w)] for w in g2root.weyl_group()]
     rho_p = g2root.rho_parabolic()
     rows.append(["rho_P", "", f"({rho_p.a3})*beta3 + ({rho_p.a4})*beta4"])
     long_w = g2root.parabolic_weyl_element()
-    rows.append(["parabolic element", len(long_w.word),
-                 "{" + ",".join(sorted(root_name[b] for b in g2root.inverted_roots(long_w))) + "}"])
+    rows.append(["parabolic element", len(long_w.word), inverted(long_w)])
     _emit(args.format, ["element", "length", "inverted/table"], rows)
     return EXIT_OK
 
@@ -288,63 +278,46 @@ def cmd_identity(args) -> int:
         return mod * cmath.exp(2j * math.pi * rng.random())
     classes = [SatakeClass(draw(), draw(), rng.choice([2, 3, 5, 7]))
                for _ in range(args.samples)]
-    failed = False
     rows = []
     for name in chosen:
-        errs = [_SUITES[name](c) for c in classes]
-        worst = max(errs, key=lambda e: (e != e, e))  # a NaN ranks worst
-        ok = worst < args.tol
-        failed = failed or not ok
-        rows.append([name, args.samples, f"{worst:.3e}", "pass" if ok else "FAIL"])
-    _emit(args.format, ["suite", "samples", "max_error", "status"], rows)
-    return EXIT_FAIL if failed else EXIT_OK
+        worst = _worst([_SUITES[name](c) for c in classes])
+        rows.append([name, args.samples, f"{worst:.3e}", "pass" if worst < args.tol else "FAIL"])
+    return _emit_checks(args.format, ["suite", "samples", "max_error", "status"], rows)
 
 
 def cmd_monomial_check(args) -> int:
     from . import ingest, monomial
 
     data = ingest.parse_hecke(args.hecke)
-    rows, failed = [], False
+    rows = []
     for entry in data.entries:
         e3 = monomial.check_monomial_r3(entry)
         e30 = monomial.check_monomial_r30(entry)
-        ok = e3 < args.tol and e30 < args.tol
-        failed = failed or not ok
         rows.append([entry.p, entry.splitting, f"{e3:.3e}", f"{e30:.3e}",
-                     "pass" if ok else "FAIL"])
+                     "pass" if e3 < args.tol and e30 < args.tol else "FAIL"])
     if data.chi_order is not None and data.chi_order > 1:
         verdict = monomial.pole_criterion(data.chi_order)
         rows.append(["chi-order", data.chi_order, verdict.kind, "", ""])
-    _emit(args.format, ["p", "splitting", "r3_error", "r30_error", "status"], rows)
-    return EXIT_FAIL if failed else EXIT_OK
+    return _emit_checks(args.format, ["p", "splitting", "r3_error", "r30_error", "status"], rows)
 
 
 def cmd_intertwine(args) -> int:
     from . import intertwining
 
     rng = random.Random(args.seed)
-    rows, failed = [], False
     if args.q is not None and not args.grid:
         raise ValueError("--q sets the q of the --grid rows; the samples draw q from {2, 3, 5}")
     if args.grid:
-        n, q = args.grid, args.q or 2
-
-        def grid_row(i):
-            r = 0.5 * i / n
-            out = []
+        n, q, rows = args.grid, args.q or 2, []
+        for i in range(1, n):
             for j in range(1, n):
-                s = 3.0 * j / n
-                p = intertwining.PrincipalParams(1.0, q, r, s)
+                r, s = 0.5 * i / n, 3.0 * j / n
                 try:
-                    val = intertwining.gk_coefficient(p)
-                    out.append([f"{r:.6f}", f"{s:.6f}",
-                                f"{val.real:.12g}", f"{val.imag:.12g}"])
+                    val = intertwining.gk_coefficient(intertwining.PrincipalParams(1.0, q, r, s))
+                    rows.append([f"{r:.6f}", f"{s:.6f}", f"{val.real:.12g}", f"{val.imag:.12g}"])
                 except intertwining.IntertwiningPole as exc:
-                    out.append([f"{r:.6f}", f"{s:.6f}", "pole", exc.root_name])
-            return out
-
-        grid_rows = [row for i in range(1, n) for row in grid_row(i)]
-        _emit(args.format, ["r", "s", "re", "im"], grid_rows)
+                    rows.append([f"{r:.6f}", f"{s:.6f}", "pole", exc.root_name])
+        _emit(args.format, ["r", "s", "re", "im"], rows)
         return EXIT_OK
     errs = []
     for _ in range(args.samples):
@@ -360,28 +333,23 @@ def cmd_intertwine(args) -> int:
         except intertwining.IntertwiningPole:
             continue
         errs.append(abs(g - l) / max(abs(l), 1e-30))
-    worst = max(errs, key=lambda e: (e != e, e), default=0.0)  # a NaN ranks worst
-    ok = worst < args.tol
-    rows.append(["gk-vs-lratio", args.samples, f"{worst:.3e}", "pass" if ok else "FAIL"])
+    worst = _worst(errs)
+    rows = [["gk-vs-lratio", args.samples, f"{worst:.3e}", "pass" if worst < args.tol else "FAIL"]]
     r = args.r
     for order in (1, 2, 5):
         want = intertwining.principal_series_pole_set(order, r)
         got = intertwining.gk_pole_set(order, r)
-        ok2 = want == got
         rows.append([f"pole-set-order-{order}", str(r),
                      "{" + ",".join(sorted(map(str, got))) + "}",
-                     "pass" if ok2 else "FAIL"])
-        failed = failed or not ok2
-    failed = failed or not ok
-    _emit(args.format, ["check", "param", "result", "status"], rows)
-    return EXIT_FAIL if failed else EXIT_OK
+                     "pass" if want == got else "FAIL"])
+    return _emit_checks(args.format, ["check", "param", "result", "status"], rows)
 
 
 def cmd_euler(args) -> int:
-    from . import analytic
+    from . import analytic, ingest
 
     form = _load_form(args.coeffs)
-    factors = _sym3_factors(form, args.X)
+    factors = ingest.sym3_factors(form, args.X)
     trace = analytic.partial_L(args.s, args.X, factors)
     rows = [[i, x, f"{v.real:.15g}", f"{v.imag:.15g}"]
             for i, (x, v) in enumerate(trace.checkpoints)]
@@ -395,24 +363,22 @@ def cmd_euler(args) -> int:
     return EXIT_OK
 
 
-def _build_sym3_table(form, cfg, points):
-    from . import analytic
-
-    n = cfg.cutoff or max(analytic.default_cutoff(s, cfg) for s in points)
-    factors = _sym3_factors(form, n)
-    return analytic.dirichlet_coeffs(factors, n, rep_tag=RepTag.SYM3,
-                                     source=form.source_path)
-
-
-def cmd_afe(args) -> int:
+def _sym3_table(args, points):
+    """The --config (else the shipped sym3 one) and the sym3 coefficient table
+    of --coeffs, as long as the longest sum at the points needs."""
     from . import analytic, ingest
 
     form = _load_form(args.coeffs)
-    cfg = ingest.parse_afe_config(args.config) if args.config \
-        else analytic.delta_sym3_config()
+    cfg = ingest.parse_afe_config(args.config) if args.config else analytic.delta_sym3_config()
+    n = cfg.cutoff or max(analytic.default_cutoff(s, cfg) for s in points)
+    return cfg, analytic.dirichlet_coeffs(ingest.sym3_factors(form, n), n)
+
+
+def cmd_afe(args) -> int:
+    from . import analytic
+
     points = args.points or [0.5 + 0.5j, 0.5 + 1j, 0.5 + 2j]
-    probe_points = points + [1 - complex(s) for s in points]
-    coeffs = _build_sym3_table(form, cfg, probe_points)
+    cfg, coeffs = _sym3_table(args, points + [1 - complex(s) for s in points])
     report = analytic.epsilon_probe(points, cfg, coeffs)
     obj = {
         "points": [str(p) for p in report.points],
@@ -432,12 +398,9 @@ def cmd_afe(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from . import analytic, ingest
+    from . import analytic
 
-    form = _load_form(args.coeffs)
-    cfg = ingest.parse_afe_config(args.config) if args.config \
-        else analytic.delta_sym3_config()
-    coeffs = _build_sym3_table(form, cfg, [args.a, args.b])
+    cfg, coeffs = _sym3_table(args, [args.a, args.b])
     if args.inject_pole:
         coeffs = analytic.inject_pole_factor(coeffs, *args.inject_pole)
     report = analytic.pole_scan((args.a, args.b), args.grid, cfg, coeffs,
@@ -519,8 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--r", type=_parse_fraction, default=Fraction(1, 10),
                    help="rational r for pole-set checks")
-    p.add_argument("--grid", type=_int_at_least(0), default=0,
-                   help="emit an (r,s) CSV grid of the coefficient instead")
+    p.add_argument("--grid", type=_arg_type(int, "0 (off) or an integer >= 2",
+                                            lambda value: value == 0 or value >= 2),
+                   default=0, help="emit an (r,s) CSV grid of the coefficient instead")
     common(p, tol=1e-10, seed=True)
     p.set_defaults(fn=cmd_intertwine)
 

@@ -17,7 +17,7 @@ from array import array
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from . import SymcubeInputError
-from .localfactor import primes_upto
+from .localfactor import RepTag, ReciprocalPoly, local_factor, primes_upto
 from .satake import Record, SatakeClass, satake_from_hecke
 
 # cyclo and monomial serve only parse_hecke, which imports them when it runs
@@ -94,20 +94,26 @@ def _audit_multiplicativity(coeffs: Dict[int, object]) -> None:
                 break
 
 
+def _headed_lines(path: str, error, header: str):
+    """The first line of a headed file, and (line number, text) of each
+    nonblank line after it; error(1, ...) when the first line is empty."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].strip():
+        raise error(1, f"empty file; expected header '{header}'")
+    return lines[0], ((i, raw) for i, raw in enumerate(lines[1:], start=2) if raw.strip())
+
+
 def parse_form(path: str) -> ParsedForm:
     """Read and validate a coefficient file.
 
     Grammar: header ``weight k level N character trivial`` then ascending
     ``n a_n`` lines.  Validation: a_1 = 1 and the multiplicativity audit.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].strip():
-        raise FormParseError(1, "empty file; expected header "
-                                "'weight k level N character trivial'")
-    head = lines[0].split()
+    first, body = _headed_lines(path, FormParseError, "weight k level N character trivial")
+    head = first.split()
     if len(head) != 6 or head[0] != "weight" or head[2] != "level" or head[4] != "character":
-        raise FormParseError(1, f"malformed header {lines[0]!r}")
+        raise FormParseError(1, f"malformed header {first!r}")
     try:
         weight, level = int(head[1]), int(head[3])
     except ValueError:
@@ -120,9 +126,7 @@ def parse_form(path: str) -> ParsedForm:
         raise FormParseError(1, "only character trivial is accepted")
     coeffs: Dict[int, int] = {}
     prev = 0
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
+    for i, raw in body:
         bits = raw.split()
         if len(bits) != 2:
             raise FormParseError(i, f"expected 'n a_n', got {raw!r}")
@@ -179,13 +183,10 @@ def parse_hecke(path: str) -> ParsedHeckeData:
     """
     from .monomial import HeckeLocalData
 
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].strip():
-        raise HeckeParseError(1, "empty file; expected header 'field-disc D chi-order n'")
-    head = lines[0].split()
+    first, body = _headed_lines(path, HeckeParseError, "field-disc D chi-order n")
+    head = first.split()
     if len(head) != 4 or head[0] != "field-disc" or head[2] != "chi-order":
-        raise HeckeParseError(1, f"malformed header {lines[0]!r}")
+        raise HeckeParseError(1, f"malformed header {first!r}")
     try:
         disc = int(head[1])
     except ValueError:
@@ -198,9 +199,7 @@ def parse_hecke(path: str) -> ParsedHeckeData:
         raise HeckeParseError(1, f"chi-order must be an integer >= 1 or unknown, "
                                  f"got {head[3]!r}")
     entries, seen = [], set()
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
+    for i, raw in body:
         bits = raw.split()
         if len(bits) not in (3, 4):
             raise HeckeParseError(i, f"expected 'p split v v' or 'p inert v', got {raw!r}")
@@ -365,3 +364,11 @@ def satake_table(form: ParsedForm) -> Dict[int, SatakeClass]:
             continue
         out[p] = satake_from_hecke(form.coefficients[p], p, form.weight, 1.0)
     return out
+
+
+def sym3_factors(form: ParsedForm, limit: int) -> Dict[int, ReciprocalPoly]:
+    """The sym3 factor map of the primes p <= limit; 1 at those dividing the level."""
+    factors = {p: ReciprocalPoly([1]) for p in primes_upto(limit) if form.level % p == 0}
+    factors.update((p, local_factor(RepTag.SYM3, c))
+                   for p, c in satake_table(form).items() if p <= limit)
+    return factors

@@ -563,6 +563,33 @@ def test_afe_values_refuse_a_cutoff_past_the_table(delta_sym3_coeffs_8k):
     assert (err.value.needed, err.value.given) == (8193, 8192)
 
 
+def test_a_derived_cutoff_is_redone_once_at_twice_its_length():
+    # the degree-6 GL2 x GL3 series of Delta: at the first four points the
+    # derived length leaves a tail past 1e-9, and twice that length passes
+    from symcube.ingest import delta_form, satake_table
+    from symcube.localfactor import eigenvalues, rankin_selberg
+    coeffs = dirichlet_coeffs({p: rankin_selberg(c, eigenvalues(RepTag.GJ_ADJOINT, c))
+                               for p, c in satake_table(delta_form(20000)).items()}, 20000)
+    points = [0.5 + 0.5j, 0.5 + 2j, 0.7, 0.5 + 6j, 3.0]
+    cfg = AFEConfig((5.5, 5.5, 16.5), cutoff=0)
+    lengths = [default_cutoff(s, cfg) for s in points]
+    assert lengths == [400, 448, 432, 848, 912]
+    got = afe_values(points, cfg, coeffs)
+    fixed = afe_values(points, dataclasses.replace(cfg, cutoff=16000), coeffs)
+    for value, want in zip(got, fixed):
+        assert abs(value - want) <= 1e-10 * abs(want)
+    # the redone points at twice their length, the passing one at its own
+    for s, n, value in zip(points, [2 * n for n in lengths[:4]] + lengths[4:], got):
+        assert value == afe_value(s, dataclasses.replace(cfg, cutoff=n), coeffs)
+    # a configured length, or a table too short for the doubled one, is refused
+    with pytest.raises(CutoffTooSmall) as err:
+        afe_value(points[0], dataclasses.replace(cfg, cutoff=400), coeffs)
+    assert (err.value.needed, err.value.given) == (800, 400)
+    with pytest.raises(CutoffTooSmall) as err:
+        afe_value(points[0], cfg, CoefficientTable(coeffs.values[:800]))
+    assert (err.value.needed, err.value.given) == (800, 400)
+
+
 def test_epsilon_probe_skips_points_where_lambda_vanishes():
     # every Lambda(1 - s) of the zero series is below the noise floor
     zero = CoefficientTable(np.zeros(4001, dtype=complex))

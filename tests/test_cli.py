@@ -143,6 +143,34 @@ def test_identity_exit_codes():
     assert code == 1
 
 
+@pytest.mark.parametrize("bad", [None, math.nan, 1.0])
+def test_identity_exits_1_exactly_when_a_printed_row_fails(monkeypatch, bad):
+    from symcube import cli
+    if bad is not None:
+        monkeypatch.setitem(cli._SUITES, "twist", lambda c: bad)
+    code, out = run_cli(["identity", "--samples", "5", "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[0] for row in rows] == ["triple", "twist", "gj"]
+    assert [row[-1] for row in rows] == ["pass", "pass" if bad is None else "FAIL", "pass"]
+    assert code == (0 if bad is None else 1)
+
+
+@pytest.mark.parametrize("bad", [None, math.nan, 1.0])
+@pytest.mark.parametrize("check", ["check_monomial_r3", "check_monomial_r30"])
+def test_monomial_check_exits_1_exactly_when_a_printed_row_fails(monkeypatch, check, bad):
+    from symcube import monomial
+    real = getattr(monomial, check)
+    if bad is not None:
+        monkeypatch.setattr(monomial, check, lambda e: bad if e.p == 13 else real(e))
+    code, out = run_cli(["monomial-check", "--hecke", "data/hecke_q_sqrt_minus23.txt",
+                         "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[-1] for row in rows[:-1]] == [
+        "FAIL" if bad is not None and row[0] == "13" else "pass" for row in rows[:-1]]
+    assert rows[-1] == ["chi-order", "3", "has-pole-at-0-and-1", "", ""]
+    assert code == (0 if bad is None else 1)
+
+
 def test_suite_choices_are_all_and_the_suites_table():
     from symcube.cli import _SUITES, build_parser
     sub = next(a for a in build_parser()._actions
@@ -375,7 +403,12 @@ _FLAG_MESSAGES = {
     "satake --coeffs builtin:delta:100 --limit -5":
         "symcube satake: error: argument --limit: must be an integer >= 1, got '-5'",
     "intertwine --grid -3":
-        "symcube intertwine: error: argument --grid: must be an integer >= 0, got '-3'",
+        "symcube intertwine: error: argument --grid: must be 0 (off) or an integer >= 2, "
+        "got '-3'",
+    # r = i/(2n) for 1 <= i < n leaves no row at n = 1
+    "intertwine --grid 1":
+        "symcube intertwine: error: argument --grid: must be 0 (off) or an integer >= 2, "
+        "got '1'",
     "euler --coeffs builtin:delta:100 --X 0":
         "symcube euler: error: argument --X: must be an integer >= 2, got '0'",
     "scan --coeffs builtin:delta:100 --a nan":
@@ -501,6 +534,39 @@ def test_intertwine_fails_on_a_nan_disagreement(monkeypatch):
     assert row == [["gk-vs-lratio", "10", "nan", "FAIL"]]
 
 
+# sha256 of stdout, recorded while each check command kept a failure flag
+# beside the statuses it printed and cli built the sym3 factor map itself
+COMMAND_SHA256 = {
+    "intertwine --samples 50 --r 1/10 --format table":
+        "dca581e5bed0218a9070159fb13ced45766aeefd515cdca6e72c0cd3e5f47a30",
+    "intertwine --samples 50 --r 1/10 --format json":
+        "ffabca1f0e79f4eda6a296ed7e2e0ce32cc2c00d5cdadf841aa0047286d614c8",
+    "intertwine --samples 50 --r 1/10 --format csv":
+        "cccba777acbb83d57d2f81842c255069ee58b7b65a63fbae90b344ff3c686147",
+    "intertwine --grid 6 --q 4 --format csv":
+        "68d9f4c5f95f258663bad31837d14a99430cd60f76f5f03f4d9a7ce150330387",
+    "satake --coeffs builtin:delta:200 --format table":
+        "d5746175e7115a8672386f28737f91b74537c4c256d07d38d5bd974c582a9739",
+    "satake --coeffs builtin:delta:200 --format json":
+        "c07d12cc25881da9c3c961c6e7965277ffbb746e5905250f40b222de24845d5d",
+    "satake --coeffs builtin:delta:200 --format csv":
+        "454c5298fc6063e902eb0101047b1439bc35ea13b5aa133f7b26c6de7d6f0b2b",
+    "euler --coeffs builtin:delta:200 --X 100 --format table":
+        "d0150c89b15fb186da9c9ad42eaba007cd63fcb7db331e20cf3c7a7aa652619b",
+    "euler --coeffs builtin:delta:200 --X 100 --format json":
+        "f173377f474dc44294f20f5e621d0ebb06f0040dad8333caf6a62ff352d3c0d2",
+    "euler --coeffs builtin:delta:200 --X 100 --format csv":
+        "967cc550632d7d1b535a9f38b3778bc865f31d66913ab2d2ffed9743cd7cd918",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_SHA256))
+def test_command_bytes_are_pinned(command):
+    code, out = run_cli(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_SHA256[command]
+
+
 def test_intertwine_grid_csv():
     code, out = run_cli(["intertwine", "--grid", "6", "--format", "csv"])
     assert code == 0
@@ -611,13 +677,15 @@ def test_a_weight_beyond_the_float_range_is_an_input_error(tmp_path, command, we
 
 
 def test_sym3_table_of_a_level_2_form_vanishes_at_powers_of_2(tmp_path):
-    from symcube.analytic import AFEConfig, dirichlet_coeffs
-    from symcube.cli import _build_sym3_table, _sym3_factors
-    from symcube.ingest import parse_form
+    from symcube.analytic import dirichlet_coeffs
+    from symcube.cli import _sym3_table
+    from symcube.ingest import parse_form, sym3_factors
     from symcube.localfactor import ReciprocalPoly
-    form = parse_form(str(_level_2_copy(tmp_path)))
-    coeffs = _build_sym3_table(form, AFEConfig((5.5, 16.5), cutoff=100), [0.5])
-    factors = _sym3_factors(form, 100)
+    path, config = _level_2_copy(tmp_path), tmp_path / "sym3.cfg"
+    config.write_text("gamma_shifts = 5.5, 16.5\ncutoff = 100\n")
+    cfg, coeffs = _sym3_table(argparse.Namespace(coeffs=str(path), config=str(config)), [0.5])
+    assert cfg.cutoff == 100
+    factors = sym3_factors(parse_form(str(path)), 100)
     assert factors[2] == ReciprocalPoly([1])
     want = dirichlet_coeffs(factors, 100)
     assert np.array_equal(coeffs.values, want.values)

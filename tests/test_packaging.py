@@ -270,3 +270,29 @@ def test_only_intertwining_reads_fraction_slots():
     readers = {path.name for path in (REPO / "src" / "symcube").rglob("*.py")
                if _fraction_slot_reads(path.read_text())}
     assert readers <= {"intertwining.py"}
+
+
+def _table_metadata_keywords(source: str):
+    """Lines of calls that pass a rep_tag= or source= keyword."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and any(kw.arg in ("rep_tag", "source") for kw in node.keywords))
+
+
+def test_table_metadata_finder_sees_calls_and_passes_over_the_rest():
+    source = ("f(1, rep_tag=t)\n"
+              "x.y(n=2,\n"
+              "    source='a')\n"
+              "def g(rep_tag=None, source=''): pass\n"
+              "h(source_path='p', tag=t)\n"
+              "source = rep_tag = 1\n")
+    assert _table_metadata_keywords(source) == [1, 2]
+
+
+def test_only_dirichlet_coeffs_passes_table_metadata():
+    """Nothing reads CoefficientTable's rep_tag and source.  No call under
+    src/ fills them in but dirichlet_coeffs passing on what the tests and
+    perfbench give it, so both can go by editing analytic, tests and perfbench."""
+    calls = {path.name: len(_table_metadata_keywords(path.read_text()))
+             for path in (REPO / "src" / "symcube").rglob("*.py")}
+    assert {name: n for name, n in calls.items() if n} == {"analytic.py": 1}
