@@ -33,6 +33,7 @@ SIAM Rev. 2014), far below rounding.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -113,7 +114,8 @@ def partial_L(s: complex, X: int,
     local_factors needs an entry for every prime p <= X; a factor of degree 0
     (L_p = 1) is skipped.  Checkpoints record the running product each time
     the prime bound doubles.  Evaluation with Re(s) <= 1 is permitted but
-    flagged as outside the absolute-convergence contract.
+    flagged as outside the absolute-convergence contract; ValueError, naming p
+    and s, when p^{-s} or P_p(p^{-s}) is beyond the float range.
     """
     total = 0j
     comp = 0j   # Kahan compensation
@@ -128,7 +130,13 @@ def partial_L(s: complex, X: int,
         while p > next_mark:
             checkpoints.append((next_mark, np.exp(total)))
             next_mark *= 2
-        val = poly.evaluate(p ** (-s))
+        try:
+            val = poly.evaluate(p ** (-s))
+        except OverflowError:
+            val = math.inf
+        if not cmath.isfinite(val):
+            raise ValueError(f"p^(-s) or its local factor at p = {p}, s = {s} "
+                             f"is beyond the float range")
         if abs(val) < 1e-12:
             raise LocalPoleError(p, s)
         term = -np.log(val) - comp

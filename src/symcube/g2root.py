@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
-from .satake import FrozenRecord, set_field
+from .satake import Record, set_field
 
 
 def _frac(x) -> Fraction:
@@ -118,10 +118,8 @@ def _coord(x):
     return _frac(x)
 
 
-class RootVector(FrozenRecord):
+class RootVector(Record):
     """Vector c1*beta1 + c6*beta6; rational for a root, affine in (r, s) for a weight."""
-
-    _fields = ("c1", "c6")
 
     def __init__(self, c1: Fraction | Affine, c6: Fraction | Affine):
         set_field(self, "c1", _coord(c1))
@@ -211,10 +209,8 @@ def pairing_table():
     return {name: pairing(lam, beta) for name, beta in POSITIVE_ROOTS.items()}
 
 
-class WeylElement(FrozenRecord):
+class WeylElement(Record):
     """Group element, canonical by its integer matrix on (c1, c6) coordinates."""
-
-    _fields = ("matrix", "word")
 
     def __init__(self, matrix: tuple, word: tuple = ()):
         set_field(self, "matrix", matrix)
@@ -264,19 +260,16 @@ def weyl_word(letters) -> WeylElement:
 
 @lru_cache(maxsize=1)
 def weyl_group():
-    """All twelve elements, generated by closure of {rho1, rho6}."""
-    seen = {IDENTITY: IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in (RHO1, RHO6):
-                cand = g * w
-                if cand not in seen:
-                    seen[cand] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda w: (len(w.word), w.word)))
+    """All twelve elements: the alternating words in rho1 and rho6 of length
+    0 to 6, each one letter longer on the left than the word before it.  The
+    two of length 6 are one element, kept as rho6*rho1*rho6*rho1*rho6*rho1."""
+    group = [IDENTITY]
+    for letters in ((RHO1, RHO6) * 3, (RHO6, RHO1) * 2 + (RHO6,)):
+        w = IDENTITY
+        for g in letters:
+            w = g * w
+            group.append(w)
+    return tuple(sorted(group, key=lambda w: (len(w.word), w.word)))
 
 
 def inverted_roots(w: WeylElement):

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from . import SymcubeInputError
 from .localfactor import RepTag, ReciprocalPoly, local_factor, primes_upto
-from .satake import Record, SatakeClass, satake_from_hecke
+from .satake import Record, SatakeClass, satake_from_hecke, set_field
 
 # cyclo and monomial serve only parse_hecke, which imports them when it runs
 if TYPE_CHECKING:
@@ -56,14 +56,12 @@ class ConfigParseError(SymcubeInputError):
 
 
 class ParsedForm(Record):
-    _fields = ("weight", "level", "coefficients", "source_path")
-
     def __init__(self, weight: int, level: int, coefficients: Dict[int, int],
                  source_path: str = ""):
-        self.weight = weight
-        self.level = level
-        self.coefficients = coefficients
-        self.source_path = source_path
+        set_field(self, "weight", weight)
+        set_field(self, "level", level)
+        set_field(self, "coefficients", coefficients)
+        set_field(self, "source_path", source_path)
 
     @property
     def n_max(self) -> int:
@@ -148,13 +146,11 @@ def parse_form(path: str) -> ParsedForm:
 
 
 class ParsedHeckeData(Record):
-    _fields = ("entries", "chi_order", "field_disc")
-
     def __init__(self, entries: List[HeckeLocalData], chi_order: Optional[int] = None,
                  field_disc: Optional[int] = None):
-        self.entries = entries
-        self.chi_order = chi_order
-        self.field_disc = field_disc
+        set_field(self, "entries", entries)
+        set_field(self, "chi_order", chi_order)
+        set_field(self, "field_disc", field_disc)
 
 
 def _parse_char_value(token: str, line: int):
@@ -215,15 +211,19 @@ def parse_hecke(path: str) -> ParsedHeckeData:
             entry = HeckeLocalData(p, bits[1], *values)
         except ValueError as exc:       # a fault of the entry itself: HeckeLocalData names it
             raise HeckeParseError(i, str(exc)) from None
-        if order is not None:
-            for v in (entry.chi_p, entry.chi_pbar):
-                if v is None:
-                    continue
-                # v^order must be 1: exactly for a Cyclo value, to 1e-9 for re,im
-                w = v ** order
-                if (abs(w - 1) > 1e-9) if isinstance(w, complex) else w != 1:
-                    raise HeckeParseError(i, f"value at p={p} is not an order-"
-                                             f"{order} root of unity (chi-order {order})")
+        for v in (entry.chi_p, entry.chi_pbar):
+            # a finite-order character takes its values on the unit circle, so
+            # a re,im value off it by more than 1e-9 (or NaN) is refused before
+            # v^order, which must be 1: exactly for a Cyclo value, to 1e-9 for re,im
+            if isinstance(v, complex):
+                bad = not abs(math.hypot(v.real, v.imag) - 1) <= 1e-9 or (
+                    order is not None and abs(v ** order - 1) > 1e-9)
+            else:
+                bad = v is not None and order is not None and v ** order != 1
+            if bad:
+                what = "on the unit circle" if order is None else f"an order-{order} root of unity"
+                raise HeckeParseError(i, f"value at p={p} is not {what} "
+                                         f"(chi-order {order or 'unknown'})")
         entries.append(entry)
     return ParsedHeckeData(entries, chi_order=order, field_disc=disc)
 

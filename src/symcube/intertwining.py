@@ -30,7 +30,7 @@ from . import satake as sk
 from .g2root import (ROOT_NAMES, RootVector, coroot_decomposition, inverted_roots,
                      lambda_weight, pairing, parabolic_weyl_element)
 from .localfactor import RepTag, eigenvalues
-from .satake import FrozenRecord, set_field
+from .satake import Record, set_field
 
 
 def _gk_row(beta: RootVector):
@@ -50,10 +50,8 @@ _GK_TABLE = {ROOT_NAMES[b]: _gk_row(b)
 POLE_TOL = 1e-10
 
 
-class PrincipalParams(FrozenRecord):
+class PrincipalParams(Record):
     """Unramified principal-series datum (mu, q, r, s)."""
-
-    _fields = ("mu", "q", "r", "s")
 
     def __init__(self, mu: complex, q: int, r: float, s: complex):
         set_field(self, "mu", mu)

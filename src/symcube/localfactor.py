@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .satake import FrozenRecord, SatakeClass, inverse, set_field, twist
+from .satake import Record, SatakeClass, inverse, set_field, twist
 
 
 class RepTag(enum.Enum):
@@ -94,10 +94,8 @@ def poly_from_eigenvalues(eigen: Sequence) -> list:
     return coeffs
 
 
-class ReciprocalPoly(FrozenRecord):
+class ReciprocalPoly(Record):
     """Dense polynomial P(T) with P(0) = 1; the local factor is 1/P."""
-
-    _fields = ("coeffs",)
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)

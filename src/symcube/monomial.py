@@ -16,17 +16,15 @@ from fractions import Fraction
 from typing import Tuple
 
 from .localfactor import MR_BOUND, ReciprocalPoly, is_prime, poly_from_eigenvalues
-from .satake import FrozenRecord, set_field
+from .satake import Record, set_field
 
 SPLIT = "split"
 INERT = "inert"
 
 
-class HeckeLocalData(FrozenRecord):
+class HeckeLocalData(Record):
     """Character data above one rational prime p: chi_p is the value at a
     prime above p (complex or exact), chi_pbar the second value, split case only."""
-
-    _fields = ("p", "splitting", "chi_p", "chi_pbar")
 
     def __init__(self, p: int, splitting: str, chi_p, chi_pbar=None):
         set_field(self, "p", p)
@@ -125,9 +123,7 @@ HAS_POLE = "has-pole-at-0-and-1"
 ENTIRE = "entire"
 
 
-class PoleVerdict(FrozenRecord):
-    _fields = ("kind", "poles")
-
+class PoleVerdict(Record):
     def __init__(self, kind: str, poles: Tuple[Fraction, ...] = ()):
         set_field(self, "kind", kind)
         set_field(self, "poles", poles)

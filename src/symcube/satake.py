@@ -15,35 +15,27 @@ from fractions import Fraction
 DEFAULT_TOL = 1e-8
 _ONE = Fraction(1)
 
-# A frozen record's __init__ sets each field with this, which keeps the
-# values inline in the instance (fast to read), and is a little faster than
-# the object.__setattr__ lookup a frozen dataclass makes per field.
+# A record's __init__ sets each field with this, which keeps the values
+# inline in the instance (fast to read), and is a little faster than the
+# object.__setattr__ lookup a frozen dataclass makes per field.
 set_field = object.__setattr__
 
 
 class Record:
-    """Named fields with the equality and repr that @dataclass gives, over
-    the field tuple `_fields`; written out because importing dataclasses
-    (and with it inspect) costs a cold command about 6.5 ms."""
-
-    _fields = ()
+    """Named fields with the equality, hash, repr and refusal of assignment
+    that @dataclass(frozen=True) gives, written out because importing
+    dataclasses (and with it inspect) costs a cold command about 6.5 ms.
+    The fields are the instance attributes `__init__` sets, in that order, so
+    a record holds no other instance attribute (a cached_property would
+    become a field); copy and pickle refill __dict__ in the same order."""
 
     def _key(self):
-        return tuple([getattr(self, f) for f in self._fields])
+        return tuple(self.__dict__.values())
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._key() == other._key()
         return NotImplemented
-
-    def __repr__(self):
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({args})"
-
-
-class FrozenRecord(Record):
-    """A Record hashed by its field tuple and refusing assignment, as
-    @dataclass(frozen=True) makes it; copy and pickle still fill __dict__."""
 
     def __hash__(self):
         return hash(self._key())
@@ -54,11 +46,13 @@ class FrozenRecord(Record):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __repr__(self):
+        args = ", ".join(f"{f}={v!r}" for f, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({args})"
 
-class SatakeClass(FrozenRecord):
+
+class SatakeClass(Record):
     """Unramified parameter (alpha, beta, q); (alpha, beta) unordered."""
-
-    _fields = ("alpha", "beta", "q")
 
     def __init__(self, alpha: complex, beta: complex, q: int):
         set_field(self, "alpha", alpha)
@@ -84,8 +78,9 @@ def satake_from_hecke(a_p, p: int, k: int, omega_p=1.0) -> SatakeClass:
 
     alpha, beta are the roots of X^2 - (a_p p^{-(k-1)/2}) X + omega_p.
     a_p is converted to complex first and then divided by the float
-    sqrt(p^(k-1)); the power p^(k-1) itself is an exact integer, and one
-    beyond the float range raises ValueError.
+    sqrt(p^(k-1)); the power p^(k-1) itself is an exact integer.  ValueError,
+    naming p, when that power, a_p or a Satake parameter is beyond the float
+    range.
     """
     if p < 2:
         raise ValueError("p must be a prime >= 2")
@@ -96,9 +91,14 @@ def satake_from_hecke(a_p, p: int, k: int, omega_p=1.0) -> SatakeClass:
         scale = math.sqrt(float(p ** (k - 1)))
     except OverflowError:
         raise ValueError(f"weight {k}: {p}^{k - 1} is beyond the float range") from None
-    t = complex(a_p) / scale
+    try:
+        t = complex(a_p) / scale
+    except OverflowError:
+        raise ValueError(f"a_{p} is beyond the float range") from None
     omega = complex(omega_p)
     disc = t * t - 4 * omega
+    if not cmath.isfinite(disc):  # the roots would be inf or NaN
+        raise ValueError(f"a_{p} is too large: its Satake parameters leave the float range")
     sq = cmath.sqrt(disc)
     # larger-magnitude root first for stability, partner by Vieta
     r1 = (t + sq) / 2 if abs(t + sq) >= abs(t - sq) else (t - sq) / 2

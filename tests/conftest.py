@@ -18,5 +18,4 @@ def delta_sym3_factors_8k(delta_8k):
 
 @pytest.fixture(scope="session")
 def delta_sym3_coeffs_8k(delta_sym3_factors_8k):
-    return dirichlet_coeffs(delta_sym3_factors_8k, 8192,
-                            rep_tag=RepTag.SYM3, source="builtin:delta")
+    return dirichlet_coeffs(delta_sym3_factors_8k, 8192)

@@ -191,8 +191,7 @@ def test_criterion_8_euler_dirichlet_agreement():
         form = delta_form(100_000)
         table = satake_table(form)
         factors = {p: local_factor(RepTag.SYM3, c) for p, c in table.items()}
-        coeffs = dirichlet_coeffs(factors, 100_000, rep_tag=RepTag.SYM3,
-                                  source=form.source_path)
+        coeffs = dirichlet_coeffs(factors, 100_000)
         trace = partial_L(3.0, 100_000, factors)
         series = dirichlet_sum(3.0, coeffs)
         assert abs(trace.value - series) / abs(series) < 1e-6

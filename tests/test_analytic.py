@@ -204,7 +204,7 @@ def test_afe_degree2_sanity_oracle(delta_8k):
     from symcube.ingest import satake_table
     table = satake_table(delta_8k)
     factors = {p: local_factor(RepTag.STANDARD, c) for p, c in table.items()}
-    coeffs = dirichlet_coeffs(factors, 8192, rep_tag=RepTag.STANDARD)
+    coeffs = dirichlet_coeffs(factors, 8192)
     cfg = AFEConfig(gamma_shifts=(5.5,), conductor=1,
                     self_dual=True, cutoff=2000)
     s = 3.0

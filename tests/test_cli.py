@@ -980,6 +980,52 @@ def test_configs_past_the_float_range_are_input_errors(tmp_path, command, text, 
     assert (out.returncode, out.stdout, out.stderr.decode()) == (2, b"", err)
 
 
+_HUGE_A2 = f"weight 12 level 1 character trivial\n1 1\n2 {10 ** 400}\n"
+_FLOAT_A2 = "weight 12 level 1 character trivial\n1 1\n2 1.5e300\n3 252\n"
+_PAST_A2 = "input error: a_2 is beyond the float range\n"
+_NOT_FINITE_A2 = "input error: a_2 is too large: its Satake parameters leave the float range\n"
+_OFF_CIRCLE = "input error: line 2: value at p=13 is not on the unit circle (chi-order unknown)\n"
+# (id, argv, the flag that reads the file and its text, or None, the one stderr line)
+_OUT_OF_RANGE_INPUTS = [
+    ("euler-s-minus-400", ["euler", "--coeffs", "builtin:delta:50", "--X", "10", "--s=-400"],
+     None, "input error: p^(-s) or its local factor at p = 2, s = (-400+0j) is beyond the "
+           "float range\n"),
+    ("euler-s-minus-100", ["euler", "--coeffs", "builtin:delta:50", "--X", "30", "--s=-100"],
+     None, "input error: p^(-s) or its local factor at p = 7, s = (-100+0j) is beyond the "
+           "float range\n"),
+    ("satake-a2-401-digits", ["satake"], ("--coeffs", _HUGE_A2), _PAST_A2),
+    ("lfactor-a2-401-digits", ["lfactor", "--p", "2"], ("--coeffs", _HUGE_A2), _PAST_A2),
+    ("euler-a2-401-digits", ["euler", "--X", "2"], ("--coeffs", _HUGE_A2), _PAST_A2),
+    ("satake-a2-1.5e300", ["satake"], ("--coeffs", _FLOAT_A2), _NOT_FINITE_A2),
+    ("euler-a2-1.5e300", ["euler", "--X", "3"], ("--coeffs", _FLOAT_A2), _NOT_FINITE_A2),
+    *((f"monomial-check-unknown-{v}", ["monomial-check"],
+       ("--hecke", f"field-disc -23 chi-order unknown\n13 split {v},0 {v},0\n"), _OFF_CIRCLE)
+      for v in ("1e300", "1e100", "nan")),
+    ("monomial-check-order-3-1e300", ["monomial-check"],
+     ("--hecke", "field-disc -23 chi-order 3\n13 split 1e300,0 1,0\n"),
+     "input error: line 2: value at p=13 is not an order-3 root of unity (chi-order 3)\n"),
+]
+
+
+@pytest.mark.parametrize("command, file, err", [c[1:] for c in _OUT_OF_RANGE_INPUTS],
+                         ids=[c[0] for c in _OUT_OF_RANGE_INPUTS])
+def test_inputs_past_the_float_range_are_input_errors(tmp_path, command, file, err):
+    """A value past the float range gives no NaN verdict and no traceback:
+    exit 2 with one stderr line."""
+    if file:
+        path = tmp_path / "input.txt"
+        path.write_text(file[1])
+        command = [*command, file[0], str(path)]
+    out = run_cold(command)
+    assert (out.returncode, out.stdout, out.stderr.decode()) == (2, b"", err)
+
+
+def test_euler_at_a_negative_s_inside_the_float_range_still_prints_its_product():
+    code, out = run_cli(["euler", "--coeffs", "builtin:delta:50", "--X", "10", "--s=-30"])
+    assert code == 0 and "nan" not in out and "inf" not in out
+    assert out.splitlines()[-1].split()[:2] == ["2", "10"]
+
+
 # --- afe and scan on any finite flags, from a cold and a refilled cache ------
 
 # any finite float, and one where the commands compute something

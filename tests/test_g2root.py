@@ -116,6 +116,29 @@ def test_weyl_group_order_and_axioms():
             assert (a * b).matrix in mats
 
 
+def _weyl_group_by_closure():
+    """The group found by breadth-first closure of {rho1, rho6}, each new
+    element a generator times one found the step before."""
+    seen = {IDENTITY: IDENTITY}
+    frontier = [IDENTITY]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in (RHO1, RHO6):
+                cand = g * w
+                if cand not in seen:
+                    seen[cand] = cand
+                    nxt.append(cand)
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda w: (len(w.word), w.word)))
+
+
+def test_weyl_group_lists_what_the_closure_finds():
+    listed, found = weyl_group(), _weyl_group_by_closure()
+    assert [(w.word, w.matrix) for w in listed] == [(w.word, w.matrix) for w in found]
+    assert weyl_group()[-1].word == ("rho6", "rho1") * 3
+
+
 def test_weyl_preserves_gram_and_roots():
     all_roots = set(POSITIVE_ROOTS.values()) | {-b for b in POSITIVE_ROOTS.values()}
     for w in weyl_group():
@@ -144,7 +167,7 @@ def test_inverted_roots_examples():
 
 
 def test_inverted_roots_brute_force_counts_word_length():
-    # BFS from the identity gives shortest words, so |word| is the length
+    # an alternating word of length at most 6 is reduced, so |word| is the length
     for w in weyl_group():
         assert len(inverted_roots(w)) == len(w.word)
 

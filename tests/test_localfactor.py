@@ -107,6 +107,11 @@ def test_sym2_eigenvalues():
     assert abs(e1 - (4.0 + 1.0 + 0.25)) < 1e-14
 
 
+def test_eigenvalues_refuses_an_unknown_tag():
+    with pytest.raises(ValueError, match="unknown representation tag 'sym3'"):
+        eigenvalues("sym3", SatakeClass(2.0 + 0j, 0.5 + 0j, 3))
+
+
 def test_wedge2_is_central_character():
     rng = random.Random(3)
     c = _random_class(rng)

@@ -291,8 +291,80 @@ def test_table_metadata_finder_sees_calls_and_passes_over_the_rest():
 
 def test_only_dirichlet_coeffs_passes_table_metadata():
     """Nothing reads CoefficientTable's rep_tag and source.  No call under
-    src/ fills them in but dirichlet_coeffs passing on what the tests and
-    perfbench give it, so both can go by editing analytic, tests and perfbench."""
-    calls = {path.name: len(_table_metadata_keywords(path.read_text()))
-             for path in (REPO / "src" / "symcube").rglob("*.py")}
-    assert {name: n for name, n in calls.items() if n} == {"analytic.py": 1}
+    src/ or tests/ fills them in but dirichlet_coeffs passing on what perfbench
+    gives it, so both can go by editing analytic, tests and perfbench."""
+    calls = {str(path.relative_to(REPO)): len(_table_metadata_keywords(path.read_text()))
+             for top in ("src", "tests") for path in (REPO / top).rglob("*.py")}
+    assert {name: n for name, n in calls.items() if n} == {"src/symcube/analytic.py": 1}
+
+
+def _record_rule_breaks(source: str):
+    """For each class that derives from Record (directly or through a class
+    of ``source``), the lines that break the rule that a record's fields are
+    the parameters of its ``__init__``: a ``set_field`` outside ``__init__``
+    or naming no parameter of it, an ``__init__`` whose first ``set_field``
+    of each field is not in the parameters' order, and a ``cached_property``."""
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    records, found = {"Record"}, {}
+    for cls in ast.parse(source).body:
+        if not (isinstance(cls, ast.ClassDef) and any(name(b) in records for b in cls.bases)):
+            continue
+        records.add(cls.name)
+        init = next((f for f in cls.body
+                     if isinstance(f, ast.FunctionDef) and f.name == "__init__"), None)
+        params = [a.arg for a in init.args.args[1:] + init.args.kwonlyargs] if init else []
+        inside = {id(node) for node in ast.walk(init)} if init else set()
+        lines, order = found.setdefault(cls.name, []), []
+        for node in sorted((n for n in ast.walk(cls) if hasattr(n, "lineno")),
+                           key=lambda n: (n.lineno, n.col_offset)):
+            if name(node) == "cached_property":
+                lines.append(node.lineno)
+            elif isinstance(node, ast.Call) and name(node.func) == "set_field":
+                field = getattr(node.args[1], "value", None) if len(node.args) > 1 else None
+                if id(node) not in inside or field not in params:
+                    lines.append(node.lineno)
+                elif field not in order:
+                    order.append(field)
+        if init and order != params:
+            lines.append(init.lineno)
+    return {cls: sorted(lines) for cls, lines in found.items()}
+
+
+def test_record_rule_finder_sees_each_break_and_passes_over_the_rest():
+    source = ("class Record: pass\n"
+              "class A(Record):\n"
+              "    def __init__(self, x, y=0):\n"
+              "        set_field(self, 'x', x)\n"
+              "        set_field(self, 'y', y)\n"
+              "        set_field(self, 'x', -x)\n"
+              "    @property\n"
+              "    def z(self): return self.x\n"
+              "class B(A):\n"
+              "    def __init__(self, x, *, y):\n"
+              "        set_field(self, 'y', y)\n"
+              "        set_field(self, 'x', x)\n"
+              "        set_field(self, 'w', 0)\n"
+              "    def bump(self):\n"
+              "        set_field(self, 'x', 1)\n"
+              "    @functools.cached_property\n"
+              "    def z(self): return 0\n"
+              "class C(satake.Record):\n"
+              "    def __init__(self, x, y):\n"
+              "        set_field(self, 'x', x)\n"
+              "class D:\n"
+              "    def __init__(self, y):\n"
+              "        set_field(self, 'x', y)\n")
+    assert _record_rule_breaks(source) == {"A": [], "B": [10, 13, 15, 16], "C": [19]}
+
+
+def test_each_record_sets_its_init_parameters_in_order():
+    """A record's fields are what its __init__ sets (Record reads __dict__),
+    so a set_field anywhere else, or a cached_property, would add a field."""
+    found = {}
+    for path in (REPO / "src" / "symcube").rglob("*.py"):
+        found.update(_record_rule_breaks(path.read_text()))
+    assert found == dict.fromkeys(
+        ["HeckeLocalData", "ParsedForm", "ParsedHeckeData", "PoleVerdict", "PrincipalParams",
+         "ReciprocalPoly", "RootVector", "SatakeClass", "WeylElement"], [])

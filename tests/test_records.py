@@ -1,8 +1,9 @@
-"""The nine record classes outside `analytic` behave as the dataclasses they
-replace: constructor, defaults, equality, hashing, immutability, repr,
+"""The nine record classes outside `analytic` behave as the frozen dataclasses
+they replace: constructor, defaults, equality, hashing, immutability, repr,
 copying, pickling and every refusal of a bad field."""
 
 import copy
+import inspect
 import math
 import pickle
 from fractions import Fraction
@@ -47,7 +48,8 @@ RECORDS = [
      "ParsedHeckeData(entries=[HeckeLocalData(p=5, splitting='inert', chi_p=-1, "
      "chi_pbar=None)], chi_order=3, field_disc=-23)"),
 ]
-_MUTABLE = (ParsedForm, ParsedHeckeData)
+# a dict or a list among their fields makes these two unhashable
+_UNHASHABLE = (ParsedForm, ParsedHeckeData)
 
 parametrize_records = pytest.mark.parametrize(
     "cls, names, defaults, values, other, text", RECORDS,
@@ -82,7 +84,7 @@ def test_equality_is_over_the_fields_of_the_same_class(cls, names, defaults, val
 def test_frozen_records_hash_their_fields_and_mutable_ones_refuse(cls, names, defaults,
                                                                    values, other, text):
     value = cls(*values)
-    if cls in _MUTABLE:
+    if cls in _UNHASHABLE:
         with pytest.raises(TypeError):
             hash(value)
     elif cls is WeylElement:
@@ -94,10 +96,6 @@ def test_frozen_records_hash_their_fields_and_mutable_ones_refuse(cls, names, de
 @parametrize_records
 def test_frozen_records_refuse_assignment(cls, names, defaults, values, other, text):
     value = cls(*values)
-    if cls in _MUTABLE:
-        setattr(value, names[-1], other[-1])
-        assert value == cls(*values[:-1], other[-1])
-        return
     for name in names:
         with pytest.raises(AttributeError):
             setattr(value, name, other[names.index(name)])
@@ -106,6 +104,13 @@ def test_frozen_records_refuse_assignment(cls, names, defaults, values, other, t
     with pytest.raises(AttributeError):
         value.extra = 1
     assert value == cls(*values)
+
+
+@parametrize_records
+def test_fields_are_the_init_parameters_in_order(cls, names, defaults, values, other, text):
+    assert list(inspect.signature(cls).parameters) == list(names)
+    assert list(vars(cls(*values))) == list(names)
+    assert list(vars(cls(*other))) == list(names)
 
 
 @parametrize_records
@@ -118,10 +123,11 @@ def test_copy_and_pickle_give_an_equal_value(cls, names, defaults, values, other
     value = cls(*values)
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is cls and twin == value and repr(twin) == text
-        if cls not in _MUTABLE:
+        assert list(vars(twin)) == list(names)
+        if cls not in _UNHASHABLE:
             assert hash(twin) == hash(value)
-            with pytest.raises(AttributeError):
-                setattr(twin, names[0], other[0])
+        with pytest.raises(AttributeError):
+            setattr(twin, names[0], other[0])
 
 
 _NAN = float("nan")
@@ -161,5 +167,6 @@ def test_a_mixed_split_pair_is_demoted_to_complex():
     assert type(d.chi_p) is complex and type(d.chi_pbar) is complex
     assert d.chi_pbar == 1j and math.isclose(d.chi_p.real, -0.5)
     assert d == HeckeLocalData(7, "split", complex(_ZETA3), 1j)
+    assert list(vars(d)) == ["p", "splitting", "chi_p", "chi_pbar"]
     exact = HeckeLocalData(7, "split", _ZETA3, _ZETA3)
     assert type(exact.chi_p) is Cyclo and type(exact.chi_pbar) is Cyclo

@@ -42,6 +42,17 @@ def test_satake_from_hecke_refuses_bad_p_and_omega():
         satake_from_hecke(1, 5, 12, 1.5)
 
 
+@pytest.mark.parametrize("a_p, message", [
+    (10 ** 400, "a_2 is beyond the float range"),
+    (1.5e300, "a_2 is too large: its Satake parameters leave the float range"),
+    (complex(1e308, 1e308), "a_2 is too large: its Satake parameters leave the float range"),
+])
+def test_satake_from_hecke_refuses_an_a_p_past_the_float_range(a_p, message):
+    with pytest.raises(ValueError) as exc:
+        satake_from_hecke(a_p, 2, 12)
+    assert str(exc.value) == message
+
+
 def test_same_class_needs_the_same_q():
     assert SatakeClass(1j, -1j, 5).same_class(SatakeClass(-1j, 1j, 5))
     assert not SatakeClass(1j, -1j, 5).same_class(SatakeClass(1j, -1j, 7))
