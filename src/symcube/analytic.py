@@ -7,18 +7,18 @@ The completed-value machinery evaluates
     V_s(y) = (1/2 pi i) int_(c) gamma(s+u) y^{-u} du / u,
 
 with gamma the product of Gamma_C factors (times conductor^{s/2}).  The
-contour-shift identity gives  Lambda(s) = F(s) + eps * (reflected sum whose
-terms carry weights V(nX)),  and the reflection-suppression scale X shrinks
-the reflected term, so F(s) approximates the completed value throughout the
-critical strip without knowing the root number.  It is not negligible: at
-the default X = 16 the dropped term is about 1e-7 of Lambda on the sym3 of
-Delta (the probe reads Im eps = 2.39e-7, -8.74e-7 and 7.34e-7 at
-0.5 + 0.5i, 0.5 + i and 0.5 + 2i, where eps = -1 exactly), and X = 32 brings
-it to about 1e-11.  The fix is the two-sided sum with a solved root number
-(ROADMAP.md).  The root-number probe reads eps off as
-Lambda(s)/Lambda(1-s); a wrong gamma configuration destroys the constancy of
-that ratio, which is the negative control validating the shipped
-configuration.
+contour-shift identity gives  Lambda(s) = F_X(s) + eps G_X(s),  where the
+reflected sum G_X is F at 1 - s with X replaced by 1/X (weights V(nX)).
+afe_values returns F_X alone: the reflection-suppression scale X shrinks
+G_X, so F_X approximates the completed value throughout the critical strip
+without knowing the root number.  The dropped term is not negligible: at
+the default X = 16 it is about 1e-7 of Lambda on the sym3 of Delta, and
+X = 32 brings it to about 1e-11; pole_scan reads Lambda this way (the
+two-sided scan is in ROADMAP.md).  The root-number probe instead solves
+the identity at X = 1/2 and X = 2 for eps, from sums of 64 terms, and reads
+eps = -1 on the sym3 of Delta to about 3e-13; a wrong gamma configuration
+destroys the constancy of the solved eps and |eps| = 1, which is the
+negative control validating the shipped configuration.
 
 V_s is a trapezoid sum over nodes u_k in arithmetic progression on the line
 Re(u) = 2.5.  So y^{-u_k} factors into a giant step times a baby step, and
@@ -493,33 +493,44 @@ class EpsilonReport:
 
 def epsilon_probe(points: Sequence[complex], cfg: AFEConfig,
                   coeffs: CoefficientTable) -> EpsilonReport:
-    """Estimate the root number as Lambda(s)/Lambda(1-s) at each point.
+    """Solve Lambda(s) = F_X(s) + eps G_X(s) for the root number at each point.
 
-    Constancy across points and |eps| = 1 validate the gamma configuration;
-    points where Lambda(1-s) sits below the noise floor are skipped.  The
-    point s = 1/2, where 1 - s = s and the ratio is 1 for any data, is
-    refused with ValueError, and so is one point on Re(s) = 1/2, repeated or
-    not, where |eps| = 1 for any real series whatever the gamma configuration.
+    F_X is the smoothed sum at s with x_scale X and G_X the reflected one,
+    the smoothed sum at 1 - s with x_scale 1/X; the two scales X = 1/2 and 2
+    give eps = (F_{1/2} - F_2) / (G_2 - G_{1/2}).  Every sum takes its derived
+    length, whatever cfg.cutoff and cfg.x_scale say.  Constancy across
+    points and |eps| = 1 validate the gamma configuration; points where the
+    denominator sits below the noise floor are skipped.  The point s = 1/2,
+    where 1 - s = s and eps = 1 for any data, is refused with ValueError, and
+    so is one point on Re(s) = 1/2, repeated or not: there G_X(s) is the
+    conjugate of F_{1/X}(s), so |eps| = 1 for any real series whatever the
+    gamma configuration.
     """
     if not cfg.self_dual:
         raise ValueError("root-number probe requires self-dual data")
     points = [complex(s) for s in points]
     if 0.5 in points:
-        raise ValueError("s = 0.5 is its own reflection 1 - s, where "
-                         "Lambda(s)/Lambda(1-s) is 1 for any data")
-    values = afe_values([z for s in points for z in (s, 1 - s)], cfg, coeffs)
+        raise ValueError("s = 0.5 is its own reflection 1 - s, where the "
+                         "solved root number is 1 for any data")
+    # X = 1/2 and 2: at 1 - s the call at x_scale X gives G_{1/X}, so two
+    # x_scale keys, whose blocks and the scan's two fit the four _afe_block keeps
+    n = len(points)
+    both = points + [1 - s for s in points]
+    sums = [afe_values(both, replace(cfg, cutoff=0, x_scale=x), coeffs) for x in (0.5, 2.0)]
     # after the sums, which report a point outside their support first
     if len(set(points)) < 2 and all(s.real == 0.5 for s in points):
-        raise ValueError("one point on Re(s) = 1/2 checks nothing: there |Lambda(s)/"
-                         "Lambda(1-s)| = 1 for any real series; add a second point")
+        raise ValueError("one point on Re(s) = 1/2 checks nothing: there the solved "
+                         "|eps| = 1 for any real series; add a second point")
     gammas = np.abs(gamma_completed(points, cfg)).tolist()
     used, estimates, skipped = [], [], []
-    for s, num, den, gamma in zip(points, values[0::2], values[1::2], gammas):
+    for i, (s, gamma) in enumerate(zip(points, gammas)):
+        (f_half, g_two), (f_two, g_half) = ((v[i], v[n + i]) for v in sums)
+        den = g_two - g_half
         if abs(den) < 1e-13 * gamma:
             skipped.append(s)
             continue
         used.append(s)
-        estimates.append(num / den)
+        estimates.append((f_half - f_two) / den)
     if not estimates:
         return EpsilonReport([], [], math.inf, math.inf, skipped)
     dev = max((abs(a - b) for a in estimates for b in estimates), default=0.0)

@@ -6,7 +6,9 @@ Satake classes are built.  A built-in q-expansion of the weight-12 level-1
 cusp form (eta^24) supplies test data without external downloads; its two
 exact polynomial squarings pack coefficients into base-10^w slots of a
 stdlib decimal.Decimal, which libmpdec multiplies by number-theoretic
-transform, with w chosen so that no slot carries.
+transform, with w chosen so that no slot carries.  eta^12 stays in the
+digit slots of the first squaring, zero-padded to the second's width, and
+is never parsed to ints.
 """
 
 from __future__ import annotations
@@ -171,13 +173,25 @@ def _parse_char_value(token: str, line: int):
     raise HeckeParseError(line, f"character value {token!r} is neither k/n nor re,im")
 
 
+def _kronecker(d: int, p: int) -> int:
+    """The Kronecker symbol (d/p) at a prime p: 0 when p divides d, else +-1."""
+    if d % p == 0:
+        return 0
+    if p == 2:
+        return 1 if d % 8 in (1, 7) else -1
+    return 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+
+
 def parse_hecke(path: str) -> ParsedHeckeData:
     """Read quadratic-field Hecke character data.
 
     Grammar: header ``field-disc D chi-order n`` (n may be ``unknown``), then
     lines ``p split v v`` or ``p inert v`` where v is ``k/n`` or ``re,im``.
+    An entry's type must be that of p in Q(sqrt(D)): split where the
+    Kronecker symbol (D/p) is 1, inert where it is -1; a p dividing D
+    ramifies and is refused.
     """
-    from .monomial import HeckeLocalData
+    from .monomial import SPLIT, HeckeLocalData
 
     first, body = _headed_lines(path, HeckeParseError, "field-disc D chi-order n")
     head = first.split()
@@ -211,6 +225,11 @@ def parse_hecke(path: str) -> ParsedHeckeData:
             entry = HeckeLocalData(p, bits[1], *values)
         except ValueError as exc:       # a fault of the entry itself: HeckeLocalData names it
             raise HeckeParseError(i, str(exc)) from None
+        symbol = _kronecker(disc, p)
+        if symbol != (1 if entry.splitting == SPLIT else -1):
+            kind = ("ramifies", "splits", "is inert")[symbol]
+            raise HeckeParseError(i, f"p={p} {kind} in Q(sqrt({disc})), where ({disc}/{p}) = "
+                                     f"{symbol}; the entry says {entry.splitting}")
         for v in (entry.chi_p, entry.chi_pbar):
             # a finite-order character takes its values on the unit circle, so
             # a re,im value off it by more than 1e-9 (or NaN) is refused before
@@ -283,46 +302,43 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                          Emin=decimal.MIN_EMIN)
 
 
-def _square_packed(coeffs: List[int], nkeep: int) -> List[int]:
-    """The first nkeep coefficients of the square of an integer polynomial.
+def _square_slots(packed: str, offset: str, w: int, nkeep: int) -> str:
+    """The low nkeep w-digit slots of the square of an integer polynomial,
+    each raised by half = 10^w / 2, as one decimal string, slot 0 last.
 
-    Kronecker substitution at 10^w: coefficient i fills the w-digit slot i of
-    one decimal string, and libmpdec squares the resulting Decimal with its
-    number-theoretic transform.  A coefficient of the square is a sum of at
-    most n = len(coeffs) products, so it is at most n m^2 in size, m the
-    largest |coefficient|; w is the least width with 2 n m^2 < 10^w, which
-    keeps it below half = 10^w / 2.  With half added to each of the low nkeep
-    slots every one of them lies in (0, 10^w), so none borrows from or carries
-    into its neighbour and the low nkeep * w digits read off directly.
+    Kronecker substitution at 10^w: coefficient i is slot i (from the right)
+    of the digit string packed less that of offset, both of w-digit slots,
+    and libmpdec squares the resulting Decimal with its number-theoretic
+    transform.  A coefficient of the square is a sum of at most n products,
+    n the number of slots, so it is at most n m^2 in size, m the largest
+    |coefficient|; the caller picks w with 2 n m^2 < 10^w, which keeps it
+    below half.  With half added to each of the low nkeep slots every one of
+    them lies in (0, 10^w), so none borrows from or carries into its
+    neighbour and the low nkeep * w digits read off directly.
 
-    The slots hold c + m in [0, 2m], and the offset m in every slot comes
-    off as a second Decimal.  No large int passes through str() or
-    Decimal(): Decimal(int) is quadratic in the digits, and str(int) raises
-    past sys.get_int_max_str_digits().
+    No large int passes through str() or Decimal(): Decimal(int) is
+    quadratic in the digits, and str(int) raises past
+    sys.get_int_max_str_digits().
     """
-    n = len(coeffs)
-    m = max(map(abs, coeffs)) or 1
-    w = len(str(2 * n * m * m))
-    half = 10 ** w // 2
-    packed = "".join([str(c + m).zfill(w) for c in reversed(coeffs)])
     with decimal.localcontext(_EXACT):
-        x = decimal.Decimal(packed) - decimal.Decimal(str(m).zfill(w) * n)
-        del packed   # freed before the product is allocated
-        digits = str(x * x + decimal.Decimal(str(half) * nkeep))
-    # the offset has nkeep * w digits, so digits is at least that long
-    end = len(digits)
-    out = [int(digits[j:j + w]) - half for j in range(end - nkeep * w, end, w)]
-    out.reverse()
-    return out
+        x = decimal.Decimal(packed) - decimal.Decimal(offset)
+        x = x * x + decimal.Decimal(str(10 ** w // 2) * nkeep)
+    digits = str(x)
+    del x
+    # the raise has nkeep * w digits, so digits is at least that long
+    return digits[len(digits) - nkeep * w:]
 
 
 def eta24_qexpansion(n_max: int) -> List[int]:
     """Coefficients a(0..n_max) of q prod_k (1-q^k)^24, exactly.
 
     The cube of the Euler product is the sparse series
-    sum_k (-1)^k (2k+1) q^{k(k+1)/2} (Jacobi); its square is summed term by
-    term, and the 12th and 24th powers come from two _square_packed calls
-    (decimal Kronecker squarings, slot width from the coefficient bound).
+    sum_k (-1)^k (2k+1) q^{k(k+1)/2} (Jacobi); its square is summed over
+    each unordered pair of terms once, and the 12th and 24th powers come
+    from two _square_slots calls.  The 12th power stays in the digit slots
+    of the first: the slot strings have one width, so their max and min as
+    strings are those as numbers and give its largest |coefficient| m; each
+    slot is zero-padded to the width 2 n m^2 needs, keeping its offset.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -333,15 +349,30 @@ def eta24_qexpansion(n_max: int) -> List[int]:
         cube.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
         k += 1
     sixth = [0] * n
-    for e1, c1 in cube:
-        for e2, c2 in cube:
+    for i, (e1, c1) in enumerate(cube):
+        if 2 * e1 >= n:
+            break
+        sixth[2 * e1] += c1 * c1
+        c1 *= 2
+        for e2, c2 in cube[i + 1:]:
             e = e1 + e2
             if e >= n:
                 break
             sixth[e] += c1 * c2
-    twelfth = _square_packed(sixth, n)
-    full = _square_packed(twelfth, n)
-    return [0] + full[:n_max]
+    m = max(map(abs, sixth))   # sixth[0] = 1
+    w1 = len(str(2 * n * m * m))
+    twelfth = _square_slots("".join([str(c + m).zfill(w1) for c in reversed(sixth)]),
+                            str(m).zfill(w1) * n, w1, n)
+    slots = [twelfth[j:j + w1] for j in range(0, n * w1, w1)]
+    half1 = 10 ** w1 // 2
+    m = max(int(max(slots)) - half1, half1 - int(min(slots)))
+    w2 = max(w1, len(str(2 * n * m * m)))
+    pad = "0" * (w2 - w1)
+    packed = pad + pad.join(slots)
+    del twelfth, slots   # freed before the second product is allocated
+    full = _square_slots(packed, (pad + str(half1)) * n, w2, n)
+    half2 = 10 ** w2 // 2
+    return [0] + [int(full[j - w2:j]) - half2 for j in range(n * w2, 0, -w2)]
 
 
 def delta_form(n_max: int) -> ParsedForm:

@@ -422,29 +422,53 @@ def test_afe_results_equal_from_a_cold_a_warm_and_an_evicted_cache(delta_sym3_co
     for call in _afe_calls(cfg, delta_sym3_coeffs_8k):
         _afe_block.cache_clear()
         cold.append(call())
+    _afe_results(cfg, delta_sym3_coeffs_8k)
     info = _afe_block.cache_info()
     assert _afe_results(cfg, delta_sym3_coeffs_8k) == cold
-    # 4000 rows are two blocks, and each of the three calls finds both
+    # the probe's two 64-row blocks (x_scale 1/2 and 2) and the two blocks of
+    # 4000 rows fill the four the cache keeps, and each call finds its two
     assert _afe_block.cache_info().hits == info.hits + 6
     assert _afe_block.cache_info().misses == info.misses
     afe_values([3.0], delta_sym3_config(cutoff=LONG_ROWS), _unit_table(LONG_ROWS))
     info = _afe_block.cache_info()
     assert _afe_results(cfg, delta_sym3_coeffs_8k) == cold
-    assert _afe_block.cache_info().misses == info.misses + 2
+    assert _afe_block.cache_info().misses == info.misses + 4
+
+
+def test_a_second_probe_and_scan_round_draws_no_new_block(delta_sym3_coeffs_8k):
+    # the probe's two x_scale keys and the scan's two blocks of 4000 rows fit
+    # the four blocks the cache keeps; a third probe key would evict the scan's
+    cfg = delta_sym3_config()
+
+    def probe_and_scan():
+        return (epsilon_probe(PROBE_POINTS, cfg, delta_sym3_coeffs_8k),
+                pole_scan((0.55, 0.95), 9, cfg, delta_sym3_coeffs_8k))
+
+    first = probe_and_scan()
+    misses = _afe_block.cache_info().misses
+    assert probe_and_scan() == first
+    assert _afe_block.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("change", [{"x_scale": 20.0}, {"cutoff": 3000}])
 def test_afe_cache_keys_blocks_on_cutoff_and_x_scale(delta_sym3_coeffs_8k, change):
+    # the scan and afe_values follow both keys; the probe's sums read neither
     cfg = dataclasses.replace(delta_sym3_config(), **change)
+    calls = _afe_calls(cfg, delta_sym3_coeffs_8k)[1:]
     _afe_block.cache_clear()
-    fresh = _afe_results(cfg, delta_sym3_coeffs_8k)
+    fresh = [call() for call in calls]
     info = _afe_block.cache_info()
-    _afe_results(delta_sym3_config(), delta_sym3_coeffs_8k)
+    for call in _afe_calls(delta_sym3_config(), delta_sym3_coeffs_8k)[1:]:
+        call()
     # a new x_scale builds both blocks of 4000 rows; a new cutoff its last one
     assert _afe_block.cache_info().misses == info.misses + (2 if "x_scale" in change else 1)
     # both tables fit in the four blocks the cache keeps
     info = _afe_block.cache_info()
-    assert _afe_results(cfg, delta_sym3_coeffs_8k) == fresh
+    assert [call() for call in calls] == fresh
+    assert _afe_block.cache_info().misses == info.misses
+    probe = epsilon_probe(PROBE_POINTS, cfg, delta_sym3_coeffs_8k)
+    info = _afe_block.cache_info()
+    assert epsilon_probe(PROBE_POINTS, delta_sym3_config(), delta_sym3_coeffs_8k) == probe
     assert _afe_block.cache_info().misses == info.misses
 
 
@@ -626,17 +650,18 @@ def test_epsilon_probe_center_is_real(delta_sym3_coeffs_8k):
 
 
 def test_epsilon_probe_stable_under_cutoff_doubling(delta_sym3_coeffs_8k):
+    # the probe sizes its own sums, so cfg.cutoff does not reach it
     points = [0.5 + 0.5j, 0.5 + 1j]
     small = epsilon_probe(points, delta_sym3_config(cutoff=2000),
                           delta_sym3_coeffs_8k)
     big = epsilon_probe(points, delta_sym3_config(cutoff=4000),
                         delta_sym3_coeffs_8k)
-    for a, b in zip(small.estimates, big.estimates):
-        assert abs(a - b) < 1e-3
+    assert small.estimates == big.estimates and len(small.estimates) == 2
 
 
 def test_epsilon_probe_refuses_the_point_that_is_its_own_reflection(delta_sym3_coeffs_8k):
-    # at s = 1/2 the probe would divide Lambda(1/2) by itself and read eps = 1
+    # at s = 1/2, 1 - s = s and the scales are reciprocal, so G_X = F_{1/X} and
+    # the solve divides F_{1/2} - F_2 by itself: eps = 1 for any data
     with pytest.raises(ValueError, match="own reflection"):
         epsilon_probe([0.5 + 1j, 0.5], delta_sym3_config(), delta_sym3_coeffs_8k)
     afe_value(0.5, delta_sym3_config(), delta_sym3_coeffs_8k)   # the value itself is fine
@@ -644,8 +669,10 @@ def test_epsilon_probe_refuses_the_point_that_is_its_own_reflection(delta_sym3_c
 
 @pytest.mark.parametrize("points", [[0.5 + 1j], [0.5 - 2j, 0.5 - 2j], []])
 def test_epsilon_probe_refuses_one_point_on_the_critical_line(delta_sym3_coeffs_8k, points):
-    # there Lambda(1-s) is the conjugate of Lambda(s), so a wrong gamma
-    # shift still reads |eps| = 1 with no second estimate to disagree with
+    # there 1 - s is the conjugate of s and the scales are reciprocal, so
+    # G_X(s) is the conjugate of F_{1/X}(s) and the solved eps is a quotient
+    # of conjugates: a wrong gamma shift still reads |eps| = 1, with no
+    # second estimate to disagree with
     wrong = AFEConfig(gamma_shifts=(6.5, 16.5), cutoff=4000)
     for cfg in (delta_sym3_config(), wrong):
         with pytest.raises(ValueError, match="checks nothing"):
@@ -660,6 +687,20 @@ def test_epsilon_probe_runs_off_the_line_or_on_two_points(delta_sym3_coeffs_8k):
         bad = epsilon_probe(points, wrong, delta_sym3_coeffs_8k)
         assert max(good.max_pairwise_deviation, good.modulus_deviation) < 1e-5
         assert max(bad.max_pairwise_deviation, bad.modulus_deviation) > 1e-2
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_solved_root_number_tells_each_shift_moved_by_one(delta_sym3_coeffs_8k, index):
+    # measured spreads: 1.20 with the first shift moved and 0.78 with the second
+    shifts = [5.5, 16.5]
+    shifts[index] += 1
+    moved = AFEConfig(gamma_shifts=tuple(shifts))
+    assert epsilon_probe(PROBE_POINTS, moved, delta_sym3_coeffs_8k).max_pairwise_deviation > 0.1
+    # (6.5, 16.5) off the line or at two points on it: 0.2 (|eps| - 1), 0.61 and 2.0
+    wrong = AFEConfig(gamma_shifts=(6.5, 16.5))
+    for points in ([0.6], [0.5 + 1j, 0.5 + 2j], [0.5 + 1j, 0.5 - 1j]):
+        bad = epsilon_probe(points, wrong, delta_sym3_coeffs_8k)
+        assert max(bad.max_pairwise_deviation, bad.modulus_deviation) > 0.1
 
 
 def test_epsilon_probe_requires_self_dual(delta_sym3_coeffs_8k):

@@ -70,10 +70,18 @@ def _int_square_packed(coeffs, nkeep):
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 1000, 8192])
-def test_eta24_matches_the_int_kronecker_reference(n_max, monkeypatch):
-    got = eta24_qexpansion(n_max)
-    monkeypatch.setattr(ingest, "_square_packed", _int_square_packed)
-    assert eta24_qexpansion(n_max) == got
+def test_eta24_matches_the_int_kronecker_reference(n_max):
+    # eta^6 as the square of Jacobi's cube over every ordered pair of terms,
+    # then eta^12 and eta^24 by two int squarings
+    cube = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1)) for k in range(n_max)
+            if k * (k + 1) // 2 < n_max]
+    sixth = [0] * n_max
+    for e1, c1 in cube:
+        for e2, c2 in cube:
+            if e1 + e2 < n_max:
+                sixth[e1 + e2] += c1 * c2
+    want = _int_square_packed(_int_square_packed(sixth, n_max), n_max)
+    assert eta24_qexpansion(n_max) == [0] + want
 
 
 def test_eta24_pinned_at_100000_terms():
@@ -93,17 +101,29 @@ coefficient_lists = st.one_of(
 
 
 @settings(deadline=None)
-@given(coefficient_lists, st.integers(1, 90))
-@example([0] * 7, 5)
-@example([-_BIG], 1)
-@example([_BIG], 3)
-@example([-_BIG] * 40, 79)
-def test_square_packed_is_the_truncated_schoolbook_square(coeffs, nkeep):
+@given(coefficient_lists, st.integers(1, 90), st.integers(0, 3), st.booleans())
+@example([0] * 7, 5, 0, False)
+@example([-_BIG], 1, 0, False)
+@example([_BIG], 3, 0, False)
+@example([-_BIG] * 40, 79, 0, False)
+@example([-_BIG] * 40, 79, 2, True)
+def test_square_slots_is_the_truncated_schoolbook_square(coeffs, nkeep, extra, half_offset):
     square = [0] * (nkeep + 2 * len(coeffs))
     for i, a in enumerate(coeffs):
         for j, b in enumerate(coeffs):
             square[i + j] += a * b
-    assert ingest._square_packed(coeffs, nkeep) == square[:nkeep]
+    # slots of the least width w with 2 n m^2 < 10^w, offset by m; or, as
+    # eta24_qexpansion's second squaring has them, offset by 10^w / 2 and
+    # zero-padded by extra digits
+    n, m = len(coeffs), max(map(abs, coeffs)) or 1
+    w = len(str(2 * n * m * m))
+    offset = 10 ** w // 2 if half_offset else m
+    w += extra
+    packed = "".join(str(c + offset).zfill(w) for c in reversed(coeffs))
+    digits = ingest._square_slots(packed, str(offset).zfill(w) * n, w, nkeep)
+    assert len(digits) == nkeep * w
+    half = 10 ** w // 2
+    assert [int(digits[j - w:j]) - half for j in range(nkeep * w, 0, -w)] == square[:nkeep]
 
 
 def _form_text(form):
@@ -230,16 +250,16 @@ def test_parse_form_decimal_coefficients(tmp_path):
 def test_parse_hecke_shorthand(tmp_path):
     path = tmp_path / "hecke.txt"
     path.write_text("field-disc -23 chi-order 3\n"
-                    "7 split 1/3 2/3\n"
+                    "2 split 1/3 2/3\n"
                     "11 inert 0/1\n"
                     "13 split -0.5,0.8660254037844386 -0.5,-0.8660254037844386\n")
     data = parse_hecke(str(path))
     assert data.chi_order == 3 and data.field_disc == -23
     assert len(data.entries) == 3
-    e7 = data.entries[0]
-    assert e7.splitting == SPLIT
-    assert e7.chi_p == Cyclo.root_of_unity(1, 3)
-    assert e7.chi_pbar == Cyclo.root_of_unity(2, 3)
+    e2 = data.entries[0]
+    assert e2.splitting == SPLIT
+    assert e2.chi_p == Cyclo.root_of_unity(1, 3)
+    assert e2.chi_pbar == Cyclo.root_of_unity(2, 3)
     e11 = data.entries[1]
     assert e11.splitting == INERT and e11.chi_p == Cyclo.one()
     assert isinstance(data.entries[2].chi_p, complex)
@@ -247,7 +267,7 @@ def test_parse_hecke_shorthand(tmp_path):
 
 def test_parse_hecke_errors(tmp_path):
     path = tmp_path / "h.txt"
-    path.write_text("field-disc -23 chi-order 3\n7 split 1/3\n")
+    path.write_text("field-disc -23 chi-order 3\n13 split 1/3\n")
     with pytest.raises(HeckeParseError) as err:
         parse_hecke(str(path))
     assert err.value.line == 2
@@ -276,10 +296,10 @@ _HECKE_HEAD = "field-disc -23 chi-order unknown\n"
     (parse_form, _FORM_HEAD + "1 1\n2\n", 3, "expected 'n a_n', got '2'"),
     (parse_hecke, "", 1, "empty file"),
     (parse_hecke, "field-disc x chi-order 3\n", 1, "field-disc must be an integer"),
-    (parse_hecke, _HECKE_HEAD + "2 inert 1/2\n7 inert 1,x\n", 3, "bad re,im value '1,x'"),
+    (parse_hecke, _HECKE_HEAD + "5 inert 1/2\n7 inert 1,x\n", 3, "bad re,im value '1,x'"),
     (parse_hecke, _HECKE_HEAD + "7 inert 1\n", 2, "'1' is neither k/n nor re,im"),
     (parse_hecke, _HECKE_HEAD + "x split 1/3 2/3\n", 2, "bad prime 'x'"),
-    (parse_hecke, _HECKE_HEAD + "7 split\n", 2, "expected 'p split v v' or 'p inert v'"),
+    (parse_hecke, _HECKE_HEAD + "13 split\n", 2, "expected 'p split v v' or 'p inert v'"),
     # the values are read before the entry's shape is checked
     (parse_hecke, _HECKE_HEAD + "7 ramified 1\n", 2, "'1' is neither k/n nor re,im"),
     (parse_hecke, _HECKE_HEAD + "7 ramified 1/2\n", 2, "splitting must be split or inert"),
@@ -295,9 +315,9 @@ def test_parse_refusals_name_their_line(tmp_path, parse, text, line, message):
 
 
 @pytest.mark.parametrize("order, entries, line", [
-    ("3", "2 split 1/3 2/3\n3 inert 1/7\n", 3),
+    ("3", "2 split 1/3 2/3\n5 inert 1/7\n", 3),
     ("3", "13 split 0.5,0.8660254037844386 0.5,-0.8660254037844386\n", 2),
-    ("3", "7 split 1/3 -0.5,0.8660254\n", 2),
+    ("3", "13 split 1/3 -0.5,0.8660254\n", 2),
     ("1", "5 inert 1/2\n", 2),
 ])
 def test_parse_hecke_refuses_values_outside_the_chi_order(tmp_path, order, entries, line):
@@ -310,10 +330,36 @@ def test_parse_hecke_refuses_values_outside_the_chi_order(tmp_path, order, entri
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("entries, line, message", [
+    ("5 split 1/3 2/3\n23 inert 1/3\n", 2,
+     "p=5 is inert in Q(sqrt(-23)), where (-23/5) = -1; the entry says split"),
+    ("2 split 1/3 2/3\n23 inert 1/3\n", 3,
+     "p=23 ramifies in Q(sqrt(-23)), where (-23/23) = 0; the entry says inert"),
+    ("2 split 1/3 2/3\n3 inert 1/3\n", 3,
+     "p=3 splits in Q(sqrt(-23)), where (-23/3) = 1; the entry says inert"),
+])
+def test_parse_hecke_refuses_an_entry_of_the_wrong_type(tmp_path, entries, line, message):
+    path = tmp_path / "h.txt"
+    path.write_text(f"field-disc -23 chi-order 3\n{entries}")
+    with pytest.raises(HeckeParseError) as err:
+        parse_hecke(str(path))
+    assert err.value.line == line and str(err.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("disc", [-23, -47, -4, -3, -7, -8, 5, 8, 12, 13, 21, -84])
+def test_kronecker_symbol_is_the_splitting_of_the_ring_of_integers(disc):
+    # Dedekind: p splits, stays inert or ramifies in Q(sqrt(D)) as the minimal
+    # polynomial of a generator of the integers has 2, 0 or 1 roots mod p
+    b, c = (1, (1 - disc) // 4) if disc % 4 == 1 else (0, -disc // 4)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        roots = sum((x * x - b * x + c) % p == 0 for x in range(p))
+        assert ingest._kronecker(disc, p) == {2: 1, 0: -1, 1: 0}[roots]
+
+
 @pytest.mark.parametrize("order", ["6", "unknown"])
 def test_parse_hecke_takes_values_whose_order_divides_the_chi_order(tmp_path, order):
     path = tmp_path / "h.txt"
-    path.write_text(f"field-disc -23 chi-order {order}\n2 split 1/3 2/3\n3 inert 1/2\n"
+    path.write_text(f"field-disc -23 chi-order {order}\n2 split 1/3 2/3\n5 inert 1/2\n"
                     "13 split 0.5,0.8660254037844386 0.5,-0.8660254037844386\n")
     assert len(parse_hecke(str(path)).entries) == 3
 
@@ -321,7 +367,7 @@ def test_parse_hecke_takes_values_whose_order_divides_the_chi_order(tmp_path, or
 def test_parse_hecke_mixed_entry_demotes_to_float(tmp_path):
     path = tmp_path / "mix.txt"
     path.write_text("field-disc -23 chi-order 3\n"
-                    "7 split 1/3 -0.5,-0.8660254037844386\n")
+                    "13 split 1/3 -0.5,-0.8660254037844386\n")
     data = parse_hecke(str(path))
     e = data.entries[0]
     assert isinstance(e.chi_p, complex) and isinstance(e.chi_pbar, complex)
