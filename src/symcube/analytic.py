@@ -400,6 +400,11 @@ def _afe_block(start: int, stop: int, x_scale: float) -> Tuple[np.ndarray, np.nd
     return block
 
 
+# a derived sum length whose tail is not yet negligible is redone once at
+# this many times its length
+_RETRY = 2
+
+
 class CutoffTooSmall(ValueError):
     def __init__(self, needed: int, given: int):
         self.needed, self.given = needed, given
@@ -449,7 +454,7 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
     cutoffs = []
     for s in points:
         _check_point(s)
-        cutoff = cfg.cutoff or default_cutoff(s, cfg)
+        cutoff = afe_rows([s], cfg)
         if coeffs.n_max < cutoff:
             raise CutoffTooSmall(cutoff, coeffs.n_max)
         cutoffs.append(cutoff)
@@ -469,12 +474,17 @@ def afe_values(points: Sequence[complex], cfg: AFEConfig,
                              f"shifts or the conductor are past the float range")
         tail = float(np.sum(np.abs(terms[-16:])))
         if tail > 1e-9 * max(abs(total), scale):
-            if cfg.cutoff or coeffs.n_max < 2 * cutoff:
-                raise CutoffTooSmall(cutoff * 2, cutoff)
-            # a derived length is redone once at twice its length
-            total = afe_value(s, replace(cfg, cutoff=2 * cutoff), coeffs)
+            if cfg.cutoff or coeffs.n_max < _RETRY * cutoff:
+                raise CutoffTooSmall(_RETRY * cutoff, cutoff)
+            total = afe_value(s, replace(cfg, cutoff=_RETRY * cutoff), coeffs)
         values.append(total)
     return values
+
+
+def afe_rows(points: Sequence[complex], cfg: AFEConfig) -> int:
+    """The coefficient rows afe_values reads at the points, before a retry:
+    cfg.cutoff, or else the longest derived length."""
+    return cfg.cutoff or max(default_cutoff(s, cfg) for s in points)
 
 
 def afe_value(s: complex, cfg: AFEConfig, coeffs: CoefficientTable) -> complex:
@@ -489,6 +499,12 @@ class EpsilonReport:
     max_pairwise_deviation: float
     modulus_deviation: float
     skipped: List[complex] = field(default_factory=list)
+
+
+# epsilon_probe's scales X = 1/2 and 2: at 1 - s the sum at x_scale X gives
+# G_{1/X}, so two x_scale keys, whose blocks and the scan's two fit the four
+# _afe_block keeps
+_PROBE_SCALES = (0.5, 2.0)
 
 
 def epsilon_probe(points: Sequence[complex], cfg: AFEConfig,
@@ -512,11 +528,9 @@ def epsilon_probe(points: Sequence[complex], cfg: AFEConfig,
     if 0.5 in points:
         raise ValueError("s = 0.5 is its own reflection 1 - s, where the "
                          "solved root number is 1 for any data")
-    # X = 1/2 and 2: at 1 - s the call at x_scale X gives G_{1/X}, so two
-    # x_scale keys, whose blocks and the scan's two fit the four _afe_block keeps
     n = len(points)
     both = points + [1 - s for s in points]
-    sums = [afe_values(both, replace(cfg, cutoff=0, x_scale=x), coeffs) for x in (0.5, 2.0)]
+    sums = [afe_values(both, replace(cfg, cutoff=0, x_scale=x), coeffs) for x in _PROBE_SCALES]
     # after the sums, which report a point outside their support first
     if len(set(points)) < 2 and all(s.real == 0.5 for s in points):
         raise ValueError("one point on Re(s) = 1/2 checks nothing: there the solved "
@@ -536,6 +550,13 @@ def epsilon_probe(points: Sequence[complex], cfg: AFEConfig,
     dev = max((abs(a - b) for a in estimates for b in estimates), default=0.0)
     mdev = max(abs(abs(e) - 1.0) for e in estimates)
     return EpsilonReport(used, estimates, dev, mdev, skipped)
+
+
+def probe_rows(points: Sequence[complex], cfg: AFEConfig) -> int:
+    """The coefficient rows epsilon_probe reads at most: the longest derived
+    length of its sums at the points and their reflections, retried once."""
+    both = [complex(s) for s in points] + [1 - complex(s) for s in points]
+    return _RETRY * max(afe_rows(both, replace(cfg, cutoff=0, x_scale=x)) for x in _PROBE_SCALES)
 
 
 VERDICT_CONSISTENT = "consistent-with-holomorphy"

@@ -301,12 +301,20 @@ def cmd_monomial_check(args) -> int:
     return _emit_checks(args.format, ["p", "splitting", "r3_error", "r30_error", "status"], rows)
 
 
+# the flags of the samples checks, with their defaults; None marks one not given
+_SAMPLES_FLAGS = {"samples": 50, "r": Fraction(1, 10), "seed": 7, "tol": 1e-10}
+
+
 def cmd_intertwine(args) -> int:
     from . import intertwining
 
-    rng = random.Random(args.seed)
+    given = {name: getattr(args, name) for name in _SAMPLES_FLAGS
+             if getattr(args, name) is not None}
     if args.q is not None and not args.grid:
         raise ValueError("--q sets the q of the --grid rows; the samples draw q from {2, 3, 5}")
+    if args.grid and given:
+        raise ValueError("the --grid rows read only --q and --format, not "
+                         + ", ".join(f"--{name}" for name in given))
     if args.grid:
         n, q, rows = args.grid, args.q or 2, []
         for i in range(1, n):
@@ -319,8 +327,10 @@ def cmd_intertwine(args) -> int:
                     rows.append([f"{r:.6f}", f"{s:.6f}", "pole", exc.root_name])
         _emit(args.format, ["r", "s", "re", "im"], rows)
         return EXIT_OK
+    samples, pole_r, seed, tol = {**_SAMPLES_FLAGS, **given}.values()
+    rng = random.Random(seed)
     errs = []
-    for _ in range(args.samples):
+    for _ in range(samples):
         q = rng.choice([2, 3, 5])
         r = rng.uniform(0.01, 0.49)
         s = rng.uniform(0.05, 3.0)
@@ -334,12 +344,11 @@ def cmd_intertwine(args) -> int:
             continue
         errs.append(abs(g - l) / max(abs(l), 1e-30))
     worst = _worst(errs)
-    rows = [["gk-vs-lratio", args.samples, f"{worst:.3e}", "pass" if worst < args.tol else "FAIL"]]
-    r = args.r
+    rows = [["gk-vs-lratio", samples, f"{worst:.3e}", "pass" if worst < tol else "FAIL"]]
     for order in (1, 2, 5):
-        want = intertwining.principal_series_pole_set(order, r)
-        got = intertwining.gk_pole_set(order, r)
-        rows.append([f"pole-set-order-{order}", str(r),
+        want = intertwining.principal_series_pole_set(order, pole_r)
+        got = intertwining.gk_pole_set(order, pole_r)
+        rows.append([f"pole-set-order-{order}", str(pole_r),
                      "{" + ",".join(sorted(map(str, got))) + "}",
                      "pass" if want == got else "FAIL"])
     return _emit_checks(args.format, ["check", "param", "result", "status"], rows)
@@ -363,14 +372,14 @@ def cmd_euler(args) -> int:
     return EXIT_OK
 
 
-def _sym3_table(args, points):
+def _sym3_table(args, rows):
     """The --config (else the shipped sym3 one) and the sym3 coefficient table
-    of --coeffs, as long as the longest sum at the points needs."""
+    of --coeffs, rows(cfg, form) long."""
     from . import analytic, ingest
 
     form = _load_form(args.coeffs)
     cfg = ingest.parse_afe_config(args.config) if args.config else analytic.delta_sym3_config()
-    n = cfg.cutoff or max(analytic.default_cutoff(s, cfg) for s in points)
+    n = rows(cfg, form)
     return cfg, analytic.dirichlet_coeffs(ingest.sym3_factors(form, n), n)
 
 
@@ -378,7 +387,9 @@ def cmd_afe(args) -> int:
     from . import analytic
 
     points = args.points or [0.5 + 0.5j, 0.5 + 1j, 0.5 + 2j]
-    cfg, coeffs = _sym3_table(args, points + [1 - complex(s) for s in points])
+    # no longer than --coeffs: a probe that needs more rows is CutoffTooSmall
+    cfg, coeffs = _sym3_table(
+        args, lambda cfg, form: min(analytic.probe_rows(points, cfg), form.n_max))
     report = analytic.epsilon_probe(points, cfg, coeffs)
     obj = {
         "points": [str(p) for p in report.points],
@@ -400,7 +411,7 @@ def cmd_afe(args) -> int:
 def cmd_scan(args) -> int:
     from . import analytic
 
-    cfg, coeffs = _sym3_table(args, [args.a, args.b])
+    cfg, coeffs = _sym3_table(args, lambda cfg, form: analytic.afe_rows([args.a, args.b], cfg))
     if args.inject_pole:
         coeffs = analytic.inject_pole_factor(coeffs, *args.inject_pole)
     report = analytic.pole_scan((args.a, args.b), args.grid, cfg, coeffs,
@@ -479,14 +490,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_prime_power,
                    help="prime power q of the --grid rows, at most the largest float "
                         "(default 2)")
-    p.add_argument("--samples", type=_positive_int, default=50)
-    p.add_argument("--r", type=_parse_fraction, default=Fraction(1, 10),
-                   help="rational r for pole-set checks")
+    p.add_argument("--samples", type=_positive_int, help="(default 50)")
+    p.add_argument("--r", type=_parse_fraction, help="rational r for pole-set checks "
+                                                     "(default 1/10)")
     p.add_argument("--grid", type=_arg_type(int, "0 (off) or an integer >= 2",
                                             lambda value: value == 0 or value >= 2),
                    default=0, help="emit an (r,s) CSV grid of the coefficient instead")
     common(p, tol=1e-10, seed=True)
-    p.set_defaults(fn=cmd_intertwine)
+    # a samples flag given with --grid is refused, so none has a parser default
+    p.set_defaults(fn=cmd_intertwine, **dict.fromkeys(_SAMPLES_FLAGS))
 
     p = sub.add_parser("euler", help="partial Euler product with doubling trace")
     p.add_argument("--coeffs", required=True, help="path or builtin:delta[:N]")

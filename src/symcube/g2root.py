@@ -148,9 +148,6 @@ class RootVector(Record):
         """Coefficient of beta4 in the basis (beta3, beta4)."""
         return -3 * self.c1 + 2 * self.c6
 
-    def is_zero(self) -> bool:
-        return self.c1 == 0 and self.c6 == 0
-
     def __repr__(self):
         return f"RootVector({self.c1}, {self.c6})"
 
@@ -228,13 +225,6 @@ class WeylElement(Record):
     def __hash__(self):
         return hash(self.matrix)
 
-    def inverse(self) -> "WeylElement":
-        (a, b), (c, d) = self.matrix
-        det = a * d - b * c
-        assert det in (1, -1)
-        m = ((d // det, -b // det), (-c // det, a // det))
-        return WeylElement(m, tuple(reversed(self.word)))
-
     def apply(self, v: RootVector) -> RootVector:
         m = self.matrix
         return RootVector(m[0][0] * v.c1 + m[0][1] * v.c6,
@@ -247,15 +237,6 @@ class WeylElement(Record):
 IDENTITY = WeylElement(((1, 0), (0, 1)), ())
 RHO1 = WeylElement(((-1, 1), (0, 1)), ("rho1",))
 RHO6 = WeylElement(((1, 0), (3, -1)), ("rho6",))
-
-
-def weyl_word(letters) -> WeylElement:
-    """Compose a word over {rho1, rho6}, leftmost letter acting last."""
-    gens = {"rho1": RHO1, "rho6": RHO6}
-    w = IDENTITY
-    for name in letters:
-        w = w * gens[name]
-    return w
 
 
 @lru_cache(maxsize=1)
@@ -273,22 +254,17 @@ def weyl_group():
 
 
 def inverted_roots(w: WeylElement):
-    """Positive roots alpha with w^{-1} alpha negative."""
-    winv = w.inverse()
-    out = set()
-    for beta in POSITIVE_ROOTS.values():
-        im = winv.apply(beta)
-        if im.c1 <= 0 and im.c6 <= 0 and not im.is_zero():
-            out.add(beta)
-    return out
-
-
-LONG_PARABOLIC_WORD = ("rho6", "rho1", "rho6", "rho1", "rho6")
+    """Positive roots alpha with w^{-1} alpha negative: the -w(gamma) for the
+    positive gamma that w sends to a negative root."""
+    return {-im for im in map(w.apply, POSITIVE_ROOTS.values()) if im.c1 <= 0 and im.c6 <= 0}
 
 
 def parabolic_weyl_element() -> WeylElement:
-    """The nontrivial element of the constant-term sum, rho6 rho1 rho6 rho1 rho6."""
-    return weyl_word(LONG_PARABOLIC_WORD)
+    """The element w0 * s_beta1 of the constant-term sum: w0 = -1 is the last
+    listed element and s_beta1 = rho1 the longest of the Levi's Weyl group.
+    The listed element is returned, with its reduced word rho6*rho1*rho6*rho1*rho6."""
+    group = weyl_group()
+    return group[group.index(group[-1] * RHO1)]
 
 
 def rho_parabolic() -> RootVector:

@@ -104,11 +104,17 @@ def _headed_lines(path: str, error, header: str):
     return lines[0], ((i, raw) for i, raw in enumerate(lines[1:], start=2) if raw.strip())
 
 
+# The audit's least-prime table and satake_table's sieve cost a slot per index
+# up to the largest, so a table may reach only this far past its entry count.
+_SPARSE_RATIO, _SPARSE_FLOOR = 64, 1 << 16
+
+
 def parse_form(path: str) -> ParsedForm:
     """Read and validate a coefficient file.
 
     Grammar: header ``weight k level N character trivial`` then ascending
-    ``n a_n`` lines.  Validation: a_1 = 1 and the multiplicativity audit.
+    ``n a_n`` lines.  Validation: a_1 = 1, a largest index at most 64 times
+    the entry count (or 65536), and the multiplicativity audit.
     """
     first, body = _headed_lines(path, FormParseError, "weight k level N character trivial")
     head = first.split()
@@ -143,6 +149,10 @@ def parse_form(path: str) -> ParsedForm:
         coeffs[n] = a
     if coeffs.get(1) != 1:
         raise FormParseError(1, "a_1 must be 1 (normalized eigenform)")
+    if prev > max(_SPARSE_RATIO * len(coeffs), _SPARSE_FLOOR):
+        raise FormParseError(None, f"too sparse: the largest index {prev} exceeds both "
+                                   f"{_SPARSE_RATIO} times the {len(coeffs)} entries "
+                                   f"and {_SPARSE_FLOOR}")
     _audit_multiplicativity(coeffs)
     return ParsedForm(weight, level, coeffs, source_path=path)
 
@@ -187,6 +197,7 @@ def parse_hecke(path: str) -> ParsedHeckeData:
 
     Grammar: header ``field-disc D chi-order n`` (n may be ``unknown``), then
     lines ``p split v v`` or ``p inert v`` where v is ``k/n`` or ``re,im``.
+    D must be a quadratic field discriminant, up to an odd square factor.
     An entry's type must be that of p in Q(sqrt(D)): split where the
     Kronecker symbol (D/p) is 1, inert where it is -1; a p dividing D
     ramifies and is refused.
@@ -201,6 +212,11 @@ def parse_hecke(path: str) -> ParsedHeckeData:
         disc = int(head[1])
     except ValueError:
         raise HeckeParseError(1, "field-disc must be an integer") from None
+    # (D/p) types every p right when D is a field discriminant times an odd
+    # square, at whose primes each entry is refused as ramified
+    if disc % 4 in (2, 3) or disc % 16 in (0, 4) or (disc >= 0 and math.isqrt(disc) ** 2 == disc):
+        raise HeckeParseError(1, f"field-disc {disc} is not a quadratic field discriminant "
+                                 f"(1 mod 4, or 4m with m 2 or 3 mod 4, and not a square)")
     try:
         order = None if head[3] == "unknown" else int(head[3])
     except ValueError:
@@ -382,24 +398,25 @@ def delta_form(n_max: int) -> ParsedForm:
                       source_path=f"builtin:delta:{n_max}")
 
 
+def _satake_classes(form: ParsedForm, primes) -> Dict[int, SatakeClass]:
+    """Satake classes at the primes given that the table holds and the level
+    does not divide."""
+    return {p: satake_from_hecke(form.coefficients[p], p, form.weight, 1.0)
+            for p in primes if form.level % p and p in form.coefficients}
+
+
 def satake_table(form: ParsedForm) -> Dict[int, SatakeClass]:
     """Satake classes at all good primes in the parsed range.
 
     Primes dividing the level are the ramified set and are skipped.
     """
-    out = {}
-    for p in primes_upto(form.n_max):
-        if form.level % p == 0:
-            continue
-        if p not in form.coefficients:
-            continue
-        out[p] = satake_from_hecke(form.coefficients[p], p, form.weight, 1.0)
-    return out
+    return _satake_classes(form, primes_upto(form.n_max))
 
 
 def sym3_factors(form: ParsedForm, limit: int) -> Dict[int, ReciprocalPoly]:
     """The sym3 factor map of the primes p <= limit; 1 at those dividing the level."""
-    factors = {p: ReciprocalPoly([1]) for p in primes_upto(limit) if form.level % p == 0}
+    primes = primes_upto(limit)
+    factors = {p: ReciprocalPoly([1]) for p in primes if form.level % p == 0}
     factors.update((p, local_factor(RepTag.SYM3, c))
-                   for p, c in satake_table(form).items() if p <= limit)
+                   for p, c in _satake_classes(form, primes).items())
     return factors

@@ -324,6 +324,25 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
     assert len([l for l in err_text.splitlines() if l.startswith("usage:")]) == 1
 
 
+@pytest.mark.parametrize("flags, names", [
+    (["--samples", "7"], "--samples"), (["--r", "9/10"], "--r"), (["--seed", "3"], "--seed"),
+    (["--tol", "5"], "--tol"), (["--samples", "50"], "--samples"),
+    (["--samples", "7", "--r", "9/10", "--seed", "3", "--tol", "5"],
+     "--samples, --r, --seed, --tol")])
+def test_intertwine_grid_refuses_the_flags_of_the_samples_checks(flags, names):
+    # the grid rows read none of them; --samples 50 is refused though it is the default
+    out = run_cold(["intertwine", "--grid", "3", *flags])
+    assert (out.returncode, out.stdout, out.stderr.decode()) == (
+        2, b"", f"input error: the --grid rows read only --q and --format, not {names}\n")
+
+
+def test_intertwine_samples_flags_keep_their_defaults():
+    default = run_cli(["intertwine"])
+    assert default == run_cli(["intertwine", "--samples", "50", "--r", "1/10",
+                               "--seed", "7", "--tol", "1e-10"])
+    assert default[1].splitlines()[1].split()[:2] == ["gk-vs-lratio", "50"]
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -662,29 +681,44 @@ def test_euler_leaves_out_primes_dividing_the_level(tmp_path):
     assert json.loads(out.stdout)["value"] == [want.real, want.imag]
 
 
-@pytest.mark.parametrize("command", [["satake"], ["lfactor", "--p", "2"],
-                                     ["euler", "--X", "3"]])
-@pytest.mark.parametrize("weight, terms, prime", [(120, 1000, 397), (2000, 100, 2)])
-def test_a_weight_beyond_the_float_range_is_an_input_error(tmp_path, command, weight,
-                                                           terms, prime):
-    # a_n = 1 is multiplicative; p^(k-1) overflows a float first at `prime`
+def _heavy_form(tmp_path, weight, terms):
+    # a_n = 1 is multiplicative
     path = tmp_path / "heavy.txt"
     path.write_text(f"weight {weight} level 1 character trivial\n"
                     + "".join(f"{n} 1\n" for n in range(1, terms + 1)))
+    return path
+
+
+# euler reads the primes p <= X, so its X reaches past 397
+@pytest.mark.parametrize("command", [["satake"], ["lfactor", "--p", "2"],
+                                     ["euler", "--X", "500"]])
+@pytest.mark.parametrize("weight, terms, prime", [(120, 1000, 397), (2000, 100, 2)])
+def test_a_weight_beyond_the_float_range_is_an_input_error(tmp_path, command, weight,
+                                                           terms, prime):
+    # p^(k-1) overflows a float first at `prime`
+    path = _heavy_form(tmp_path, weight, terms)
     out = run_cold([command[0], "--coeffs", str(path), *command[1:]])
     assert (out.returncode, out.stdout, out.stderr.decode()) == (
         2, b"", f"input error: weight {weight}: {prime}^{weight - 1} is beyond the "
                 "float range\n")
 
 
+def test_euler_builds_satake_classes_only_at_the_primes_it_reads(tmp_path):
+    # 397^119 is past the float range, but euler --X 3 reads p = 2 and 3 only
+    path = _heavy_form(tmp_path, 120, 1000)
+    code, out = run_cli(["euler", "--coeffs", str(path), "--X", "3", "--format", "csv"])
+    assert code == 0 and out.splitlines()[0] == "checkpoint,X,Re,Im"
+
+
 def test_sym3_table_of_a_level_2_form_vanishes_at_powers_of_2(tmp_path):
-    from symcube.analytic import dirichlet_coeffs
+    from symcube.analytic import afe_rows, dirichlet_coeffs
     from symcube.cli import _sym3_table
     from symcube.ingest import parse_form, sym3_factors
     from symcube.localfactor import ReciprocalPoly
     path, config = _level_2_copy(tmp_path), tmp_path / "sym3.cfg"
     config.write_text("gamma_shifts = 5.5, 16.5\ncutoff = 100\n")
-    cfg, coeffs = _sym3_table(argparse.Namespace(coeffs=str(path), config=str(config)), [0.5])
+    cfg, coeffs = _sym3_table(argparse.Namespace(coeffs=str(path), config=str(config)),
+                              lambda cfg, form: afe_rows([0.5], cfg))
     assert cfg.cutoff == 100
     factors = sym3_factors(parse_form(str(path)), 100)
     assert factors[2] == ReciprocalPoly([1])
@@ -734,6 +768,41 @@ def test_afe_json_root_numbers():
         assert abs(re + 1) < 1e-11
         assert abs(im) < 1e-11
     assert obj["modulus_deviation"] < 1e-11
+
+
+def test_afe_builds_only_the_rows_its_probe_reads(monkeypatch):
+    # the probe's derived lengths are 64 rows on the shipped data, retried once
+    from symcube import analytic
+    real, lengths = analytic.dirichlet_coeffs, []
+
+    def recording(factors, n, *rest, **kw):
+        lengths.append(n)
+        return real(factors, n, *rest, **kw)
+    monkeypatch.setattr(analytic, "dirichlet_coeffs", recording)
+    code, out = run_cli(["afe", *AFE_ARGS, "--format", "json"])
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    assert lengths == [analytic.probe_rows([0.5 + 0.5j, 0.5 + 1j, 0.5 + 2j],
+                                           analytic.delta_sym3_config())]
+    assert lengths[0] <= 128
+
+
+def test_afe_probe_reads_the_same_from_its_rows_as_from_the_config_cutoff():
+    from symcube import analytic
+    from symcube.ingest import sym3_factors
+    form, cfg = delta_form(4000), analytic.delta_sym3_config()
+    points = [0.5 + 0.5j, 0.5 + 1j, 0.6, 2 + 1j]
+    n = analytic.probe_rows(points, cfg)
+    short = analytic.dirichlet_coeffs(sym3_factors(form, n), n)
+    full = analytic.dirichlet_coeffs(sym3_factors(form, cfg.cutoff), cfg.cutoff)
+    assert np.array_equal(short.values, full.values[:n + 1])
+    assert analytic.epsilon_probe(points, cfg, short) == analytic.epsilon_probe(points, cfg, full)
+
+
+def test_afe_on_a_table_shorter_than_its_probe_is_cutoff_too_small():
+    # the table stops at the 50 rows --coeffs holds, short of the derived 64
+    out = run_cold(["afe", "--coeffs", "builtin:delta:50"])
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, b"", b"input error: cutoff 50 too small for target accuracy; need about 64\n")
 
 
 def test_afe_point_past_the_supported_height_is_usage_error():
@@ -926,20 +995,28 @@ _READERS = {"--coeffs": ("parse_form", ["satake"]),
      "the entry says inert\n"),
     ("HeckeParseError", "--hecke", "field-disc -23 chi-order unknown\n2 split 0,0 1,0\n",
      "input error: line 2: character values must be nonzero\n"),
+    ("HeckeParseError", "--hecke",
+     "field-disc -5 chi-order unknown\n2 inert 1/2\n3 split 1/2 1/2\n",
+     "input error: line 1: field-disc -5 is not a quadratic field discriminant "
+     "(1 mod 4, or 4m with m 2 or 3 mod 4, and not a square)\n"),
     *(("HeckeParseError", "--hecke", f"field-disc -23 chi-order unknown\n5 inert 1/2\n{line}\n",
        f"input error: line 3: {err}\n") for _, line, err in _BAD_HECKE_LINES),
     ("FormParseError", "--coeffs", "weight 12 level 0 character trivial\n1 1\n",
      "input error: line 1: weight and level must be >= 1, got weight 12 level 0\n"),
     ("FormParseError", "--coeffs", "weight -2 level 11 character trivial\n1 1\n",
      "input error: line 1: weight and level must be >= 1, got weight -2 level 11\n"),
+    ("FormParseError", "--coeffs", "weight 12 level 1 character trivial\n1 1\n2 -24\n10000000 0\n",
+     "input error: too sparse: the largest index 10000000 exceeds both 64 times the 3 entries "
+     "and 65536\n"),
     *(("ConfigParseError", "--config", text, f"input error: config{err}\n")
       for _, text, err in _BAD_CONFIGS),
 ], ids=["FormParseError", "MultiplicativityError", "HeckeParseError",
         "HeckeParseError-chi-order", "FormParseError-non-finite",
         "HeckeParseError-chi-order-values", "HeckeParseError-inert-as-split",
         "HeckeParseError-ramified-as-inert", "HeckeParseError-zero-value",
+        "HeckeParseError-not-a-field-discriminant",
         *(f"HeckeParseError-{name}" for name, _, _ in _BAD_HECKE_LINES),
-        "FormParseError-level-0", "FormParseError-negative-weight",
+        "FormParseError-level-0", "FormParseError-negative-weight", "FormParseError-sparse",
         *(f"ConfigParseError-{name}" for name, _, _ in _BAD_CONFIGS)])
 def test_parse_errors_are_symcube_input_errors(tmp_path, error, flag, text, err):
     """Each fault is a SymcubeInputError of its parser, and the command that

@@ -9,7 +9,7 @@ from symcube.g2root import (
     Affine, BETA1, BETA2, BETA3, BETA4, BETA5, BETA6, POSITIVE_ROOTS,
     RootVector, coroot_decomposition, gram, inverted_roots,
     lambda_weight, pairing, pairing_table, parabolic_weyl_element, reflect,
-    rho_parabolic, weyl_group, weyl_word, IDENTITY, RHO1, RHO6)
+    rho_parabolic, weyl_group, IDENTITY, RHO1, RHO6, WeylElement)
 
 # independent Gram oracle: expand u^T G v by hand for the 2x2 matrix
 _G = ((Q(6), Q(-3)), (Q(-3), Q(2)))
@@ -111,7 +111,9 @@ def test_weyl_group_order_and_axioms():
     assert IDENTITY in group
     mats = {w.matrix for w in group}
     for a in group:
-        assert a.inverse().matrix in mats
+        inverses = [b for b in group if a * b == IDENTITY]
+        assert len(inverses) == 1 and inverses[0] * a == IDENTITY
+        assert inverses[0].matrix in mats
         for b in group:
             assert (a * b).matrix in mats
 
@@ -149,11 +151,17 @@ def test_weyl_preserves_gram_and_roots():
                 assert gram(w.apply(a), w.apply(b)) == gram(a, b)
 
 
+def _listed(*letters):
+    """The element of weyl_group() whose word is letters."""
+    (w,) = [w for w in weyl_group() if w.word == letters]
+    return w
+
+
 def test_generator_relations():
     assert RHO1 * RHO1 == IDENTITY
     assert RHO6 * RHO6 == IDENTITY
-    w1 = weyl_word(["rho6", "rho1", "rho6", "rho1", "rho6"])
-    w2 = weyl_word(["rho1", "rho6", "rho1", "rho6", "rho1"])
+    w1 = _listed("rho6", "rho1", "rho6", "rho1", "rho6")
+    w2 = _listed("rho1", "rho6", "rho1", "rho6", "rho1")
     assert w1 != w2
     assert w1 * RHO1 == RHO1 * w1   # both give the longest element
 
@@ -164,6 +172,41 @@ def test_inverted_roots_examples():
     assert inverted_roots(RHO1) == {BETA1}
     long_w = parabolic_weyl_element()
     assert inverted_roots(long_w) == {BETA2, BETA3, BETA4, BETA5, BETA6}
+
+
+def _inverse(w):
+    """w^{-1} from the adjugate of w's integer matrix, whose determinant is +-1."""
+    (a, b), (c, d) = w.matrix
+    det = a * d - b * c
+    assert det in (1, -1)
+    return WeylElement(((d * det, -b * det), (-c * det, a * det)))
+
+
+def test_inverted_roots_match_the_inverse_based_definition():
+    # the positive beta with w^{-1} beta negative, read through w^{-1} itself
+    for w in weyl_group():
+        winv = _inverse(w)
+        assert winv * w == IDENTITY
+        want = {beta for beta in POSITIVE_ROOTS.values()
+                if winv.apply(beta).c1 <= 0 and winv.apply(beta).c6 <= 0}
+        assert inverted_roots(w) == want
+
+
+def test_parabolic_element_is_w0_times_s_beta1():
+    long_w = parabolic_weyl_element()
+    assert long_w.word == ("rho6", "rho1", "rho6", "rho1", "rho6")
+    assert long_w.matrix == tuple(tuple(-x for x in row) for row in RHO1.matrix)
+    assert weyl_group()[-1].matrix == ((-1, 0), (0, -1))
+    assert long_w in weyl_group()
+
+
+def test_typed_generators_are_the_simple_reflections():
+    # column j of a matrix holds the coordinates of the image of the j-th basis root
+    for g, alpha in ((RHO1, BETA1), (RHO6, BETA6)):
+        for j, beta in enumerate((BETA1, BETA6)):
+            image = reflect(alpha, beta)
+            assert (g.matrix[0][j], g.matrix[1][j]) == (image.c1, image.c6)
+            assert g.apply(beta) == image
 
 
 def test_inverted_roots_brute_force_counts_word_length():

@@ -238,6 +238,46 @@ def test_parse_form_error_positions(tmp_path):
         parse_form(str(path))
 
 
+def test_parse_form_refuses_a_sparse_table_at_the_cost_of_its_entries(tmp_path):
+    import time
+    import tracemalloc
+    path = tmp_path / "sparse.txt"
+    path.write_text("weight 12 level 1 character trivial\n1 1\n2 -24\n10000000 0\n")
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(FormParseError) as err:
+        parse_form(str(path))
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert err.value.line is None
+    assert str(err.value) == ("too sparse: the largest index 10000000 exceeds both "
+                              "64 times the 3 entries and 65536")
+    assert elapsed < 0.05 and peak < 1 << 20
+
+
+@pytest.mark.parametrize("last, ok", [(65536, True), (65537, False)])
+def test_parse_form_takes_any_table_up_to_index_65536(tmp_path, last, ok):
+    path = tmp_path / "small.txt"
+    path.write_text(f"weight 12 level 1 character trivial\n1 1\n{last} 0\n")
+    if ok:
+        assert parse_form(str(path)).n_max == last
+    else:
+        with pytest.raises(FormParseError, match="too sparse"):
+            parse_form(str(path))
+
+
+def test_parse_form_takes_a_table_of_the_primes_to_1e5(tmp_path):
+    from symcube.localfactor import primes_upto
+    primes = primes_upto(10 ** 5)
+    path = tmp_path / "primes.txt"
+    path.write_text("weight 12 level 1 character trivial\n1 1\n"
+                    + "".join(f"{p} 0\n" for p in primes))
+    form = parse_form(str(path))
+    assert len(form.coefficients) == len(primes) + 1 and form.n_max == primes[-1]
+    assert sorted(satake_table(form)) == primes
+
+
 def test_parse_form_decimal_coefficients(tmp_path):
     path = tmp_path / "dec.txt"
     path.write_text("weight 2 level 1 character trivial\n"
@@ -354,6 +394,41 @@ def test_kronecker_symbol_is_the_splitting_of_the_ring_of_integers(disc):
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         roots = sum((x * x - b * x + c) % p == 0 for x in range(p))
         assert ingest._kronecker(disc, p) == {2: 1, 0: -1, 1: 0}[roots]
+
+
+def test_parse_hecke_refuses_a_disc_whose_kronecker_symbol_misjudges_a_prime(tmp_path):
+    # Q(sqrt(-5)) has discriminant -20, so 2 ramifies there, yet (-5/2) = -1
+    path = tmp_path / "h.txt"
+    path.write_text("field-disc -5 chi-order unknown\n2 inert 1/2\n3 split 1/2 1/2\n")
+    with pytest.raises(HeckeParseError) as err:
+        parse_hecke(str(path))
+    assert err.value.line == 1 and "-5 is not a quadratic field discriminant" in str(err.value)
+
+
+@pytest.mark.parametrize("disc", [0, 1, 4, 9, 6, 7, -1, -5, -12, -16, -48, 10 ** 40 + 2])
+def test_parse_hecke_refuses_a_disc_that_names_no_quadratic_field(tmp_path, disc):
+    path = tmp_path / "h.txt"
+    path.write_text(f"field-disc {disc} chi-order unknown\n")
+    with pytest.raises(HeckeParseError) as err:
+        parse_hecke(str(path))
+    assert err.value.line == 1 and f"field-disc {disc} is not a" in str(err.value)
+
+
+@pytest.mark.parametrize("disc", [-3, -4, -8, -20, -23, -84, 5, 8, 12, -75])
+def test_parse_hecke_takes_field_discriminants(tmp_path, disc):
+    # each type from Dedekind's root count of the generator's minimal
+    # polynomial mod p; -75 = -3 * 5^2 keeps an odd square factor, at whose
+    # prime every entry would be refused as ramified
+    b, c = (1, (1 - disc) // 4) if disc % 4 == 1 else (0, -disc // 4)
+    lines = []
+    for p in (2, 3, 5, 7, 11, 13):
+        roots = sum((x * x - b * x + c) % p == 0 for x in range(p))
+        if roots != 1:
+            lines.append(f"{p} split 1/2 1/2" if roots == 2 else f"{p} inert 1/2")
+    path = tmp_path / "h.txt"
+    path.write_text(f"field-disc {disc} chi-order 2\n" + "\n".join(lines) + "\n")
+    data = parse_hecke(str(path))
+    assert data.field_disc == disc and len(data.entries) == len(lines) >= 3
 
 
 @pytest.mark.parametrize("order", ["6", "unknown"])
