@@ -17,7 +17,8 @@ import random
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from itertools import islice
+from typing import TYPE_CHECKING, Callable
 
 from . import localfactor
 from .localfactor import RepTag
@@ -141,8 +142,12 @@ def _worst(errs) -> float:
     return max(errs, key=lambda e: (e != e, e), default=0.0)
 
 
-def _load_form(source: str) -> ParsedForm:
-    """A path, or builtin:delta[:N] (N >= 1, default 1000) for the shipped sample."""
+def _load_form(source: str) -> Callable[[Callable[[int], int]], ParsedForm]:
+    """--coeffs, checked now: a path, parsed whole now for its audit, or
+    builtin:delta[:N] (N >= 1, default 1000) for the shipped sample.  Returns
+    the loader of the form: given rows(n), the largest coefficient index the
+    command reads of n terms, it expands the sample to min(N, rows(N)) terms
+    (at least 1), asking rows only then; a path's table it returns whole."""
     from . import ingest
 
     if source.startswith("builtin:"):
@@ -151,8 +156,19 @@ def _load_form(source: str) -> ParsedForm:
         if n < 1:
             raise ValueError(f"--coeffs {source!r}: expected builtin:delta or "
                              f"builtin:delta:N with N >= 1")
-        return ingest.delta_form(n)
-    return ingest.parse_form(source)
+        return lambda rows: ingest.delta_form(min(n, max(rows(n), 1)))
+    form = ingest.parse_form(source)
+    return lambda rows: form
+
+
+def _nth_prime(k: int, n: int) -> int:
+    """The k-th prime, else n when fewer than k primes are at most n.  The
+    sieve's bound doubles from 16, so it stops below twice the k-th prime
+    (or at 16) and never passes n."""
+    bound = 16
+    while len(primes := localfactor.primes_upto(min(bound, n))) < k and bound < n:
+        bound *= 2
+    return primes[k - 1] if len(primes) >= k else n
 
 
 # --- subcommands -----------------------------------------------------------
@@ -219,13 +235,11 @@ def cmd_satake(args) -> int:
     from . import ingest
     from .satake import is_tempered
 
-    form = _load_form(args.coeffs)
-    table = ingest.satake_table(form)
-    rows = []
-    for p in sorted(table)[: args.limit]:
-        c = table[p]
-        rows.append([p, f"{c.alpha:.12g}", f"{c.beta:.12g}",
-                     int(is_tempered(c, args.tol))])
+    # the classes of the first --limit good primes the table holds, its rows
+    form = _load_form(args.coeffs)(lambda n: _nth_prime(args.limit, n))
+    classes = ingest.satake_classes(form, localfactor.primes_upto(form.n_max))
+    rows = [[p, f"{c.alpha:.12g}", f"{c.beta:.12g}", int(is_tempered(c, args.tol))]
+            for p, c in islice(classes, args.limit)]
     _emit(args.format, ["p", "alpha", "beta", "tempered"], rows)
     return EXIT_OK
 
@@ -233,15 +247,17 @@ def cmd_satake(args) -> int:
 def cmd_lfactor(args) -> int:
     from . import ingest
 
-    form = _load_form(args.coeffs)
-    table = ingest.satake_table(form)
-    if args.p not in table:
-        raise ValueError(f"no Satake class at p={args.p} (ramified or out of range)")
-    tag = RepTag(args.tag)
-    coeffs = localfactor.local_factor(tag, table[args.p]).to_complex().coeffs
+    p = args.p
+    form = _load_form(args.coeffs)(lambda n: p)
+    # the one class at --p, built when p is a good prime the table holds
+    prime = p in form.coefficients and p > 1 and localfactor.is_prime(p)
+    classes = dict(ingest.satake_classes(form, [p] if prime else []))
+    if p not in classes:
+        raise ValueError(f"no Satake class at p={p} (ramified or out of range)")
+    coeffs = localfactor.local_factor(RepTag(args.tag), classes[p]).to_complex().coeffs
     rows = [[k, f"{c.real:.15g}", f"{c.imag:.15g}"] for k, c in enumerate(coeffs)]
     _emit(args.format, ["power", "re", "im"], rows,
-          json_obj={"p": args.p, "tag": args.tag,
+          json_obj={"p": p, "tag": args.tag,
                     "coeffs": [[c.real, c.imag] for c in coeffs]})
     return EXIT_OK
 
@@ -357,7 +373,7 @@ def cmd_intertwine(args) -> int:
 def cmd_euler(args) -> int:
     from . import analytic, ingest
 
-    form = _load_form(args.coeffs)
+    form = _load_form(args.coeffs)(lambda n: args.X)
     factors = ingest.sym3_factors(form, args.X)
     trace = analytic.partial_L(args.s, args.X, factors)
     rows = [[i, x, f"{v.real:.15g}", f"{v.imag:.15g}"]
@@ -374,12 +390,13 @@ def cmd_euler(args) -> int:
 
 def _sym3_table(args, rows):
     """The --config (else the shipped sym3 one) and the sym3 coefficient table
-    of --coeffs, rows(cfg, form) long."""
+    of --coeffs, rows(cfg, n) long for a form of n terms."""
     from . import analytic, ingest
 
-    form = _load_form(args.coeffs)
+    load = _load_form(args.coeffs)   # --coeffs faults before --config ones
     cfg = ingest.parse_afe_config(args.config) if args.config else analytic.delta_sym3_config()
-    n = rows(cfg, form)
+    form = load(lambda n: rows(cfg, n))
+    n = rows(cfg, form.n_max)
     return cfg, analytic.dirichlet_coeffs(ingest.sym3_factors(form, n), n)
 
 
@@ -389,7 +406,7 @@ def cmd_afe(args) -> int:
     points = args.points or [0.5 + 0.5j, 0.5 + 1j, 0.5 + 2j]
     # no longer than --coeffs: a probe that needs more rows is CutoffTooSmall
     cfg, coeffs = _sym3_table(
-        args, lambda cfg, form: min(analytic.probe_rows(points, cfg), form.n_max))
+        args, lambda cfg, n: min(analytic.probe_rows(points, cfg), n))
     report = analytic.epsilon_probe(points, cfg, coeffs)
     obj = {
         "points": [str(p) for p in report.points],
@@ -411,7 +428,7 @@ def cmd_afe(args) -> int:
 def cmd_scan(args) -> int:
     from . import analytic
 
-    cfg, coeffs = _sym3_table(args, lambda cfg, form: analytic.afe_rows([args.a, args.b], cfg))
+    cfg, coeffs = _sym3_table(args, lambda cfg, n: analytic.afe_rows([args.a, args.b], cfg))
     if args.inject_pole:
         coeffs = analytic.inject_pole_factor(coeffs, *args.inject_pole)
     report = analytic.pole_scan((args.a, args.b), args.grid, cfg, coeffs,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import decimal
 import math
 from array import array
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from . import SymcubeInputError
 from .localfactor import RepTag, ReciprocalPoly, local_factor, primes_upto
@@ -398,11 +398,12 @@ def delta_form(n_max: int) -> ParsedForm:
                       source_path=f"builtin:delta:{n_max}")
 
 
-def _satake_classes(form: ParsedForm, primes) -> Dict[int, SatakeClass]:
-    """Satake classes at the primes given that the table holds and the level
-    does not divide."""
-    return {p: satake_from_hecke(form.coefficients[p], p, form.weight, 1.0)
-            for p in primes if form.level % p and p in form.coefficients}
+def satake_classes(form: ParsedForm, primes) -> Iterator[Tuple[int, SatakeClass]]:
+    """(p, Satake class) at each of the primes given, in their order, that
+    the table holds and the level does not divide, each class built only
+    when it is drawn."""
+    return ((p, satake_from_hecke(form.coefficients[p], p, form.weight, 1.0))
+            for p in primes if form.level % p and p in form.coefficients)
 
 
 def satake_table(form: ParsedForm) -> Dict[int, SatakeClass]:
@@ -410,13 +411,12 @@ def satake_table(form: ParsedForm) -> Dict[int, SatakeClass]:
 
     Primes dividing the level are the ramified set and are skipped.
     """
-    return _satake_classes(form, primes_upto(form.n_max))
+    return dict(satake_classes(form, primes_upto(form.n_max)))
 
 
 def sym3_factors(form: ParsedForm, limit: int) -> Dict[int, ReciprocalPoly]:
     """The sym3 factor map of the primes p <= limit; 1 at those dividing the level."""
     primes = primes_upto(limit)
     factors = {p: ReciprocalPoly([1]) for p in primes if form.level % p == 0}
-    factors.update((p, local_factor(RepTag.SYM3, c))
-                   for p, c in _satake_classes(form, primes).items())
+    factors.update((p, local_factor(RepTag.SYM3, c)) for p, c in satake_classes(form, primes))
     return factors

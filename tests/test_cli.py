@@ -689,15 +689,17 @@ def _heavy_form(tmp_path, weight, terms):
     return path
 
 
-# euler reads the primes p <= X, so its X reaches past 397
-@pytest.mark.parametrize("command", [["satake"], ["lfactor", "--p", "2"],
+# each command reads `prime`: euler the primes p <= X, satake the first
+# --limit (the 100th prime is 541), lfactor the one at --p
+@pytest.mark.parametrize("command", [["satake", "--limit", "100"], ["lfactor", "--p", "{prime}"],
                                      ["euler", "--X", "500"]])
 @pytest.mark.parametrize("weight, terms, prime", [(120, 1000, 397), (2000, 100, 2)])
 def test_a_weight_beyond_the_float_range_is_an_input_error(tmp_path, command, weight,
                                                            terms, prime):
     # p^(k-1) overflows a float first at `prime`
     path = _heavy_form(tmp_path, weight, terms)
-    out = run_cold([command[0], "--coeffs", str(path), *command[1:]])
+    out = run_cold([command[0], "--coeffs", str(path),
+                    *(flag.format(prime=prime) for flag in command[1:])])
     assert (out.returncode, out.stdout, out.stderr.decode()) == (
         2, b"", f"input error: weight {weight}: {prime}^{weight - 1} is beyond the "
                 "float range\n")
@@ -708,6 +710,70 @@ def test_euler_builds_satake_classes_only_at_the_primes_it_reads(tmp_path):
     path = _heavy_form(tmp_path, 120, 1000)
     code, out = run_cli(["euler", "--coeffs", str(path), "--X", "3", "--format", "csv"])
     assert code == 0 and out.splitlines()[0] == "checkpoint,X,Re,Im"
+
+
+@pytest.mark.parametrize("command, rows", [(["satake"], 26), (["lfactor", "--p", "2"], 6)])
+def test_satake_and_lfactor_build_satake_classes_only_at_the_primes_they_print(
+        tmp_path, command, rows):
+    # 397^119 is past the float range, but satake prints the 25 primes up to
+    # 97 and lfactor the one at --p
+    path = _heavy_form(tmp_path, 120, 1000)
+    code, out = run_cli([command[0], "--coeffs", str(path), *command[1:], "--format", "csv"])
+    assert code == 0 and len(out.splitlines()) == rows
+
+
+@pytest.mark.parametrize("command, built", [(["satake"], 25), (["lfactor", "--p", "7"], 1)])
+def test_satake_and_lfactor_count_their_satake_classes(tmp_path, monkeypatch, command, built):
+    from symcube import ingest
+    path = tmp_path / "delta.txt"
+    path.write_text("weight 12 level 1 character trivial\n" + "".join(
+        f"{n} {a}\n" for n, a in delta_form(2000).coefficients.items()))
+    real, calls = ingest.satake_from_hecke, []
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+    monkeypatch.setattr(ingest, "satake_from_hecke", counting)
+    assert run_cli([command[0], "--coeffs", str(path), *command[1:]])[0] == 0
+    assert len(calls) == built
+
+
+# the README afe and scan, then euler, satake and lfactor, each with the
+# largest coefficient index it reads of a 10^12-term builtin:delta
+_ROWS_READ = [
+    (["afe", "--config", "data/delta_sym3_afe.cfg"], 128),
+    (["scan", "--config", "data/delta_sym3_afe.cfg"], 4000),
+    (["euler", "--X", "100"], 100),
+    (["satake"], 97),
+    (["lfactor", "--p", "7"], 7),
+]
+
+
+@pytest.mark.parametrize("command, rows", _ROWS_READ, ids=[c[0] for c, _ in _ROWS_READ])
+def test_builtin_delta_expands_only_the_rows_a_command_reads(monkeypatch, command, rows):
+    from symcube import ingest
+    real, sizes = ingest.delta_form, []
+
+    def recording(n):
+        sizes.append(n)
+        if n > 10 ** 6:   # fail at once rather than expand it
+            raise AssertionError(f"delta_form({n})")
+        return real(n)
+    monkeypatch.setattr(ingest, "delta_form", recording)
+    code, _ = run_cli([command[0], "--coeffs", "builtin:delta:1000000000000", *command[1:]])
+    assert (code, sizes) == (0, [rows])
+
+
+def test_coeffs_faults_print_before_config_faults(tmp_path, capsys):
+    # --coeffs is checked, and a file parsed, before --config is read
+    config, coeffs = tmp_path / "missing.cfg", tmp_path / "missing.txt"
+    for argv, err in [(["afe", "--coeffs", "builtin:foo"],
+                       "--coeffs 'builtin:foo': expected builtin:delta or builtin:delta:N "
+                       "with N >= 1"),
+                      (["scan", "--coeffs", str(coeffs)],
+                       f"[Errno 2] No such file or directory: {str(coeffs)!r}")]:
+        assert run_cli([*argv, "--config", str(config)]) == (2, "")
+        assert capsys.readouterr().err == f"input error: {err}\n"
 
 
 def test_sym3_table_of_a_level_2_form_vanishes_at_powers_of_2(tmp_path):
