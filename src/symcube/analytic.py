@@ -132,7 +132,7 @@ def partial_L(s: complex, X: int,
             next_mark *= 2
         try:
             val = poly.evaluate(p ** (-s))
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # the latter: phase Im(s) log p
             val = math.inf
         if not cmath.isfinite(val):
             raise ValueError(f"p^(-s) or its local factor at p = {p}, s = {s} "
@@ -187,10 +187,9 @@ class AFEConfig:
         object.__setattr__(self, "gamma_shifts", shifts)
 
 
-def delta_sym3_config(cutoff: int = 4000) -> AFEConfig:
+def delta_sym3_config() -> AFEConfig:
     """Shipped configuration for the symmetric cube of the weight-12 level-1 form."""
-    return AFEConfig(gamma_shifts=(5.5, 16.5), conductor=1,
-                     self_dual=True, cutoff=cutoff)
+    return AFEConfig(gamma_shifts=(5.5, 16.5), conductor=1, self_dual=True, cutoff=4000)
 
 
 # Stirling series of log Gamma: B_2k / (2k (2k - 1)) for k = 1..9.  At

@@ -26,34 +26,37 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected a rational, got {x!r}")
 
 
-class Affine:
-    """Rational affine form  const + r_coeff*r + s_coeff*s."""
+class Affine(Record):
+    """Rational affine form  const + r_coeff*r + s_coeff*s with an r or s term;
+    a form with neither is its constant, so each value has one type."""
 
-    __slots__ = ("const", "r_coeff", "s_coeff")
+    def __new__(cls, const=0, r_coeff=0, s_coeff=0):
+        if _frac(r_coeff) == 0 and _frac(s_coeff) == 0:
+            return _frac(const)
+        return super().__new__(cls)
 
     def __init__(self, const=0, r_coeff=0, s_coeff=0):
-        self.const = _frac(const)
-        self.r_coeff = _frac(r_coeff)
-        self.s_coeff = _frac(s_coeff)
+        set_field(self, "const", _frac(const))
+        set_field(self, "r_coeff", _frac(r_coeff))
+        set_field(self, "s_coeff", _frac(s_coeff))
 
-    @staticmethod
-    def coerce(x) -> "Affine":
-        if isinstance(x, Affine):
-            return x
-        return Affine(x)
+    def __getnewargs__(self):
+        # copy and pickle call __new__ with these; with none it would give Fraction(0)
+        return (self.const, self.r_coeff, self.s_coeff)
 
     def __add__(self, other):
-        o = Affine.coerce(other)
-        return Affine(self.const + o.const, self.r_coeff + o.r_coeff,
-                      self.s_coeff + o.s_coeff)
+        if isinstance(other, Affine):
+            return Affine(self.const + other.const, self.r_coeff + other.r_coeff,
+                          self.s_coeff + other.s_coeff)
+        return Affine(self.const + _frac(other), self.r_coeff, self.s_coeff)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-Affine.coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return Affine.coerce(other) + (-self)
+        return (-self) + other
 
     def __neg__(self):
         return Affine(-self.const, -self.r_coeff, -self.s_coeff)
@@ -67,22 +70,6 @@ class Affine:
 
     def __truediv__(self, other):
         return self * (Fraction(1) / _frac(other))
-
-    def __eq__(self, other):
-        if not isinstance(other, (Affine, Rational)):
-            return NotImplemented
-        o = Affine.coerce(other)
-        return (self.const == o.const and self.r_coeff == o.r_coeff
-                and self.s_coeff == o.s_coeff)
-
-    def __hash__(self):
-        # a constant form equals its Fraction, so it hashes as one
-        if self.is_constant():
-            return hash(self.const)
-        return hash((self.const, self.r_coeff, self.s_coeff))
-
-    def is_constant(self) -> bool:
-        return self.r_coeff == 0 and self.s_coeff == 0
 
     def __call__(self, r, s):
         """Evaluate at numeric (r, s); works for Fraction, float or complex."""
@@ -112,10 +99,8 @@ class Affine:
 
 
 def _coord(x):
-    """Canonical coordinate: a Fraction, or an Affine form that is not constant."""
-    if isinstance(x, Affine):
-        return x.const if x.is_constant() else x
-    return _frac(x)
+    """A coordinate: an Affine form as it is, a rational as its Fraction."""
+    return x if isinstance(x, Affine) else _frac(x)
 
 
 class RootVector(Record):
@@ -167,30 +152,25 @@ POSITIVE_ROOTS = {
 ROOT_NAMES = {v: k for k, v in POSITIVE_ROOTS.items()}
 
 
-def is_root(v: RootVector) -> bool:
-    """Membership in the twelve roots, by table lookup."""
-    return v in ROOT_NAMES or (-v) in ROOT_NAMES
-
-
 def lambda_weight(r=None, s=None) -> RootVector:
     """The principal-series parameter 2r*beta3 + (s - 3r)*beta4.
 
     With no arguments the coefficients stay symbolic in (r, s); passing
     rationals substitutes them.
     """
-    rr = Affine(0, 1, 0) if r is None else Affine.coerce(r)
-    ss = Affine(0, 0, 1) if s is None else Affine.coerce(s)
+    rr = Affine(0, 1, 0) if r is None else _frac(r)
+    ss = Affine(0, 0, 1) if s is None else _frac(s)
     return BETA3 * (2 * rr) + BETA4 * (ss - 3 * rr)
 
 
 def gram(u, v):
     """Symmetric bilinear form with matrix [[6,-3],[-3,2]] on (beta1, beta6)."""
-    return _coord(6 * u.c1 * v.c1 - 3 * (u.c1 * v.c6 + u.c6 * v.c1) + 2 * u.c6 * v.c6)
+    return 6 * u.c1 * v.c1 - 3 * (u.c1 * v.c6 + u.c6 * v.c1) + 2 * u.c6 * v.c6
 
 
 def pairing(lam, alpha: RootVector):
-    """Coroot pairing <lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha)."""
-    if not isinstance(alpha, RootVector) or not is_root(alpha):
+    """Coroot pairing <lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha), alpha a root."""
+    if not isinstance(alpha, RootVector) or not (alpha in ROOT_NAMES or -alpha in ROOT_NAMES):
         raise ValueError(f"{alpha!r} is not a root")
     return 2 * gram(lam, alpha) / gram(alpha, alpha)
 

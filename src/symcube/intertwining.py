@@ -97,7 +97,8 @@ def gk_coefficient(p: PrincipalParams) -> complex:
     t_b == 0 and mu^c6 == 1 in the rings of (r, s) and mu (decisive for a
     root-of-unity mu and rational r, s), then a denominator below POLE_TOL in
     modulus.  A root whose q^(-t) overflows (a huge q) takes the factor in
-    the equal form (q^t - chi q^-1) / (q^t - chi).
+    the equal form (q^t - chi q^-1) / (q^t - chi); one whose phase Im(t) log q
+    is past the float range raises ValueError naming s.
     """
     value = 1.0 + 0j
     mu, q = complex(p.mu), complex(p.q)
@@ -112,6 +113,9 @@ def gk_coefficient(p: PrincipalParams) -> complex:
             qt = _power(q, tc)  # as (q^t - chi q^-1) / (q^t - chi), near q^-1
             value *= (qt - chi / q) / (qt - chi)
             continue
+        except ZeroDivisionError:  # CPython's EDOM: the phase Im(t) log q leaves the floats
+            raise ValueError(f"q^(-t) at q = {p.q:.6g}, s = {p.s!r} "
+                             "leaves the float range") from None
         if abs(den) < POLE_TOL:
             raise IntertwiningPole(name, t)
         num = 1.0 - chi * _power(q, -tc - 1)
@@ -146,7 +150,7 @@ def l_ratio(p: PrincipalParams) -> complex:
             raise IntertwiningPole("numerator-L-value", p.s)
         num = _p_value(r30, p.q ** (-1 - s)) * _p_value(w2, p.q ** (-1 - 2 * s))
         ratio = num / den
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # the latter: phase Im(s) log q
         ratio = cmath.nan
     if not cmath.isfinite(ratio):
         raise ValueError(f"L-ratio at q = {p.q:.6g}, s = {p.s!r} leaves the float range")

@@ -53,7 +53,9 @@ MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 2 <= n < MR_BOUND."""
+    """Deterministic Miller-Rabin primality test for n < MR_BOUND; False for n < 2."""
+    if n < 2:
+        return False
     for a in _MR_BASES:
         if n % a == 0:
             return n == a

@@ -27,6 +27,11 @@ from symcube.satake import SatakeClass
 
 EPS = np.finfo(np.float64).eps
 
+
+def _at_cutoff(cutoff):
+    """The shipped sym3 config with another cutoff."""
+    return dataclasses.replace(delta_sym3_config(), cutoff=cutoff)
+
 # frozen oracle value: e1 of the sym-cube eigenvalues at p=2 for a_2 = -24,
 # weight 12: with t = -24 * 2^{-11/2} and alpha*beta = 1 it equals t^3 - 2t
 LAMBDA2_SYM3 = 0.9115048351232837
@@ -191,8 +196,8 @@ def test_afe_conjugate_symmetry(delta_sym3_coeffs_8k):
 
 
 def test_afe_cutoff_stability(delta_sym3_coeffs_8k):
-    big = delta_sym3_config(cutoff=4000)
-    small = delta_sym3_config(cutoff=2000)
+    big = delta_sym3_config()
+    small = _at_cutoff(2000)
     v1 = afe_value(0.5, small, delta_sym3_coeffs_8k)
     v2 = afe_value(0.5, big, delta_sym3_coeffs_8k)
     assert abs(v1 - v2) < 1e-6 * max(abs(v2), 1e-30)
@@ -248,12 +253,12 @@ PROBE_POINTS = [z for s in (0.5 + 0.5j, 0.5 + 1j, 0.5 + 2j) for z in (s, 1 - s)]
 SCAN_POINTS = [0.55 + 0.05 * i for i in range(9)]
 # with cutoff = 0 and x_scale 64 these derive cutoffs on both sides of 2048
 MIXED_POINTS = [0.6, 0.5 + 0.5j, 3.0, 2.0 - 1j, 0.5 + 2j]
-MIXED_CONFIG = dataclasses.replace(delta_sym3_config(cutoff=0), x_scale=64.0)
+MIXED_CONFIG = dataclasses.replace(delta_sym3_config(), cutoff=0, x_scale=64.0)
 
 
 @pytest.mark.parametrize("cfg, points", [
-    (delta_sym3_config(cutoff=4000), PROBE_POINTS),
-    (delta_sym3_config(cutoff=4000), SCAN_POINTS),
+    (delta_sym3_config(), PROBE_POINTS),
+    (delta_sym3_config(), SCAN_POINTS),
     (MIXED_CONFIG, MIXED_POINTS),
 ], ids=["probe-cutoff4000", "scan-cutoff4000", "mixed-cutoff0"])
 def test_afe_values_equal_per_point_sums(delta_sym3_coeffs_8k, cfg, points):
@@ -268,7 +273,7 @@ def test_afe_values_equal_per_point_sums(delta_sym3_coeffs_8k, cfg, points):
 
 
 @pytest.mark.parametrize("cfg, points", [
-    (delta_sym3_config(cutoff=4000), PROBE_POINTS),
+    (delta_sym3_config(), PROBE_POINTS),
     (MIXED_CONFIG, MIXED_POINTS),
 ], ids=["probe-cutoff4000", "mixed-cutoff0"])
 def test_afe_values_against_a_finer_quadrature(delta_sym3_coeffs_8k, cfg, points):
@@ -429,7 +434,7 @@ def test_afe_results_equal_from_a_cold_a_warm_and_an_evicted_cache(delta_sym3_co
     # 4000 rows fill the four the cache keeps, and each call finds its two
     assert _afe_block.cache_info().hits == info.hits + 6
     assert _afe_block.cache_info().misses == info.misses
-    afe_values([3.0], delta_sym3_config(cutoff=LONG_ROWS), _unit_table(LONG_ROWS))
+    afe_values([3.0], _at_cutoff(LONG_ROWS), _unit_table(LONG_ROWS))
     info = _afe_block.cache_info()
     assert _afe_results(cfg, delta_sym3_coeffs_8k) == cold
     assert _afe_block.cache_info().misses == info.misses + 4
@@ -505,8 +510,8 @@ def test_afe_values_past_four_blocks_cycle_the_cache_like_kernel_sums():
     coeffs = CoefficientTable(np.random.default_rng(7).normal(size=rows + 1) + 0j)
     points = [3 + 1j, 0.6 + 0j, 2 - 0.5j]
     _afe_block.cache_clear()
-    got = afe_values(points, delta_sym3_config(cutoff=rows), coeffs)
-    got += afe_values(points[:1], delta_sym3_config(cutoff=4 * _BLOCK + 1), coeffs)
+    got = afe_values(points, _at_cutoff(rows), coeffs)
+    got += afe_values(points[:1], _at_cutoff(4 * _BLOCK + 1), coeffs)
     info = _afe_block.cache_info()
     # 9 blocks, then 5 more: the first four were evicted by the long table
     assert (info.hits, info.misses, info.currsize) == (0, 14, 4)
@@ -524,7 +529,7 @@ def test_afe_cache_holds_at_most_four_blocks_after_any_sequence(delta_sym3_coeff
     # numpy reports its buffers to tracemalloc; each kind of call is made once
     # before tracing, so that one-time state (lazy numpy tables) is not counted
     long_table = _unit_table(LONG_ROWS)
-    long_cfg = delta_sym3_config(cutoff=LONG_ROWS)
+    long_cfg = _at_cutoff(LONG_ROWS)
     calls = [  # (rows, points, call)
         (4000, 1, lambda: afe_values([3.0], delta_sym3_config(), delta_sym3_coeffs_8k)),
         (LONG_ROWS, 1, lambda: afe_values([3.0], long_cfg, long_table)),
@@ -575,13 +580,13 @@ def test_afe_values_rejects_a_batch_with_an_out_of_strip_point(delta_sym3_coeffs
 
 
 def test_afe_cutoff_too_small(delta_sym3_coeffs_8k):
-    cfg = delta_sym3_config(cutoff=16)
+    cfg = _at_cutoff(16)
     with pytest.raises(CutoffTooSmall):
         afe_value(0.5, cfg, delta_sym3_coeffs_8k)
 
 
 def test_afe_values_refuse_a_cutoff_past_the_table(delta_sym3_coeffs_8k):
-    cfg = delta_sym3_config(cutoff=delta_sym3_coeffs_8k.n_max + 1)
+    cfg = _at_cutoff(delta_sym3_coeffs_8k.n_max + 1)
     with pytest.raises(CutoffTooSmall) as err:
         afe_values([0.5 + 1j], cfg, delta_sym3_coeffs_8k)
     assert (err.value.needed, err.value.given) == (8193, 8192)
@@ -652,9 +657,9 @@ def test_epsilon_probe_center_is_real(delta_sym3_coeffs_8k):
 def test_epsilon_probe_stable_under_cutoff_doubling(delta_sym3_coeffs_8k):
     # the probe sizes its own sums, so cfg.cutoff does not reach it
     points = [0.5 + 0.5j, 0.5 + 1j]
-    small = epsilon_probe(points, delta_sym3_config(cutoff=2000),
+    small = epsilon_probe(points, _at_cutoff(2000),
                           delta_sym3_coeffs_8k)
-    big = epsilon_probe(points, delta_sym3_config(cutoff=4000),
+    big = epsilon_probe(points, delta_sym3_config(),
                         delta_sym3_coeffs_8k)
     assert small.estimates == big.estimates and len(small.estimates) == 2
 

@@ -1,6 +1,7 @@
 import argparse
 import cmath
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -1223,8 +1224,45 @@ def test_afe_and_scan_exit_0_1_or_2_alike_from_a_cold_and_a_refilled_cache(argv)
     # leave other blocks in the cache: those of a 5000-row table
     table = analytic.CoefficientTable(np.zeros(5001, dtype=np.complex128))
     table.values[1] = 1
-    analytic.afe_values([3.0], analytic.delta_sym3_config(cutoff=5000), table)
+    analytic.afe_values([3.0], dataclasses.replace(analytic.delta_sym3_config(), cutoff=5000),
+                        table)
     assert _run_in_process(argv) == cold
+
+
+# --- euler on any finite --s ------------------------------------------------
+
+_PHASE_PAST = ("input error: p^(-s) or its local factor at p = 7, s = {} is beyond the "
+               "float range\n")
+
+
+@pytest.mark.parametrize("s", ["1+1e308j", "-1e-320+1e308j"])
+def test_euler_at_a_phase_past_the_float_range_is_an_input_error(s):
+    # p^(-s) forms the phase Im(s) log p; past the float range CPython reports
+    # cos(inf)'s EDOM as ZeroDivisionError, which ended in a traceback
+    out = run_cold(["euler", "--coeffs", "builtin:delta:10", "--X", "10", f"--s={s}"])
+    err = _PHASE_PAST.format(complex(s))
+    assert (out.returncode, out.stdout, out.stderr.decode()) == (2, b"", err)
+
+
+def _run_with_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ANY_FLOAT, _ANY_FLOAT)
+@example(1.0, 1e308)
+@example(-1e-320, 1e308)
+def test_euler_on_any_finite_s_exits_0_or_2_alike(re_s, im_s):
+    argv = ["euler", "--coeffs", "builtin:delta:10", "--X", "10",
+            f"--s={_complex_flag(complex(re_s, im_s))}"]
+    code, out, err = _run_with_stderr(argv)
+    assert code in (0, 2) and "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("input error: ") and err.count("\n") == 1
+    assert _run_with_stderr(argv) == (code, out, err)
 
 
 # --- identity --bound and intertwine --r over their whole ranges -------------

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as Q
 
@@ -302,3 +304,90 @@ def test_affine_equality_and_hash_agree_with_rationals():
     assert hash(Affine(2)) == hash(Q(2)) == hash(2)
     assert {Q(2): 1}[Affine(2)] == 1 and {Affine(Q(1, 2)): 1}[Q(1, 2)] == 1
     assert Affine(0, 2, 0) != Affine(2) and Affine(0, 2, 0) != 2
+
+
+_nonzero_rationals = _rationals.filter(bool)
+_coeffs = st.one_of(st.just(Q(0)), _rationals)  # an r or s term is often absent
+_OPS = {  # each op on a value and on its model, the triple (const, r, s)
+    "+": (lambda x, y, c: x + y, lambda m, n, c: tuple(a + b for a, b in zip(m, n))),
+    "-": (lambda x, y, c: x - y, lambda m, n, c: tuple(a - b for a, b in zip(m, n))),
+    "neg": (lambda x, y, c: -x, lambda m, n, c: tuple(-a for a in m)),
+    "*": (lambda x, y, c: x * c, lambda m, n, c: tuple(a * c for a in m)),
+    "r*": (lambda x, y, c: c * x, lambda m, n, c: tuple(a * c for a in m)),
+    "/": (lambda x, y, c: x / c, lambda m, n, c: tuple(a / c for a in m)),
+    "r+": (lambda x, y, c: c + x, lambda m, n, c: (m[0] + c, *m[1:])),
+    "r-": (lambda x, y, c: c - x, lambda m, n, c: (c - m[0], -m[1], -m[2])),
+}
+
+
+def _is(value, model):
+    """value is the Affine form of model (const, r, s), or its Fraction when
+    neither r nor s is there."""
+    const, r, s = model
+    if r == 0 and s == 0:
+        return type(value) is Q and value == const
+    return type(value) is Affine and (value.const, value.r_coeff, value.s_coeff) == model
+
+
+def _canonical(x):
+    """A Fraction, or an Affine form with an r or s term."""
+    if type(x) is Affine:
+        return x.r_coeff != 0 or x.s_coeff != 0
+    return type(x) is Q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_rationals, _coeffs, _coeffs), min_size=2, max_size=6),
+       st.lists(st.tuples(st.sampled_from(sorted(_OPS)), _nonzero_rationals),
+                min_size=5, max_size=5))
+def test_no_affine_form_is_constant(models, ops):
+    """Sums, differences and rational multiples of forms come out as a
+    Fraction exactly when no r or s term is left, equal to the constant."""
+    values = [Affine(*m) for m in models]
+    for value, model in zip(values, models):
+        assert _is(value, model)
+    x, m = values[0], models[0]
+    for value, model, (op, c) in zip(values[1:], models[1:], ops):
+        on_values, on_models = _OPS[op]
+        x, m = on_values(x, value, c), on_models(m, model, c)
+        assert _is(x, m) and _is(x - x, (0, 0, 0)) and _is(x + (-x), (0, 0, 0))
+    assert _is(sum(values, 0), tuple(map(sum, zip(*models))))
+    # every coordinate lambda_weight, reflect, gram and pairing give out
+    v = RootVector(values[0], values[-1])
+    r, s = models[0][:2]
+    for beta in POSITIVE_ROOTS.values():
+        coords = [lambda_weight().c1, lambda_weight().c6, lambda_weight(r, s).c1,
+                  lambda_weight(r, s).c6, reflect(beta, v).c1, reflect(beta, v).c6,
+                  gram(v, beta), gram(lambda_weight(), beta), pairing(v, beta),
+                  pairing(lambda_weight(), beta), pairing(lambda_weight(r, s), beta)]
+        assert all(map(_canonical, coords))
+
+
+@pytest.mark.parametrize("how", [copy.copy, copy.deepcopy,
+                                 lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_affine_forms_survive_copy_and_pickle(how):
+    # copy and pickle rebuild through __new__ with the three coefficients;
+    # with no arguments __new__ would give Fraction(0)
+    for value in [lambda_weight(), reflect(BETA6, lambda_weight()), *pairing_table().values()]:
+        got = how(value)
+        assert got == value and type(got) is type(value) and repr(got) == repr(value)
+
+
+def test_affine_forms_refuse_assignment():
+    form = pairing_table()["beta1"]
+    with pytest.raises(AttributeError):
+        form.const = Q(1)
+    with pytest.raises(AttributeError):
+        del form.r_coeff
+    assert form == Affine(0, 2, 0)
+
+
+def test_pairing_takes_all_twelve_roots():
+    lam = lambda_weight()
+    for beta in POSITIVE_ROOTS.values():
+        assert pairing(lam, -beta) == -pairing(lam, beta)
+        assert pairing(beta, -beta) == -2
+    for v in (RootVector(0, 0), RootVector(5, 7), RootVector(-5, -7), BETA1 + BETA1):
+        with pytest.raises(ValueError):
+            pairing(lam, v)

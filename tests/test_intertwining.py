@@ -817,6 +817,17 @@ def test_l_ratio_refuses_a_ratio_beyond_the_float_range(q, s):
         l_ratio(p)
 
 
+@pytest.mark.parametrize("s", [1 + 1e308j, 1 + 9.2e307j, -1e308 - 1e308j])
+def test_both_routes_refuse_a_phase_past_the_float_range(s):
+    # q^(-t) forms the phase Im(t) log q; past the float range CPython reports
+    # cos(inf)'s EDOM as ZeroDivisionError, which both routes let through
+    p = PrincipalParams(1.0, 7, 0.1, s)
+    for route in (gk_coefficient, l_ratio):
+        with pytest.raises(ValueError, match=re.escape(f"q = 7, s = {s!r}")):
+            route(p)
+    assert cmath.isfinite(gk_coefficient(PrincipalParams(1.0, 7, 0.1, 0.1 + 1e300j)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(q=st.sampled_from([2, 3, 5, 7, 3 ** 600, 2 ** 1023]),
        r=st.floats(0, 0.49), s=st.floats(-1e4, 1e4), order=st.integers(1, 12),

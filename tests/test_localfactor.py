@@ -1,7 +1,11 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -448,3 +452,12 @@ def test_rational_classes_check_exactly(alpha, beta, q):
     for tag in (RepTag.ADJOINT_CUBE, RepTag.GJ_ADJOINT):
         assert not any(isinstance(x, (float, complex)) for x in eigenvalues(tag, c))
 
+
+def test_is_prime_is_false_below_2():
+    # in a fresh interpreter with a timeout: the Miller-Rabin loop never ended on 1
+    code = ("from symcube.localfactor import is_prime; "
+            "print([is_prime(n) for n in (-7, 0, 1, 2, 3)])")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=30, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout == "[False, False, False, True, True]\n"

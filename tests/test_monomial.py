@@ -56,7 +56,7 @@ def test_induced_validation():
 def test_induced_takes_primes_only():
     assert HeckeLocalData(2, INERT, 1.0).p == 2
     assert HeckeLocalData(1_000_000_007, INERT, 1.0).p == 1_000_000_007
-    # is_prime does not end on 1: the range guard runs before it
+    # the range guard runs before is_prime
     for p in (1, 4, 561, 1_000_000_007 * 998_244_353, -7, 0):
         with pytest.raises(ValueError, match="p must be a prime"):
             HeckeLocalData(p, INERT, 1.0)

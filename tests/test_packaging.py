@@ -366,5 +366,5 @@ def test_each_record_sets_its_init_parameters_in_order():
     for path in (REPO / "src" / "symcube").rglob("*.py"):
         found.update(_record_rule_breaks(path.read_text()))
     assert found == dict.fromkeys(
-        ["HeckeLocalData", "ParsedForm", "ParsedHeckeData", "PoleVerdict", "PrincipalParams",
-         "ReciprocalPoly", "RootVector", "SatakeClass", "WeylElement"], [])
+        ["Affine", "HeckeLocalData", "ParsedForm", "ParsedHeckeData", "PoleVerdict",
+         "PrincipalParams", "ReciprocalPoly", "RootVector", "SatakeClass", "WeylElement"], [])
